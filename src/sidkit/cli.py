@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--manifest", required=True)
     train.add_argument("--out", required=True, help="model store directory")
     train.add_argument("--config", help="configuration file")
-    train.add_argument("--jobs", type=int, default=1)
 
     ev = sub.add_parser("evaluate", help="score the test split and report accuracy")
     ev.add_argument("--manifest", required=True)
@@ -51,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--report", help="write the text report here")
     ev.add_argument("--records", help="write per-utterance JSON records here")
     ev.add_argument("--config", help="configuration file")
-    ev.add_argument("--jobs", type=int, default=1)
 
     ident = sub.add_parser("identify", help="identify the speaker of one WAV file")
     ident.add_argument("--audio", required=True)
@@ -91,7 +89,7 @@ def _run_synth(args) -> int:
 def _run_train(args) -> int:
     cfg = _load_config(args.config)
     manifest = read_manifest(args.manifest)
-    store = train_command(manifest, cfg, args.out, jobs=args.jobs)
+    store = train_command(manifest, cfg, args.out)
     print(f"trained {2 * len(store.speakers())} models into {args.out}")
     return 0
 
@@ -108,7 +106,6 @@ def _run_evaluate(args) -> int:
         cfg=cfg,
         report_path=args.report,
         records_path=args.records,
-        jobs=args.jobs,
     )
     print(f"test utterances: {run.fused.num_trials}")
     print(f"PIA spectral-only: {run.spectral_only.pia:.4f}")

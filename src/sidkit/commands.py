@@ -1,16 +1,15 @@
 """Batch commands: train speaker models, evaluate a corpus, identify one file.
 
-Per-speaker training jobs and per-utterance scoring jobs are pure functions
-mapped over a worker pool (serial by default); the model store and the
-report are only touched by the collecting thread, so results are
-deterministic for any worker count.
+Speakers are trained and test utterances scored one after another, in
+sorted order, so reruns are deterministic.  Each utterance's features are
+computed on its whole frame matrix at once (see ``residual_moments`` and
+``spectral``).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +72,6 @@ def extract_streams(
     return spectral, residual
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _speaker_features(
     entries: list[ManifestEntry], manifest: CorpusManifest, cfg: ToolkitConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +114,7 @@ def _train_stream(
 
 
 def train_command(
-    manifest: CorpusManifest, cfg: ToolkitConfig, store_dir, jobs: int = 1
+    manifest: CorpusManifest, cfg: ToolkitConfig, store_dir
 ) -> ModelStore:
     """Train one spectral and one residual model per speaker and persist both."""
     by_speaker: dict[str, list[ManifestEntry]] = {}
@@ -146,7 +138,7 @@ def train_command(
             raise _tagged(exc, f"speaker {speaker}") from exc
         return speaker, spectral_model, residual_model
 
-    results = _map_jobs(train_one, sorted(by_speaker), jobs)
+    results = [train_one(speaker) for speaker in sorted(by_speaker)]
     store = ModelStore(store_dir, sample_rate=manifest.sample_rate)
     for speaker, spectral_model, residual_model in results:
         for stream, model in (
@@ -202,7 +194,6 @@ def evaluate_command(
     cfg: ToolkitConfig | None = None,
     report_path=None,
     records_path=None,
-    jobs: int = 1,
 ) -> EvaluationRun:
     """Score every test utterance against every speaker and summarize accuracy.
 
@@ -238,7 +229,7 @@ def evaluate_command(
             ) from exc
         return entry, scores
 
-    scored = _map_jobs(score_one, entries, jobs)
+    scored = [score_one(entry) for entry in entries]
 
     fused_triples, spectral_triples, residual_triples, records = [], [], [], []
     for entry, scores in scored:

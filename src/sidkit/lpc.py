@@ -1,8 +1,16 @@
-"""Per-frame linear prediction via the autocorrelation method.
+"""Linear prediction via the autocorrelation method, on whole frame matrices.
 
 Coefficients follow the inverse-filter sign convention
 ``A(z) = 1 + sum_k a(k) z^-k``, i.e. the predictor output is
 ``-sum_k a(k) s(n-k)`` and the residual is ``e(n) = s(n) + sum_k a(k) s(n-k)``.
+
+Every stage works along the last axis, so one call handles either a single
+frame of shape ``(frame_len,)`` or an utterance's ``(num_frames, frame_len)``
+frame matrix: autocorrelation is one shifted multiply-and-sum per lag, the
+Levinson-Durbin order loop runs over all frames at once, and inverse
+filtering is one multiply-and-sum over a sliding window of lagged samples.
+A single frame is the one-row case of the same arithmetic, so its results
+are bit-identical to that frame's row in a matrix solve.
 """
 
 from __future__ import annotations
@@ -40,66 +48,131 @@ class LpCoefficients:
         return self.a.size
 
 
+@dataclass(frozen=True)
+class LpFrames:
+    """Predictors of a frame matrix: one row of ``a`` and one gain per frame.
+
+    ``usable`` marks the frames whose solve succeeded.  Degenerate frames
+    (zero energy, or a prediction error that collapsed mid-recursion) keep
+    their row but hold zero coefficients and zero gain.
+    """
+
+    a: np.ndarray
+    gain: np.ndarray
+    usable: np.ndarray
+
+    def __len__(self):
+        return self.a.shape[0]
+
+    @property
+    def order(self) -> int:
+        return self.a.shape[1]
+
+
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r(0..max_lag) with zero extension."""
+    """Biased autocorrelation r(0..max_lag) with zero extension, per frame."""
     frame = np.asarray(frame, dtype=np.float64)
-    full = np.correlate(frame, frame, mode="full")
-    mid = frame.size - 1
-    return full[mid : mid + max_lag + 1].copy()
+    size = frame.shape[-1]
+    return np.stack(
+        [np.einsum("...i,...i->...", frame[..., lag:], frame[..., : size - lag])
+         for lag in range(max_lag + 1)],
+        axis=-1,
+    )
 
 
-def _levinson_durbin(r: np.ndarray, order: int) -> np.ndarray:
-    """Order-recursive solve of the Toeplitz normal equations.
+def _levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-recursive solve of the Toeplitz normal equations, one row per frame.
 
     Returns the forward predictor weights alpha(1..order) with
-    ``s_hat(n) = sum_k alpha(k) s(n-k)``.
+    ``s_hat(n) = sum_k alpha(k) s(n-k)``, and a mask of the rows whose
+    prediction error stayed positive and finite through every order.
+    Rows outside the mask hold garbage.
     """
-    alpha = np.zeros(order)
-    err = r[0]
+    alpha = np.zeros((r.shape[0], order))
+    err = r[:, 0].copy()
+    ok = err > 0.0
     for i in range(order):
-        acc = r[i + 1] - np.dot(alpha[:i], r[i:0:-1])
+        acc = r[:, i + 1] - np.einsum("ij,ij->i", alpha[:, :i], r[:, i:0:-1])
         k = acc / err
-        prev = alpha[:i].copy()
-        alpha[i] = k
-        alpha[:i] = prev - k * prev[::-1]
+        prev = alpha[:, :i]
+        alpha[:, :i] = prev - k[:, None] * prev[:, ::-1]
+        alpha[:, i] = k
         err *= 1.0 - k * k
-        if err <= 0.0 or not np.isfinite(err):
-            raise DegenerateFrame("prediction error collapsed during recursion")
-    return alpha
+        ok &= (err > 0.0) & np.isfinite(err)
+    return alpha, ok & np.all(np.isfinite(alpha), axis=1)
 
 
-def compute_lp(frame: np.ndarray, order: int) -> LpCoefficients:
-    """Fit an order-p predictor to one frame by the autocorrelation method.
+def _solve_rows(frames: np.ndarray, order: int) -> LpFrames:
+    """Batched solve of a (num_frames, frame_len) matrix.
+
+    Degenerate rows divide by zero or overflow on their way to the mask;
+    those floating-point warnings are silenced, since the mask reports them.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if frames.shape[1] <= order:
+        raise ValueError(f"frame length {frames.shape[1]} must exceed order {order}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = autocorrelation(frames, order)
+        r[:, 0] *= 1.0 + AUTOCORR_RIDGE
+        alpha, usable = _levinson_durbin(r, order)
+        a = np.where(usable[:, None], -alpha, 0.0)
+        residual = _filter(frames, a)
+        gain = np.where(usable, np.sqrt(np.mean(residual * residual, axis=1)), 0.0)
+    return LpFrames(a=a, gain=gain, usable=usable)
+
+
+def compute_lp(frames: np.ndarray, order: int) -> LpCoefficients | LpFrames:
+    """Fit order-p predictors by the autocorrelation method.
+
+    Given a frame matrix ``(num_frames, frame_len)``, solves every frame at
+    once and returns :class:`LpFrames`, marking degenerate frames in
+    ``usable`` instead of raising.  Given one frame, returns its
+    :class:`LpCoefficients` (the one-row case of the same solve).
 
     The gain is the RMS of the frame-local residual, so ``gain**2`` equals
     the mean squared residual by construction.
 
     Raises:
-        DegenerateFrame: frame is identically zero, or the regularized
-            normal equations are numerically singular.
+        DegenerateFrame: a single frame is identically zero, or its
+            regularized normal equations are numerically singular.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if frame.size <= order:
-        raise ValueError(f"frame length {frame.size} must exceed order {order}")
-    r = autocorrelation(frame, order)
-    if r[0] <= 0.0:
-        raise DegenerateFrame("frame has zero energy")
-    r[0] *= 1.0 + AUTOCORR_RIDGE
-    alpha = _levinson_durbin(r, order)
-    a = -alpha
-    residual = np.convolve(frame, np.concatenate(([1.0], a)))[: frame.size]
-    gain = float(np.sqrt(np.mean(residual * residual)))
-    return LpCoefficients(a=a, gain=gain)
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim == 2:
+        return _solve_rows(frames, order)
+    if frames.ndim != 1:
+        raise ValueError("expected one frame or a (num_frames, frame_len) matrix")
+    lp = _solve_rows(frames[None, :], order)
+    if not lp.usable[0]:
+        if not np.any(frames):
+            raise DegenerateFrame("frame has zero energy")
+        raise DegenerateFrame("prediction error collapsed during recursion")
+    return LpCoefficients(a=lp.a[0], gain=float(lp.gain[0]))
 
 
-def inverse_filter(frame: np.ndarray, lp: LpCoefficients) -> np.ndarray:
-    """Residual e(n) = s(n) + sum_k a(k) s(n-k), zero history before the frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if lp.order >= frame.size:
+def _filter(frames: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """e(n) = s(n) + sum_k a(k) s(n-k) along the last axis, zero history.
+
+    Each output sample is one dot product of the taps [a(p)..a(1), 1] with
+    the lagged window s(n-p..n) of a zero-padded copy of its frame.
+    """
+    order = a.shape[-1]
+    padded = np.concatenate((np.zeros(frames.shape[:-1] + (order,)), frames), axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, order + 1, axis=-1)
+    taps = np.concatenate((a[..., ::-1], np.ones(a.shape[:-1] + (1,))), axis=-1)
+    return np.einsum("...nk,...k->...n", windows, taps)
+
+
+def inverse_filter(frames: np.ndarray, lp: LpCoefficients | LpFrames) -> np.ndarray:
+    """Residual e(n) = s(n) + sum_k a(k) s(n-k), zero history before each frame.
+
+    Takes one frame with :class:`LpCoefficients`, or a frame matrix with the
+    :class:`LpFrames` that :func:`compute_lp` returned for it.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if lp.order >= frames.shape[-1]:
         raise ValueError("predictor order must be below the frame length")
-    return np.convolve(frame, np.concatenate(([1.0], lp.a)))[: frame.size]
+    return _filter(frames, lp.a)
 
 
 def predict(frame: np.ndarray, lp: LpCoefficients) -> np.ndarray:

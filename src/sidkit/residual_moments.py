@@ -3,6 +3,11 @@
 Each frame is inverse-filtered, scaled so the residual peaks at +/-1, and
 summarized by its central moments of orders 2 through K+1.  The first-order
 moment is zero by construction and therefore not emitted.
+
+Features are computed on an utterance's whole ``(num_frames, frame_len)``
+frame matrix, with one LP solve per :func:`~sidkit.lpc.compute_lp` call.
+The per-frame helpers are the one-row case of the same kernels along the
+last axis, so a frame's features do not depend on its neighbours.
 """
 
 from __future__ import annotations
@@ -31,53 +36,64 @@ class ResidualMomentFeatures:
         return self.vectors.shape[1]
 
 
+def _peak_normalize(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row to unit peak; also return the mask of non-zero rows."""
+    peak = np.max(np.abs(residuals), axis=-1, keepdims=True)
+    nonzero = peak[..., 0] > 0.0
+    return residuals / np.where(peak > 0.0, peak, 1.0), nonzero
+
+
 def normalize_residual(residual: np.ndarray) -> np.ndarray:
-    """Scale a residual frame so its maximum absolute value is exactly 1.
+    """Scale a residual frame (or each row of a matrix) so its peak is exactly 1.
 
     Raises:
-        DegenerateFrame: the residual is identically zero.
+        DegenerateFrame: a residual is identically zero.
     """
     residual = np.asarray(residual, dtype=np.float64)
     if residual.size == 0:
         raise ValueError("residual must be non-empty")
-    peak = float(np.max(np.abs(residual)))
-    if peak == 0.0:
+    normalized, nonzero = _peak_normalize(residual)
+    if not np.all(nonzero):
         raise DegenerateFrame("all-zero residual cannot be normalized")
-    return residual / peak
+    return normalized
 
 
 def central_moments(residual: np.ndarray, num_moments: int) -> np.ndarray:
-    """Central moments m_2 .. m_(num_moments+1) of one residual frame."""
+    """Central moments m_2 .. m_(num_moments+1) of a residual frame, per row.
+
+    Powers of the deviations are running products, one multiply per order.
+    """
     residual = np.asarray(residual, dtype=np.float64)
     if num_moments < 1:
         raise ValueError("num_moments must be >= 1")
-    deviations = residual - residual.mean()
-    orders = np.arange(2, num_moments + 2)
-    return np.array([np.mean(deviations**k) for k in orders])
+    deviations = residual - residual.mean(axis=-1, keepdims=True)
+    power = deviations * deviations
+    moments = [power.mean(axis=-1)]
+    for _ in range(num_moments - 1):
+        power *= deviations
+        moments.append(power.mean(axis=-1))
+    return np.stack(moments, axis=-1)
 
 
 def extract_residual_moments(
     frames: FrameSequence, lp_order: int = 17, num_moments: int = 6
 ) -> ResidualMomentFeatures:
-    """Run the residual-moment pipeline over every frame of an utterance.
+    """Run the residual-moment pipeline over an utterance's frame matrix.
 
-    Per frame: fit the predictor, inverse-filter, peak-normalize, take
-    central moments.  Degenerate frames are skipped and counted.
+    One batched predictor solve, inverse filter, peak normalization and
+    moment pass cover every frame.  Degenerate frames are skipped and
+    counted.
 
     Raises:
         NoUsableFrames: every frame was degenerate.
     """
     if len(frames) == 0:
         raise ValueError("frame sequence must be non-empty")
-    vectors = []
-    skipped = 0
-    for frame in frames.frames:
-        try:
-            lp = compute_lp(frame, lp_order)
-            residual = inverse_filter(frame, lp)
-            vectors.append(central_moments(normalize_residual(residual), num_moments))
-        except DegenerateFrame:
-            skipped += 1
-    if not vectors:
+    lp = compute_lp(frames.frames, lp_order)
+    normalized, nonzero = _peak_normalize(inverse_filter(frames.frames, lp))
+    usable = lp.usable & nonzero
+    skipped = len(frames) - int(np.count_nonzero(usable))
+    if skipped == len(frames):
         raise NoUsableFrames(f"all {skipped} frames degenerate")
-    return ResidualMomentFeatures(np.asarray(vectors), skipped_frames=skipped)
+    vectors = central_moments(normalized[usable], num_moments)
+    return ResidualMomentFeatures(vectors, skipped_frames=skipped)

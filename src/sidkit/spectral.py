@@ -3,6 +3,13 @@
 MFCC and LFCC share one path: power spectrum, triangular filterbank,
 log energies, type-II DCT with the dc coefficient discarded.  LPCC comes
 from the cepstral recursion on the all-pole model coefficients.
+
+Features are computed on an utterance's whole ``(num_frames, frame_len)``
+frame matrix: one ``rfft``, one matmul with the filterbank and one ``dct``
+along the frame axis for MFCC/LFCC, and for LPCC one LP solve per
+:func:`~sidkit.lpc.compute_lp` call followed by the cepstral recursion
+across all frames.  Each helper also takes a single frame (the one-row
+case along the last axis).
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .errors import DegenerateFrame, NoUsableFrames
+from .errors import NoUsableFrames
 from .frontend import FrameSequence
-from .lpc import LpCoefficients, compute_lp
+from .lpc import LpCoefficients, LpFrames, compute_lp
 
 # Filterbank outputs below this value are clamped before the log.
 LOG_ENERGY_FLOOR = 1e-10
@@ -79,59 +86,55 @@ def make_filterbank(
 
 
 def power_spectrum(frame: np.ndarray, fft_size: int = 256) -> np.ndarray:
-    """Magnitude-squared spectrum over fft_size/2 + 1 bins, zero-padded."""
+    """Magnitude-squared spectrum over fft_size/2 + 1 bins, zero-padded, per row."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.size > fft_size:
-        raise ValueError(f"frame length {frame.size} exceeds fft size {fft_size}")
-    spectrum = np.fft.rfft(frame, n=fft_size)
-    return (spectrum.real**2 + spectrum.imag**2).astype(np.float64)
+    if frame.shape[-1] > fft_size:
+        raise ValueError(f"frame length {frame.shape[-1]} exceeds fft size {fft_size}")
+    spectrum = np.fft.rfft(frame, n=fft_size, axis=-1)
+    return spectrum.real**2 + spectrum.imag**2
 
 
 def filterbank_energies(spectrum: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Log filterbank outputs, floored at LOG_ENERGY_FLOOR before the log."""
+    """Log filterbank outputs per row, floored at LOG_ENERGY_FLOOR before the log."""
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.size != bank.fft_size // 2 + 1:
+    if spectrum.shape[-1] != bank.fft_size // 2 + 1:
         raise ValueError("spectrum length does not match the filterbank fft size")
-    raw = bank.weights @ spectrum
+    raw = spectrum @ bank.weights.T
     return np.log(np.maximum(raw, LOG_ENERGY_FLOOR))
 
 
 def cepstra_from_energies(energies: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
-    """Orthonormal type-II DCT of the log energies, dc coefficient dropped."""
+    """Orthonormal type-II DCT of the log energies per row, dc coefficient dropped."""
     energies = np.asarray(energies, dtype=np.float64)
-    if num_cepstra >= energies.size:
+    if num_cepstra >= energies.shape[-1]:
         raise ValueError("num_cepstra must be below the number of filters")
-    return dct(energies, type=2, norm="ortho")[1 : num_cepstra + 1]
+    return dct(energies, type=2, norm="ortho", axis=-1)[..., 1 : num_cepstra + 1]
 
 
-def lpcc_from_lp(lp: LpCoefficients, num_cepstra: int = 19) -> np.ndarray:
-    """Cepstrum of the all-pole model 1/A(z) by the standard recursion.
+def lpcc_from_lp(lp: LpCoefficients | LpFrames, num_cepstra: int = 19) -> np.ndarray:
+    """Cepstrum of the all-pole model 1/A(z) by the standard recursion, per frame.
 
     c_n = -a_n - (1/n) sum_{k=1..n-1} k c_k a_{n-k}, with a_m = 0 beyond
-    the model order.  The gain never enters.
+    the model order.  The gain never enters.  Frames without a usable
+    predictor hold zero coefficients and so get zero cepstra.
     """
-    a = np.zeros(num_cepstra + 1)
+    a = np.zeros(lp.a.shape[:-1] + (num_cepstra + 1,))
     upto = min(lp.order, num_cepstra)
-    a[1 : upto + 1] = lp.a[:upto]
-    c = np.zeros(num_cepstra + 1)
+    a[..., 1 : upto + 1] = lp.a[..., :upto]
+    c = np.zeros_like(a)
     for n in range(1, num_cepstra + 1):
-        acc = a[n]
-        if n > 1:
-            k = np.arange(1, n)
-            acc += np.dot(k * c[1:n], a[n - 1 : 0 : -1]) / n
-        c[n] = -acc
-    return c[1:]
+        k = np.arange(1, n)
+        acc = a[..., n] + np.sum(k * c[..., 1:n] * a[..., n - 1 : 0 : -1], axis=-1) / n
+        c[..., n] = -acc
+    return c[..., 1:]
 
 
 def extract_filterbank_cepstra(
     frames: FrameSequence, bank: FilterBank, num_cepstra: int = 19
 ) -> np.ndarray:
     """Cepstral matrix (num_frames, num_cepstra) for MFCC or LFCC."""
-    out = np.empty((len(frames), num_cepstra))
-    for t, frame in enumerate(frames.frames):
-        energies = filterbank_energies(power_spectrum(frame, bank.fft_size), bank)
-        out[t] = cepstra_from_energies(energies, num_cepstra)
-    return out
+    spectra = power_spectrum(frames.frames, bank.fft_size)
+    return cepstra_from_energies(filterbank_energies(spectra, bank), num_cepstra)
 
 
 def extract_lpcc(
@@ -142,12 +145,7 @@ def extract_lpcc(
     Raises:
         NoUsableFrames: every frame was degenerate.
     """
-    vectors = []
-    for frame in frames.frames:
-        try:
-            vectors.append(lpcc_from_lp(compute_lp(frame, lp_order), num_cepstra))
-        except DegenerateFrame:
-            continue
-    if not vectors:
+    lp = compute_lp(frames.frames, lp_order)
+    if not np.any(lp.usable):
         raise NoUsableFrames("all frames degenerate for LPCC extraction")
-    return np.asarray(vectors)
+    return lpcc_from_lp(lp, num_cepstra)[lp.usable]

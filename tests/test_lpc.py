@@ -1,5 +1,7 @@
 """Linear prediction: normal equations, inverse filtering, reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -8,6 +10,7 @@ from scipy.signal import lfilter
 from sidkit.errors import DegenerateFrame
 from sidkit.lpc import (
     AUTOCORR_RIDGE,
+    LpFrames,
     autocorrelation,
     compute_lp,
     inverse_filter,
@@ -169,3 +172,59 @@ class TestAutocorrelation:
         x = rng.standard_normal(500)
         r = autocorrelation(x, 10)
         assert np.all(np.abs(r[1:]) <= r[0])
+
+
+class TestBatchedLp:
+    @staticmethod
+    def _matrix_with_zero_rows(seed=20):
+        rng = np.random.default_rng(seed)
+        frames = np.vstack([speech_like_frame(rng) for _ in range(10)])
+        frames[[0, 4, 5, 9]] = 0.0
+        return frames
+
+    def test_rows_equal_single_frame_solves(self):
+        """Every usable row of a matrix solve equals the one-frame solve bit for bit."""
+        frames = self._matrix_with_zero_rows()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = compute_lp(frames, 17)
+        assert isinstance(batch, LpFrames)
+        assert len(batch) == 10 and batch.order == 17
+        np.testing.assert_array_equal(batch.usable, np.any(frames != 0.0, axis=1))
+        for frame, a, gain, usable in zip(frames, batch.a, batch.gain, batch.usable):
+            if not usable:
+                with pytest.raises(DegenerateFrame):
+                    compute_lp(frame, 17)
+                np.testing.assert_array_equal(a, np.zeros(17))
+                assert gain == 0.0
+                continue
+            single = compute_lp(frame, 17)
+            np.testing.assert_array_equal(single.a, a)
+            assert single.gain == gain
+
+    def test_matrix_inverse_filter_equals_rows(self):
+        frames = self._matrix_with_zero_rows(21)
+        batch = compute_lp(frames, 17)
+        residuals = inverse_filter(frames, batch)
+        for t in np.flatnonzero(batch.usable):
+            single = inverse_filter(frames[t], compute_lp(frames[t], 17))
+            np.testing.assert_array_equal(residuals[t], single)
+        np.testing.assert_array_equal(residuals[~batch.usable], 0.0)
+
+    def test_all_zero_matrix_marks_every_row(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = compute_lp(np.zeros((3, 160)), 17)
+        assert not np.any(batch.usable)
+
+    def test_autocorrelation_rows(self):
+        frames = self._matrix_with_zero_rows(22)
+        np.testing.assert_array_equal(
+            autocorrelation(frames, 17), np.array([autocorrelation(f, 17) for f in frames])
+        )
+
+    def test_matrix_order_bounds(self):
+        with pytest.raises(ValueError):
+            compute_lp(np.ones((3, 10)), 10)
+        with pytest.raises(ValueError):
+            compute_lp(np.ones((2, 3, 40)), 4)

@@ -1,5 +1,7 @@
 """Residual normalization and central-moment feature extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,49 @@ class TestExtractResidualMoments:
         frames = FrameSequence(np.zeros((5, 160)))
         with pytest.raises(NoUsableFrames):
             extract_residual_moments(frames)
+
+    def test_interleaved_degenerate_rows(self):
+        """Zero rows, and a row whose energy overflows so the recursion collapses,
+        are skipped and counted exactly amid voiced rows; the other rows equal
+        the per-frame pipeline bit for bit; no floating-point warning escapes."""
+        rng = np.random.default_rng(30)
+        frames = rng.uniform(-1, 1, (12, 160)) * np.hamming(160)
+        zero_rows = [0, 3, 4, 11]
+        frames[zero_rows] = 0.0
+        frames[8] *= 1e160
+        degenerate = zero_rows + [8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats = extract_residual_moments(FrameSequence(frames), 17, 6)
+            with pytest.raises(DegenerateFrame):
+                compute_lp(frames[8], 17)
+            expected = [
+                central_moments(
+                    normalize_residual(inverse_filter(f, compute_lp(f, 17))), 6
+                )
+                for t, f in enumerate(frames)
+                if t not in degenerate
+            ]
+        assert feats.skipped_frames == len(degenerate)
+        np.testing.assert_array_equal(feats.vectors, np.array(expected))
+
+
+class TestBatchedKernels:
+    def test_rows_normalized_and_moments_per_row(self):
+        """Matrix input to the per-frame helpers equals stacking their row results."""
+        rng = np.random.default_rng(31)
+        residuals = rng.uniform(-0.3, 0.3, (7, 160))
+        normalized = normalize_residual(residuals)
+        np.testing.assert_array_equal(
+            normalized, np.array([normalize_residual(r) for r in residuals])
+        )
+        np.testing.assert_array_equal(
+            central_moments(normalized, 6),
+            np.array([central_moments(r, 6) for r in normalized]),
+        )
+
+    def test_zero_row_in_matrix_rejected(self):
+        residuals = np.random.default_rng(32).uniform(-1, 1, (3, 160))
+        residuals[1] = 0.0
+        with pytest.raises(DegenerateFrame):
+            normalize_residual(residuals)

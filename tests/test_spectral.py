@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from sidkit.lpc import LpCoefficients
+from sidkit.errors import NoUsableFrames
+from sidkit.frontend import FrameSequence, hamming_window
+from sidkit.lpc import LpCoefficients, compute_lp
 from sidkit.spectral import (
     LOG_ENERGY_FLOOR,
     cepstra_from_energies,
+    extract_filterbank_cepstra,
+    extract_lpcc,
     filterbank_energies,
     hz_from_mel,
     lpcc_from_lp,
@@ -228,3 +233,63 @@ class TestLpccFromLp:
     def test_default_length(self):
         lp = LpCoefficients(a=np.array([-0.5]), gain=1.0)
         assert lpcc_from_lp(lp).shape == (19,)
+
+
+def windowed_frames(rng, num_frames, frame_len=160):
+    """Hamming-windowed frames of coloured noise, one row per frame."""
+    noise = rng.standard_normal((num_frames, frame_len + 200))
+    colored = lfilter([1.0], [1.0, -1.2, 0.8, -0.3, 0.1], noise, axis=1)[:, 200:]
+    return colored * hamming_window(frame_len)
+
+
+class TestExtractFilterbankCepstra:
+    @pytest.mark.parametrize("scale", ["mel", "linear"])
+    def test_matches_per_frame_composition(self, scale):
+        """The frame-matrix route equals power spectrum -> filterbank -> DCT per frame."""
+        frames = windowed_frames(np.random.default_rng(36), 40)
+        bank = make_filterbank(20, 256, 8000, scale=scale)
+        got = extract_filterbank_cepstra(FrameSequence(frames), bank, 19)
+        expected = np.array([
+            cepstra_from_energies(filterbank_energies(power_spectrum(f, 256), bank), 19)
+            for f in frames
+        ])
+        assert got.shape == (40, 19)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_zero_frames_kept_at_floor(self):
+        """Silent frames are not dropped: their log energies sit at the floor."""
+        frames = windowed_frames(np.random.default_rng(37), 6)
+        frames[2] = 0.0
+        bank = make_filterbank(20, 256, 8000)
+        got = extract_filterbank_cepstra(FrameSequence(frames), bank, 19)
+        assert got.shape == (6, 19)
+        floor = cepstra_from_energies(np.full(20, np.log(LOG_ENERGY_FLOOR)), 19)
+        np.testing.assert_allclose(got[2], floor, atol=1e-12)
+
+
+class TestExtractLpcc:
+    @pytest.mark.parametrize("lp_order, num_cepstra", [(19, 19), (8, 12)])
+    def test_matches_per_frame_composition(self, lp_order, num_cepstra):
+        """The batched solve and recursion equal compute_lp -> lpcc_from_lp per frame."""
+        frames = windowed_frames(np.random.default_rng(38), 40)
+        got = extract_lpcc(FrameSequence(frames), lp_order, num_cepstra)
+        expected = np.array(
+            [lpcc_from_lp(compute_lp(f, lp_order), num_cepstra) for f in frames]
+        )
+        assert got.shape == (40, num_cepstra)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_zero_frames_dropped_in_order(self):
+        """Zero frames at the start, middle and end are dropped; the rest keep order."""
+        voiced = windowed_frames(np.random.default_rng(39), 5)
+        zero = np.zeros(160)
+        frames = np.vstack([zero, voiced[0], voiced[1], zero, voiced[2],
+                            voiced[3], voiced[4], zero])
+        got = extract_lpcc(FrameSequence(frames), lp_order=19, num_cepstra=19)
+        expected = np.array([lpcc_from_lp(compute_lp(f, 19), 19) for f in voiced])
+        assert got.shape == (5, 19)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(NoUsableFrames):
+            extract_lpcc(FrameSequence(np.zeros((4, 160))))
