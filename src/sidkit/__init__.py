@@ -5,203 +5,27 @@ or LPCC) and a residual-moment stream (central moments of the peak-normalized
 linear-prediction residual), models each stream per speaker with a diagonal
 Gaussian mixture, and fuses the two log-likelihood totals with a convex
 weight before the argmax decision.
+
+The package root exports the command-level entry points; the building
+blocks (``sidkit.lpc``, ``sidkit.gmm``, ``sidkit.identify``, ...) are
+imported from their modules.
 """
 
-from .audio_io import load_audio, save_audio
-from .commands import (
-    EvaluationRun,
-    IdentificationResult,
-    evaluate_command,
-    extract_streams,
-    identify_command,
-    render_records,
-    render_report,
-    train_command,
-)
-from .config import (
-    DEFAULT_CONFIG_TEXT,
-    FusionConfig,
-    ModelConfig,
-    PreprocessConfig,
-    ResidualConfig,
-    SpectralConfig,
-    ToolkitConfig,
-    load_config,
-    parse_config,
-    write_default_config,
-)
-from .corpus import (
-    CorpusManifest,
-    ManifestEntry,
-    SyntheticSpeakerSpec,
-    default_speaker_specs,
-    generate_synthetic_corpus,
-    read_manifest,
-    synthesize_utterance,
-    write_manifest,
-)
-from .errors import (
-    DegenerateFrame,
-    EmptyAfterVad,
-    EmptyFeatureStream,
-    InsufficientData,
-    ManifestError,
-    MissingModel,
-    NoUsableFrames,
-    SampleRateMismatch,
-    SidkitError,
-    SignalTooShort,
-    StoreIntegrityError,
-    UnstableFilter,
-    UnsupportedFormat,
-)
-from .frontend import (
-    AudioSignal,
-    FrameSequence,
-    frame_and_window,
-    hamming_window,
-    pre_emphasize,
-    preprocess,
-    remove_silence,
-)
-from .gmm import (
-    GmmModel,
-    TrainingConfig,
-    component_log_density,
-    em_train,
-    gmm_log_likelihood,
-    gmm_log_likelihoods,
-    lbg_init,
-    variance_floor,
-)
-from .identify import (
-    EvaluationReport,
-    SpeakerModelSet,
-    StreamScores,
-    UtteranceScores,
-    combine_scores,
-    evaluate,
-    identify,
-    score_utterance,
-    with_eta,
-)
-from .lpc import (
-    LpCoefficients,
-    LpFrames,
-    autocorrelation,
-    compute_lp,
-    inverse_filter,
-    predict,
-)
-from .residual_moments import (
-    ResidualMomentFeatures,
-    central_moments,
-    extract_residual_moments,
-    normalize_residual,
-)
-from .spectral import (
-    FilterBank,
-    cepstra_from_energies,
-    extract_filterbank_cepstra,
-    extract_lpcc,
-    filterbank_energies,
-    lpcc_from_lp,
-    make_filterbank,
-    mel_from_hz,
-    hz_from_mel,
-    power_spectrum,
-)
-from .store import ModelStore, model_from_bytes, model_to_bytes
+from .commands import evaluate_command, identify_command, train_command
+from .config import ToolkitConfig, load_config
+from .corpus import read_manifest
+from .errors import SidkitError
+from .store import ModelStore
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioSignal",
-    "CorpusManifest",
-    "DEFAULT_CONFIG_TEXT",
-    "DegenerateFrame",
-    "EmptyAfterVad",
-    "EmptyFeatureStream",
-    "EvaluationReport",
-    "EvaluationRun",
-    "FilterBank",
-    "FrameSequence",
-    "FusionConfig",
-    "GmmModel",
-    "IdentificationResult",
-    "InsufficientData",
-    "LpCoefficients",
-    "LpFrames",
-    "ManifestEntry",
-    "ManifestError",
-    "MissingModel",
-    "ModelConfig",
     "ModelStore",
-    "NoUsableFrames",
-    "PreprocessConfig",
-    "ResidualConfig",
-    "ResidualMomentFeatures",
-    "SampleRateMismatch",
     "SidkitError",
-    "SignalTooShort",
-    "SpeakerModelSet",
-    "SpectralConfig",
-    "StoreIntegrityError",
-    "StreamScores",
-    "SyntheticSpeakerSpec",
     "ToolkitConfig",
-    "TrainingConfig",
-    "UnstableFilter",
-    "UnsupportedFormat",
-    "UtteranceScores",
-    "autocorrelation",
-    "central_moments",
-    "cepstra_from_energies",
-    "combine_scores",
-    "component_log_density",
-    "compute_lp",
-    "default_speaker_specs",
-    "em_train",
-    "evaluate",
     "evaluate_command",
-    "extract_filterbank_cepstra",
-    "extract_lpcc",
-    "extract_residual_moments",
-    "extract_streams",
-    "filterbank_energies",
-    "frame_and_window",
-    "generate_synthetic_corpus",
-    "gmm_log_likelihood",
-    "gmm_log_likelihoods",
-    "hamming_window",
-    "hz_from_mel",
-    "identify",
     "identify_command",
-    "inverse_filter",
-    "lbg_init",
-    "load_audio",
     "load_config",
-    "lpcc_from_lp",
-    "make_filterbank",
-    "mel_from_hz",
-    "model_from_bytes",
-    "model_to_bytes",
-    "normalize_residual",
-    "parse_config",
-    "power_spectrum",
-    "pre_emphasize",
-    "predict",
-    "preprocess",
     "read_manifest",
-    "remove_silence",
-    "render_records",
-    "render_report",
-    "save_audio",
-    "score_utterance",
-    "synthesize_utterance",
     "train_command",
-    "variance_floor",
-    "with_eta",
-    "write_default_config",
-    "write_manifest",
 ]

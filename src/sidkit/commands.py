@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,17 +100,9 @@ def _train_stream(
         em_iterations=cfg.model.em_iterations,
         variance_floor_factor=cfg.model.variance_floor_factor,
         lbg_split_epsilon=cfg.model.lbg_split_epsilon,
-        seed=cfg.model.seed,
     )
     init = lbg_init(features, num_components, training)
-    trained = em_train(features, init, training)
-    return GmmModel(
-        weights=trained.weights,
-        means=trained.means,
-        variances=trained.variances,
-        feature_kind=kind,
-        em_log_likelihoods=trained.em_log_likelihoods,
-    )
+    return replace(em_train(features, init, training), feature_kind=kind)
 
 
 def train_command(
@@ -311,13 +303,16 @@ def identify_command(
         raise MissingModel(f"model store at {store.path} is empty")
     model_set = load_model_set(store, speakers)
     spectral_kind = next(iter(model_set.spectral.values())).feature_kind or None
-    signal = load_audio(audio_path, expected_rate=rate)
-    spectral, residual = extract_streams(
-        signal, cfg, spectral_kind=spectral_kind, source_meta=str(audio_path)
-    )
-    scores = score_utterance(
-        spectral, residual, model_set, eta, cfg.fusion.per_frame_average
-    )
+    try:
+        signal = load_audio(audio_path, expected_rate=rate)
+        spectral, residual = extract_streams(
+            signal, cfg, spectral_kind=spectral_kind, source_meta=str(audio_path)
+        )
+        scores = score_utterance(
+            spectral, residual, model_set, eta, cfg.fusion.per_frame_average
+        )
+    except SidkitError as exc:
+        raise _tagged(exc, f"audio {audio_path}") from exc
     ranking = tuple(
         sorted(speakers, key=lambda s: (-scores.scores[s].combined, s))
     )

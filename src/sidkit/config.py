@@ -74,7 +74,6 @@ class ModelConfig:
     em_iterations: int = 10
     variance_floor_factor: float = 0.01
     lbg_split_epsilon: float = 0.02
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_spectral < 1 or self.m_residual < 1:
@@ -152,7 +151,6 @@ em_iterations = 10
 variance_floor_factor = 0.01
 # Relative centroid perturbation used by binary-splitting initialization.
 lbg_split_epsilon = 0.02
-seed = 0
 
 [fusion]
 # Weight on the spectral stream; the residual stream gets 1 - eta.

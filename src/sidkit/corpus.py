@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import save_audio
 from .errors import ManifestError, UnstableFilter
@@ -199,6 +198,9 @@ def synthesize_utterance(
 
     The output is peak-normalized to 0.7 so PCM16 encoding never clips.
     """
+    # Imported here: scipy.signal costs ~1 s to import and only synthesis uses it.
+    from scipy.signal import lfilter
+
     excitation = rng.standard_normal(num_samples) * spec.noise_floor
     pos = int(rng.integers(0, spec.pitch_period))
     while pos < num_samples:

@@ -29,6 +29,10 @@ class EmptyFeatureStream(SidkitError):
     """An utterance produced no feature vectors for a required stream."""
 
 
+class FeatureDimensionMismatch(SidkitError):
+    """Feature vectors are not as wide as the models they are scored against."""
+
+
 class UnsupportedFormat(SidkitError):
     """Audio file is not 16-bit PCM mono WAV."""
 

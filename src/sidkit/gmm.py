@@ -8,7 +8,7 @@ floored diagonal variances.  All densities are evaluated in the log domain.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -32,7 +32,6 @@ class TrainingConfig:
     em_iterations: int = 10
     variance_floor_factor: float = 0.01
     lbg_split_epsilon: float = 0.02
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_components < 1:
@@ -261,34 +260,23 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: TrainingConfig) -> GmmMo
         resp = np.exp(joint - per_vector[:, None])
         totals = resp.sum(axis=0)
 
+        # Dividing by the clamped totals leaves live components exact and
+        # keeps collapsed ones finite until they are re-seeded below.
+        clamped = np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
+        weights = totals / num
+        means = (resp.T @ features) / clamped
+        second = (resp.T @ features**2) / clamped
+        variances = np.maximum(second - means**2, floor)
         collapsed = np.flatnonzero(totals < COLLAPSE_THRESHOLD)
         if collapsed.size:
             worst = np.argsort(per_vector, kind="stable")
-            weights = totals / num
-            means = model.means.copy()
-            variances = model.variances.copy()
-            alive = totals >= COLLAPSE_THRESHOLD
-            means[alive] = (resp.T[alive] @ features) / totals[alive][:, None]
-            second = (resp.T[alive] @ features**2) / totals[alive][:, None]
-            variances[alive] = np.maximum(second - means[alive] ** 2, floor)
             for slot, j in enumerate(collapsed):
                 means[j] = features[worst[slot % num]]
                 variances[j] = global_var
                 weights[j] = 1.0 / num
             weights = weights / weights.sum()
-        else:
-            weights = totals / num
-            means = (resp.T @ features) / totals[:, None]
-            second = (resp.T @ features**2) / totals[:, None]
-            variances = np.maximum(second - means**2, floor)
 
         model = GmmModel(weights=weights, means=means, variances=variances,
                          feature_kind=init.feature_kind)
     trace.append(float(gmm_log_likelihoods(features, model).sum()))
-    return GmmModel(
-        weights=model.weights,
-        means=model.means,
-        variances=model.variances,
-        feature_kind=init.feature_kind,
-        em_log_likelihoods=tuple(trace),
-    )
+    return replace(model, em_log_likelihoods=tuple(trace))

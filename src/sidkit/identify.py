@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFeatureStream
+from .errors import EmptyFeatureStream, FeatureDimensionMismatch
 from .gmm import GmmModel, gmm_log_likelihoods
 
 
@@ -82,6 +82,16 @@ def score_utterance(
         raise EmptyFeatureStream("no residual feature vectors to score")
     if not model_set.speakers():
         raise ValueError("model set is empty")
+    for stream, features, models in (
+        ("spectral", spectral_features, model_set.spectral),
+        ("residual", residual_features, model_set.residual),
+    ):
+        dims = {model.dim for model in models.values()}
+        if dims != {features.shape[1]}:
+            raise FeatureDimensionMismatch(
+                f"{stream} features have {features.shape[1]} dimensions, "
+                f"but the {stream} models have {', '.join(map(str, sorted(dims)))}"
+            )
 
     scores: dict[str, StreamScores] = {}
     for speaker in model_set.speakers():

@@ -50,15 +50,14 @@ class LpCoefficients:
 
 @dataclass(frozen=True)
 class LpFrames:
-    """Predictors of a frame matrix: one row of ``a`` and one gain per frame.
+    """Predictors of a frame matrix: one row of ``a`` per frame.
 
     ``usable`` marks the frames whose solve succeeded.  Degenerate frames
     (zero energy, or a prediction error that collapsed mid-recursion) keep
-    their row but hold zero coefficients and zero gain.
+    their row but hold zero coefficients.
     """
 
     a: np.ndarray
-    gain: np.ndarray
     usable: np.ndarray
 
     def __len__(self):
@@ -117,9 +116,7 @@ def _solve_rows(frames: np.ndarray, order: int) -> LpFrames:
         r[:, 0] *= 1.0 + AUTOCORR_RIDGE
         alpha, usable = _levinson_durbin(r, order)
         a = np.where(usable[:, None], -alpha, 0.0)
-        residual = _filter(frames, a)
-        gain = np.where(usable, np.sqrt(np.mean(residual * residual, axis=1)), 0.0)
-    return LpFrames(a=a, gain=gain, usable=usable)
+    return LpFrames(a=a, usable=usable)
 
 
 def compute_lp(frames: np.ndarray, order: int) -> LpCoefficients | LpFrames:
@@ -128,10 +125,9 @@ def compute_lp(frames: np.ndarray, order: int) -> LpCoefficients | LpFrames:
     Given a frame matrix ``(num_frames, frame_len)``, solves every frame at
     once and returns :class:`LpFrames`, marking degenerate frames in
     ``usable`` instead of raising.  Given one frame, returns its
-    :class:`LpCoefficients` (the one-row case of the same solve).
-
-    The gain is the RMS of the frame-local residual, so ``gain**2`` equals
-    the mean squared residual by construction.
+    :class:`LpCoefficients` (the one-row case of the same solve), whose
+    gain is the RMS of the frame-local residual, so ``gain**2`` equals the
+    mean squared residual by construction.
 
     Raises:
         DegenerateFrame: a single frame is identically zero, or its
@@ -147,7 +143,8 @@ def compute_lp(frames: np.ndarray, order: int) -> LpCoefficients | LpFrames:
         if not np.any(frames):
             raise DegenerateFrame("frame has zero energy")
         raise DegenerateFrame("prediction error collapsed during recursion")
-    return LpCoefficients(a=lp.a[0], gain=float(lp.gain[0]))
+    residual = _filter(frames, lp.a[0])
+    return LpCoefficients(a=lp.a[0], gain=float(np.sqrt(np.mean(residual * residual))))
 
 
 def _filter(frames: np.ndarray, a: np.ndarray) -> np.ndarray:

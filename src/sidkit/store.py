@@ -1,5 +1,10 @@
 """Model persistence: one binary record per model plus a text index.
 
+The index lists each model's speaker, stream, record file, feature kind,
+dimension and component count.  Those columns are taken from the models
+as they are saved (or from the index itself when a store is reopened), so
+writing the index never re-reads a record.
+
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
 then weights, means, and variances as float64, and a trailing CRC32 of
@@ -8,6 +13,7 @@ everything between the magic and the checksum.
 
 from __future__ import annotations
 
+import string
 import struct
 import zlib
 from pathlib import Path
@@ -21,6 +27,8 @@ MAGIC = b"SIDM"
 FORMAT_VERSION = 1
 
 INDEX_NAME = "index.tsv"
+# Speaker-id bytes kept verbatim in record filenames.
+_FILENAME_BYTES = frozenset((string.ascii_letters + string.digits + ".-").encode())
 
 
 def model_to_bytes(model: GmmModel) -> bytes:
@@ -79,52 +87,57 @@ class ModelStore:
     def __init__(self, path, sample_rate: int | None = None):
         self.path = Path(path)
         self.sample_rate = sample_rate
-        self._entries: dict[tuple[str, str], str] = {}
+        # (speaker, stream) -> (record filename, feature kind, d, M)
+        self._entries: dict[tuple[str, str], tuple[str, str, int, int]] = {}
         index = self.path / INDEX_NAME
         if index.exists():
             self._read_index(index)
 
     def _read_index(self, index: Path) -> None:
         for line in index.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             if line.startswith("#"):
                 if line.startswith("# sample_rate:"):
                     self.sample_rate = int(line.split(":", 1)[1])
                 continue
-            speaker, stream, filename = line.split("\t")[:3]
-            self._entries[(speaker, stream)] = filename
+            try:
+                speaker, stream, filename, kind, dim, m = line.split("\t")
+                self._entries[(speaker, stream)] = (filename, kind, int(dim), int(m))
+            except ValueError as exc:
+                raise StoreIntegrityError(f"malformed index line {line!r}") from exc
 
     def _write_index(self) -> None:
         lines = ["# speaker\tstream\tfile\tfeature_kind\td\tM"]
         if self.sample_rate is not None:
             lines.append(f"# sample_rate: {self.sample_rate}")
-        for (speaker, stream), filename in sorted(self._entries.items()):
-            model = model_from_bytes((self.path / filename).read_bytes())
-            lines.append(
-                f"{speaker}\t{stream}\t{filename}\t{model.feature_kind}"
-                f"\t{model.dim}\t{model.num_components}"
-            )
+        for (speaker, stream), (filename, kind, dim, m) in sorted(self._entries.items()):
+            lines.append(f"{speaker}\t{stream}\t{filename}\t{kind}\t{dim}\t{m}")
         (self.path / INDEX_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
     def _filename(speaker: str, stream: str) -> str:
-        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in speaker)
+        """Injective: ``[A-Za-z0-9.-]`` is kept and every other UTF-8 byte,
+        ``_`` included, becomes ``_xx`` hex, so ``__`` only ever separates."""
+        safe = "".join(
+            chr(b) if b in _FILENAME_BYTES else f"_{b:02x}" for b in speaker.encode("utf-8")
+        )
         return f"{safe}__{stream}.gmm"
 
     def save(self, speaker: str, stream: str, model: GmmModel) -> None:
         self.path.mkdir(parents=True, exist_ok=True)
         filename = self._filename(speaker, stream)
         (self.path / filename).write_bytes(model_to_bytes(model))
-        self._entries[(speaker, stream)] = filename
+        self._entries[(speaker, stream)] = (
+            filename, model.feature_kind, model.dim, model.num_components
+        )
         self._write_index()
 
     def load(self, speaker: str, stream: str) -> GmmModel:
         key = (speaker, stream)
         if key not in self._entries:
             raise MissingModel(f"no {stream} model for speaker {speaker!r}")
-        record = self.path / self._entries[key]
+        record = self.path / self._entries[key][0]
         if not record.exists():
             raise MissingModel(f"model file missing: {record}")
         return model_from_bytes(record.read_bytes())

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from sidkit.cli import main
+from sidkit.commands import evaluate_command, identify_command
+from sidkit.config import ResidualConfig, SpectralConfig, ToolkitConfig
 from sidkit.corpus import read_manifest
+from sidkit.errors import FeatureDimensionMismatch
 from sidkit.store import ModelStore
 
 
@@ -146,6 +149,58 @@ class TestIdentify:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Feature widths that differ from the ones the default store was trained on
+# (19 cepstra, 6 residual moments).
+NARROW_CONFIGS = {
+    "spectral": ToolkitConfig(spectral=SpectralConfig(num_cepstra=12)),
+    "residual": ToolkitConfig(residual=ResidualConfig(num_moments=4)),
+}
+
+
+class TestWidthMismatch:
+    """Scoring features narrower than the stored models is a typed error."""
+
+    @pytest.mark.parametrize("stream", sorted(NARROW_CONFIGS))
+    def test_evaluate_names_utterance_and_stream(self, cli_workspace, stream):
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        first = min(e.utterance_id for e in manifest.test_entries)
+        with pytest.raises(FeatureDimensionMismatch) as info:
+            evaluate_command(manifest, ModelStore(store_dir), cfg=NARROW_CONFIGS[stream])
+        message = str(info.value)
+        assert first in message and stream in message
+
+    @pytest.mark.parametrize("stream", sorted(NARROW_CONFIGS))
+    def test_identify_names_audio_and_stream(self, cli_workspace, stream):
+        corpus_dir, store_dir = cli_workspace
+        path = read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path
+        with pytest.raises(FeatureDimensionMismatch) as info:
+            identify_command(path, ModelStore(store_dir), cfg=NARROW_CONFIGS[stream])
+        message = str(info.value)
+        assert str(path) in message and stream in message
+
+    def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        corpus_dir, store_dir = cli_workspace
+        config = tmp_path / "narrow.ini"
+        config.write_text("[spectral]\nnum_cepstra = 12\n")
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        first = min(e.utterance_id for e in manifest.test_entries)
+        rc = main(
+            [
+                "evaluate",
+                "--manifest",
+                str(corpus_dir / "manifest.tsv"),
+                "--store",
+                str(store_dir),
+                "--config",
+                str(config),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and first in err and "12" in err and "19" in err
 
 
 class TestDefaultConfig:

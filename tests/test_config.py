@@ -80,6 +80,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("[fusion]\ntypo = 1\n")
 
+    def test_removed_seed_key_rejected(self):
+        """``[model] seed`` was never read and is no longer a key."""
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config("[model]\nseed = 0\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):
             parse_config("[nonsense]\nx = 1\n")

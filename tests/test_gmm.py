@@ -1,5 +1,7 @@
 """Mixture models: LBG initialization, EM training, log-density evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,22 @@ class TestEmTrain:
         model = em_train(x, init, cfg)
         assert np.all(np.abs(model.means) < 10.0)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_collapse_reseed_raises_no_warning(self):
+        """The dead component's M-step stays finite, so no floating-point
+        warning escapes before it is re-seeded."""
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((200, 2))
+        init = GmmModel(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+            variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
+        )
+        cfg = TrainingConfig(num_components=2, em_iterations=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = em_train(x, init, cfg)
+        assert np.all(np.isfinite(model.means)) and np.all(np.abs(model.means) < 10.0)
 
     def test_monotone_across_datasets_and_orders(self):
         """Likelihood never decreases for many random datasets and orders."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sidkit.errors import EmptyFeatureStream
+from sidkit.errors import EmptyFeatureStream, FeatureDimensionMismatch
 from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.identify import (
     SpeakerModelSet,
@@ -118,6 +118,14 @@ class TestScoreUtterance:
             score_utterance(np.empty((0, 4)), rng.uniform(-1, 1, (5, 3)), model_set, 0.5)
         with pytest.raises(EmptyFeatureStream):
             score_utterance(rng.uniform(-1, 1, (5, 4)), np.empty((0, 3)), model_set, 0.5)
+
+    def test_width_mismatch_names_stream_and_widths(self):
+        rng = np.random.default_rng(87)
+        model_set = make_model_set(rng, ["a", "b"])
+        with pytest.raises(FeatureDimensionMismatch, match="spectral .* 5 .* 4"):
+            score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), model_set)
+        with pytest.raises(FeatureDimensionMismatch, match="residual .* 2 .* 3"):
+            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2)), model_set)
 
     def test_per_frame_average_mode(self):
         rng = np.random.default_rng(86)

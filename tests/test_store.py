@@ -5,7 +5,7 @@ import pytest
 
 from sidkit.errors import MissingModel, StoreIntegrityError
 from sidkit.gmm import GmmModel
-from sidkit.store import ModelStore, model_from_bytes, model_to_bytes
+from sidkit.store import INDEX_NAME, ModelStore, model_from_bytes, model_to_bytes
 
 
 def random_model(rng, m=4, d=6, kind="mfcc"):
@@ -118,3 +118,62 @@ class TestModelStore:
         record.write_bytes(bytes(raw))
         with pytest.raises(StoreIntegrityError):
             ModelStore(path).load("alice", "spectral")
+
+    def test_index_columns_survive_reopen_and_save(self, tmp_path):
+        """Saving into a reopened store rewrites every index row with the
+        kind, d and M of the model it names."""
+        rng = np.random.default_rng(71)
+        path = tmp_path / "store"
+        models = {
+            ("alice", "spectral"): random_model(rng, m=4, d=6, kind="mfcc"),
+            ("alice", "residual"): random_model(rng, m=2, d=3, kind="residual_moments"),
+        }
+        store = ModelStore(path, sample_rate=8000)
+        for (speaker, stream), model in models.items():
+            store.save(speaker, stream, model)
+        models[("bob", "spectral")] = random_model(rng, m=8, d=5, kind="lpcc")
+        ModelStore(path).save("bob", "spectral", models[("bob", "spectral")])
+
+        rows = [
+            line.split("\t")
+            for line in (path / INDEX_NAME).read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == len(models)
+        for speaker, stream, filename, kind, dim, m in rows:
+            model = models[(speaker, stream)]
+            assert (kind, int(dim), int(m)) == (
+                model.feature_kind, model.dim, model.num_components
+            )
+            assert (path / filename).exists()
+        assert "# sample_rate: 8000" in (path / INDEX_NAME).read_text(encoding="utf-8")
+
+    def test_similar_ids_do_not_collide(self, tmp_path):
+        """Ids that differ only in characters a filename cannot hold verbatim
+        each keep their own record."""
+        rng = np.random.default_rng(72)
+        path = tmp_path / "store"
+        speakers = ("a b", "a_b", "a__b", "a_20b", "a/b", "\u00e9", " a", "a ")
+        models = {s: random_model(rng) for s in speakers}
+        store = ModelStore(path, sample_rate=8000)
+        for speaker, model in models.items():
+            store.save(speaker, "spectral", model)
+        assert len(list(path.glob("*.gmm"))) == len(speakers)
+        reopened = ModelStore(path)
+        for speaker, model in models.items():
+            np.testing.assert_array_equal(
+                reopened.load(speaker, "spectral").means, model.means
+            )
+
+    def test_plain_ids_keep_their_filenames(self, tmp_path):
+        rng = np.random.default_rng(73)
+        path = tmp_path / "store"
+        ModelStore(path).save("spk00", "spectral", random_model(rng))
+        assert [p.name for p in path.glob("*.gmm")] == ["spk00__spectral.gmm"]
+
+    def test_malformed_index_is_integrity_error(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / INDEX_NAME).write_text("alice\tspectral\n", encoding="utf-8")
+        with pytest.raises(StoreIntegrityError):
+            ModelStore(path)
