@@ -49,22 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--eta", type=float, default=None, help="fusion weight in [0, 1]")
     ev.add_argument("--report", help="write the text report here")
     ev.add_argument("--records", help="write per-utterance JSON records here")
-    ev.add_argument("--config", help="configuration file")
 
     ident = sub.add_parser("identify", help="identify the speaker of one WAV file")
     ident.add_argument("--audio", required=True)
     ident.add_argument("--store", required=True)
-    ident.add_argument("--eta", type=float, default=None)
-    ident.add_argument("--config", help="configuration file")
-    ident.add_argument("--sample-rate", type=int, default=None)
+    ident.add_argument("--eta", type=float, default=None, help="fusion weight in [0, 1]")
 
     dump = sub.add_parser("default-config", help="print or write the default config")
     dump.add_argument("--out", help="write to this path instead of stdout")
     return parser
-
-
-def _load_config(path: str | None) -> ToolkitConfig:
-    return load_config(path) if path else ToolkitConfig()
 
 
 def _run_synth(args) -> int:
@@ -87,7 +80,7 @@ def _run_synth(args) -> int:
 
 
 def _run_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config) if args.config else ToolkitConfig()
     manifest = read_manifest(args.manifest)
     store = train_command(manifest, cfg, args.out)
     print(f"trained {2 * len(store.speakers())} models into {args.out}")
@@ -95,32 +88,19 @@ def _run_train(args) -> int:
 
 
 def _run_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    eta = cfg.fusion.eta if args.eta is None else args.eta
-    manifest = read_manifest(args.manifest)
-    store = ModelStore(args.store)
     run = evaluate_command(
-        manifest,
-        store,
-        eta=eta,
-        cfg=cfg,
-        report_path=args.report,
-        records_path=args.records,
+        read_manifest(args.manifest), ModelStore(args.store), eta=args.eta,
+        report_path=args.report, records_path=args.records,
     )
     print(f"test utterances: {run.fused.num_trials}")
     print(f"PIA spectral-only: {run.spectral_only.pia:.4f}")
     print(f"PIA residual-only: {run.residual_only.pia:.4f}")
-    print(f"PIA fused (eta={eta:.4f}): {run.fused.pia:.4f}")
+    print(f"PIA fused (eta={run.eta:.4f}): {run.fused.pia:.4f}")
     return 0
 
 
 def _run_identify(args) -> int:
-    cfg = _load_config(args.config)
-    eta = cfg.fusion.eta if args.eta is None else args.eta
-    store = ModelStore(args.store)
-    result = identify_command(
-        args.audio, store, eta=eta, cfg=cfg, sample_rate=args.sample_rate
-    )
+    result = identify_command(args.audio, ModelStore(args.store), eta=args.eta)
     print(f"decided: {result.decided_id}")
     for rank, speaker in enumerate(result.ranking, 1):
         s = result.scores.scores[speaker]

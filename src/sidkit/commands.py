@@ -19,7 +19,7 @@ from .config import ToolkitConfig
 from .corpus import CorpusManifest, ManifestEntry
 from .errors import MissingModel, SampleRateMismatch, SidkitError
 from .frontend import AudioSignal, preprocess
-from .gmm import GmmModel, TrainingConfig, em_train, lbg_init
+from .gmm import GmmModel, em_train, lbg_init
 from .identify import (
     EvaluationReport,
     SpeakerModelSet,
@@ -45,15 +45,10 @@ def _tagged(exc: SidkitError, context: str) -> SidkitError:
     return type(exc)(f"{context}: {exc}")
 
 
-def extract_streams(
-    signal: AudioSignal,
-    cfg: ToolkitConfig,
-    spectral_kind: str | None = None,
-    source_meta: str = "",
-) -> tuple[np.ndarray, np.ndarray]:
+def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray, np.ndarray]:
     """Preprocess one utterance and extract (spectral, residual) feature matrices."""
-    kind = spectral_kind or cfg.spectral.kind
-    frames = preprocess(signal, cfg.preprocess, source_meta=source_meta)
+    kind = cfg.spectral.kind
+    frames = preprocess(signal, cfg.preprocess)
     if kind in ("mfcc", "lfcc"):
         bank = make_filterbank(
             num_filters=cfg.spectral.num_filters,
@@ -80,9 +75,7 @@ def _speaker_features(
     for entry in entries:
         try:
             signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
-            spectral, residual = extract_streams(
-                signal, cfg, source_meta=entry.utterance_id
-            )
+            spectral, residual = extract_streams(signal, cfg)
         except SidkitError as exc:
             raise _tagged(
                 exc, f"speaker {entry.speaker_id} utterance {entry.utterance_id}"
@@ -95,20 +88,17 @@ def _speaker_features(
 def _train_stream(
     features: np.ndarray, num_components: int, kind: str, cfg: ToolkitConfig
 ) -> GmmModel:
-    training = TrainingConfig(
-        num_components=num_components,
-        em_iterations=cfg.model.em_iterations,
-        variance_floor_factor=cfg.model.variance_floor_factor,
-        lbg_split_epsilon=cfg.model.lbg_split_epsilon,
-    )
-    init = lbg_init(features, num_components, training)
-    return replace(em_train(features, init, training), feature_kind=kind)
+    init = lbg_init(features, num_components, cfg.model)
+    return replace(em_train(features, init, cfg.model), feature_kind=kind)
 
 
 def train_command(
     manifest: CorpusManifest, cfg: ToolkitConfig, store_dir
 ) -> ModelStore:
-    """Train one spectral and one residual model per speaker and persist both."""
+    """Train one spectral and one residual model per speaker and persist both,
+    into a store that ``ModelStore.bind`` accepts before anything is trained."""
+    store = ModelStore(store_dir)
+    store.bind(cfg, manifest.sample_rate)
     by_speaker: dict[str, list[ManifestEntry]] = {}
     for entry in manifest.train_entries:
         by_speaker.setdefault(entry.speaker_id, []).append(entry)
@@ -131,7 +121,6 @@ def train_command(
         return speaker, spectral_model, residual_model
 
     results = [train_one(speaker) for speaker in sorted(by_speaker)]
-    store = ModelStore(store_dir, sample_rate=manifest.sample_rate)
     for speaker, spectral_model, residual_model in results:
         for stream, model in (
             (SPECTRAL_STREAM, spectral_model),
@@ -179,52 +168,53 @@ def _record(entry: ManifestEntry, scores: UtteranceScores, decided: str) -> dict
     }
 
 
+def _score_files(
+    store: ModelStore, speakers: list[str], eta: float | None, sample_rate, files
+) -> list[UtteranceScores]:
+    """Score (path, context) ``files`` against the stored models of ``speakers``
+    under the store's training config, ``eta`` defaulting to its own; an
+    error is prefixed with the context of the file it came from."""
+    model_set = load_model_set(store, speakers)
+    cfg = store.config
+    eta = cfg.fusion.eta if eta is None else eta
+    scored = []
+    for path, context in files:
+        try:
+            features = extract_streams(load_audio(path, expected_rate=sample_rate), cfg)
+            scores = score_utterance(*features, model_set, eta, cfg.fusion.per_frame_average)
+        except SidkitError as exc:
+            raise _tagged(exc, context) from exc
+        scored.append(scores)
+    return scored
+
+
 def evaluate_command(
     manifest: CorpusManifest,
     store: ModelStore,
-    eta: float = 0.5,
-    cfg: ToolkitConfig | None = None,
+    eta: float | None = None,
     report_path=None,
     records_path=None,
 ) -> EvaluationRun:
     """Score every test utterance against every speaker and summarize accuracy.
 
     Reports identification accuracy three ways: spectral stream alone,
-    residual stream alone, and the eta-weighted fusion.  Optionally writes
-    a text report table and a JSON-lines record stream.
+    residual stream alone, and the eta-weighted fusion.  ``eta`` defaults
+    to the store's training config.  Optionally writes a text report table
+    and a JSON-lines record stream.
     """
-    cfg = cfg or ToolkitConfig()
     if store.sample_rate is not None and store.sample_rate != manifest.sample_rate:
         raise SampleRateMismatch(
             f"store was trained at {store.sample_rate} Hz, "
             f"manifest expects {manifest.sample_rate} Hz"
         )
-    model_set = load_model_set(store, manifest.speakers())
-    spectral_kind = next(iter(model_set.spectral.values())).feature_kind or None
-
     entries = sorted(manifest.test_entries, key=lambda e: e.utterance_id)
     if not entries:
         raise ValueError("manifest has no test utterances")
-
-    def score_one(entry: ManifestEntry) -> tuple[ManifestEntry, UtteranceScores]:
-        try:
-            signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
-            spectral, residual = extract_streams(
-                signal, cfg, spectral_kind=spectral_kind, source_meta=entry.utterance_id
-            )
-            scores = score_utterance(
-                spectral, residual, model_set, eta, cfg.fusion.per_frame_average
-            )
-        except SidkitError as exc:
-            raise _tagged(
-                exc, f"speaker {entry.speaker_id} utterance {entry.utterance_id}"
-            ) from exc
-        return entry, scores
-
-    scored = [score_one(entry) for entry in entries]
+    files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
+    scored = _score_files(store, manifest.speakers(), eta, manifest.sample_rate, files)
 
     fused_triples, spectral_triples, residual_triples, records = [], [], [], []
-    for entry, scores in scored:
+    for entry, scores in zip(entries, scored):
         decided = identify(scores)
         fused_triples.append((entry.utterance_id, entry.speaker_id, decided))
         spectral_triples.append(
@@ -236,7 +226,7 @@ def evaluate_command(
         records.append(_record(entry, scores, decided))
 
     run = EvaluationRun(
-        eta=eta,
+        eta=scored[0].eta,
         fused=evaluate(fused_triples),
         spectral_only=evaluate(spectral_triples),
         residual_only=evaluate(residual_triples),
@@ -289,30 +279,18 @@ class IdentificationResult:
 
 
 def identify_command(
-    audio_path,
-    store: ModelStore,
-    eta: float = 0.5,
-    cfg: ToolkitConfig | None = None,
-    sample_rate: int | None = None,
+    audio_path, store: ModelStore, eta: float | None = None
 ) -> IdentificationResult:
-    """Identify the speaker of one audio file against all models in a store."""
-    cfg = cfg or ToolkitConfig()
-    rate = sample_rate or store.sample_rate
+    """Identify the speaker of one audio file against all models in a store.
+
+    ``eta`` defaults to the store's training config.
+    """
     speakers = store.speakers()
     if not speakers:
         raise MissingModel(f"model store at {store.path} is empty")
-    model_set = load_model_set(store, speakers)
-    spectral_kind = next(iter(model_set.spectral.values())).feature_kind or None
-    try:
-        signal = load_audio(audio_path, expected_rate=rate)
-        spectral, residual = extract_streams(
-            signal, cfg, spectral_kind=spectral_kind, source_meta=str(audio_path)
-        )
-        scores = score_utterance(
-            spectral, residual, model_set, eta, cfg.fusion.per_frame_average
-        )
-    except SidkitError as exc:
-        raise _tagged(exc, f"audio {audio_path}") from exc
+    [scores] = _score_files(
+        store, speakers, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
+    )
     ranking = tuple(
         sorted(speakers, key=lambda s: (-scores.scores[s].combined, s))
     )

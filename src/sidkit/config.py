@@ -160,21 +160,16 @@ per_frame_average = false
 """
 
 
-def _parse_value(parser, section, key, target_type):
-    if target_type is bool:
-        return parser.getboolean(section, key)
-    if target_type is int:
-        return parser.getint(section, key)
-    if target_type is float:
-        return parser.getfloat(section, key)
-    return parser.get(section, key)
-
-
 def parse_config(text: str) -> ToolkitConfig:
     """Parse INI-style configuration text, falling back to defaults per key."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_file(io.StringIO(text))
+    try:
+        parser.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
 
+    getters = {"int": parser.getint, "float": parser.getfloat,
+               "bool": parser.getboolean, "str": parser.get}
     kwargs = {}
     for section, cls in _SECTIONS.items():
         known = {f.name: f.type for f in fields(cls)}
@@ -183,14 +178,23 @@ def parse_config(text: str) -> ToolkitConfig:
             for key in parser.options(section):
                 if key not in known:
                     raise ValueError(f"unknown config key [{section}] {key}")
-                anno = known[key]
-                target = {"int": int, "float": float, "bool": bool, "str": str}[anno]
-                values[key] = _parse_value(parser, section, key, target)
+                values[key] = getters[known[key]](section, key)
         kwargs[section] = cls(**values)
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
     return ToolkitConfig(**kwargs)
+
+
+def render_config(cfg: ToolkitConfig) -> str:
+    """Every key of ``cfg`` as INI text that ``parse_config`` reads back exactly."""
+    lines = []
+    for section in _SECTIONS:
+        values = getattr(cfg, section)
+        lines.append(f"[{section}]")
+        lines += [f"{f.name} = {getattr(values, f.name)}" for f in fields(values)]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def load_config(path) -> ToolkitConfig:

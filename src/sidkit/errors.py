@@ -55,3 +55,7 @@ class ManifestError(SidkitError):
 
 class StoreIntegrityError(SidkitError):
     """Model file failed checksum or structural validation."""
+
+
+class ConfigMismatch(SidkitError):
+    """Models trained under another configuration than the store's own."""

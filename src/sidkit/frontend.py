@@ -45,7 +45,6 @@ class FrameSequence:
     """Windowed analysis frames, one row per frame."""
 
     frames: np.ndarray
-    source_meta: str = ""
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -101,9 +100,7 @@ def pre_emphasize(signal: AudioSignal, coeff: float) -> AudioSignal:
     return AudioSignal(y, signal.sample_rate)
 
 
-def frame_and_window(
-    signal: AudioSignal, cfg: PreprocessConfig, source_meta: str = ""
-) -> FrameSequence:
+def frame_and_window(signal: AudioSignal, cfg: PreprocessConfig) -> FrameSequence:
     """Slice into overlapping frames and apply the Hamming window.
 
     Frames start at multiples of ``frame_shift``; a trailing partial frame
@@ -117,13 +114,11 @@ def frame_and_window(
         raise SignalTooShort(f"{x.size} samples < frame length {cfg.frame_len}")
     windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)
     frames = windows[:: cfg.frame_shift] * hamming_window(cfg.frame_len)
-    return FrameSequence(frames, source_meta=source_meta)
+    return FrameSequence(frames)
 
 
-def preprocess(
-    signal: AudioSignal, cfg: PreprocessConfig, source_meta: str = ""
-) -> FrameSequence:
+def preprocess(signal: AudioSignal, cfg: PreprocessConfig) -> FrameSequence:
     """Full chain: silence removal, pre-emphasis, framing and windowing."""
     voiced = remove_silence(signal, cfg)
     emphasized = pre_emphasize(voiced, cfg.pre_emphasis)
-    return frame_and_window(emphasized, cfg, source_meta=source_meta)
+    return frame_and_window(emphasized, cfg)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
+from .config import ModelConfig
 from .errors import InsufficientData
 
 # A component whose total responsibility falls below this is re-seeded.
@@ -22,22 +23,6 @@ _KMEANS_MAX_PASSES = 50
 _KMEANS_MOVE_TOL = 1e-6
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Mixture size and training schedule for one feature stream."""
-
-    num_components: int
-    em_iterations: int = 10
-    variance_floor_factor: float = 0.01
-    lbg_split_epsilon: float = 0.02
-
-    def __post_init__(self):
-        if self.num_components < 1:
-            raise ValueError("num_components must be >= 1")
-        if self.em_iterations < 1:
-            raise ValueError("em_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,7 +118,7 @@ def _kmeans(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return centroids
 
 
-def lbg_init(features: np.ndarray, num_components: int, cfg: TrainingConfig) -> GmmModel:
+def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> GmmModel:
     """Binary-splitting VQ initialization of a mixture model.
 
     Starting from the global centroid, each codeword is split into a
@@ -148,8 +133,8 @@ def lbg_init(features: np.ndarray, num_components: int, cfg: TrainingConfig) -> 
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be (num_vectors, dim)")
-    if num_components & (num_components - 1):
-        raise ValueError("binary splitting requires a power-of-two component count")
+    if num_components < 1 or num_components & (num_components - 1):
+        raise ValueError(f"need a power-of-two component count, got {num_components}")
     if features.shape[0] < num_components:
         raise InsufficientData(
             f"{features.shape[0]} vectors for {num_components} components"
@@ -224,7 +209,7 @@ def gmm_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
     return logsumexp(_log_joint(features, model), axis=1)
 
 
-def em_train(features: np.ndarray, init: GmmModel, cfg: TrainingConfig) -> GmmModel:
+def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:
     """Refine a mixture with a fixed number of EM passes.
 
     Each pass computes responsibilities from the current parameters, then
@@ -237,9 +222,9 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: TrainingConfig) -> GmmMo
     """
     features = np.asarray(features, dtype=np.float64)
     num = features.shape[0]
-    if num < 10 * cfg.num_components:
+    if num < 10 * init.num_components:
         warnings.warn(
-            f"only {num} vectors for {cfg.num_components} components; "
+            f"only {num} vectors for {init.num_components} components; "
             "estimates may be unreliable",
             stacklevel=2,
         )

@@ -1,9 +1,15 @@
-"""Model persistence: one binary record per model plus a text index.
+"""Model persistence: one binary record per model, a text index and the
+training config.
 
 The index lists each model's speaker, stream, record file, feature kind,
 dimension and component count.  Those columns are taken from the models
 as they are saved (or from the index itself when a store is reopened), so
 writing the index never re-reads a record.
+
+``config.ini`` holds the ``ToolkitConfig`` (as ``render_config`` writes it)
+that every model was trained with; scoring takes its front end, widths and
+fusion settings from there.  Index and config are replaced whole through a
+temp file and ``os.replace``; a torn record fails its CRC32 instead.
 
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
@@ -13,6 +19,7 @@ everything between the magic and the checksum.
 
 from __future__ import annotations
 
+import os
 import string
 import struct
 import zlib
@@ -20,13 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingModel, StoreIntegrityError
+from .config import ToolkitConfig, parse_config, render_config
+from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError
 from .gmm import GmmModel
 
 MAGIC = b"SIDM"
 FORMAT_VERSION = 1
 
 INDEX_NAME = "index.tsv"
+CONFIG_NAME = "config.ini"
 # Speaker-id bytes kept verbatim in record filenames.
 _FILENAME_BYTES = frozenset((string.ascii_letters + string.digits + ".-").encode())
 
@@ -81,17 +90,59 @@ def model_from_bytes(data: bytes) -> GmmModel:
         raise StoreIntegrityError(f"invalid model parameters: {exc}") from exc
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` in one step, so a failed write leaves the old file."""
+    temp = path.with_name(path.name + ".tmp")
+    temp.write_text(text, encoding="utf-8")
+    os.replace(temp, path)
+
+
 class ModelStore:
-    """Directory of per-model binary files with a tab-separated index."""
+    """Directory of model records, a tab-separated index and the training config."""
 
     def __init__(self, path, sample_rate: int | None = None):
         self.path = Path(path)
         self.sample_rate = sample_rate
+        self._config: ToolkitConfig | None = None
         # (speaker, stream) -> (record filename, feature kind, d, M)
         self._entries: dict[tuple[str, str], tuple[str, str, int, int]] = {}
         index = self.path / INDEX_NAME
         if index.exists():
             self._read_index(index)
+        config = self.path / CONFIG_NAME
+        if config.exists():
+            try:
+                self._config = parse_config(config.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise StoreIntegrityError(f"{config}: {exc}") from exc
+
+    @property
+    def config(self) -> ToolkitConfig:
+        """The config the store's models were trained with."""
+        if self._config is None:
+            raise StoreIntegrityError(
+                f"store at {self.path} records no training config ({CONFIG_NAME})"
+            )
+        return self._config
+
+    def bind(self, cfg: ToolkitConfig, sample_rate: int) -> None:
+        """Make ``cfg`` and ``sample_rate`` the parameters of models saved next.
+
+        Raises (when the store already holds models, before any write):
+            StoreIntegrityError: it records no config.
+            ConfigMismatch, SampleRateMismatch: its models were trained
+                under another config or at another rate.
+        """
+        if self._entries:
+            if self.config != cfg:
+                pairs = zip(*(render_config(c).splitlines() for c in (self.config, cfg)))
+                changed = "; ".join(f"{a} (not {b.split(' = ')[1]})" for a, b in pairs if a != b)
+                raise ConfigMismatch(f"store {self.path} was trained with {changed}")
+            if self.sample_rate != sample_rate:
+                raise SampleRateMismatch(
+                    f"store {self.path} was trained at {self.sample_rate} Hz, not {sample_rate}"
+                )
+        self._config, self.sample_rate = cfg, sample_rate
 
     def _read_index(self, index: Path) -> None:
         for line in index.read_text(encoding="utf-8").splitlines():
@@ -113,7 +164,7 @@ class ModelStore:
             lines.append(f"# sample_rate: {self.sample_rate}")
         for (speaker, stream), (filename, kind, dim, m) in sorted(self._entries.items()):
             lines.append(f"{speaker}\t{stream}\t{filename}\t{kind}\t{dim}\t{m}")
-        (self.path / INDEX_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(self.path / INDEX_NAME, "\n".join(lines) + "\n")
 
     @staticmethod
     def _filename(speaker: str, stream: str) -> str:
@@ -126,6 +177,8 @@ class ModelStore:
 
     def save(self, speaker: str, stream: str, model: GmmModel) -> None:
         self.path.mkdir(parents=True, exist_ok=True)
+        if not self._entries and self._config is not None:
+            _write_atomic(self.path / CONFIG_NAME, render_config(self._config))
         filename = self._filename(speaker, stream)
         (self.path / filename).write_bytes(model_to_bytes(model))
         self._entries[(speaker, stream)] = (

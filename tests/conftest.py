@@ -98,7 +98,6 @@ def evaluation(
         synthetic_corpus,
         trained_store,
         eta=0.5,
-        cfg=toolkit_config,
         report_path=report_path,
         records_path=records_path,
     )

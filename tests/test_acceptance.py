@@ -19,7 +19,7 @@ from sidkit.commands import (
     load_model_set,
     train_command,
 )
-from sidkit.config import DEFAULT_CONFIG_TEXT, ToolkitConfig, parse_config
+from sidkit.config import DEFAULT_CONFIG_TEXT, ModelConfig, ToolkitConfig, parse_config
 from sidkit.corpus import (
     DEFAULT_SAMPLE_RATE,
     default_speaker_specs,
@@ -29,7 +29,6 @@ from sidkit.audio_io import load_audio
 from sidkit.frontend import AudioSignal, hamming_window, preprocess
 from sidkit.gmm import (
     GmmModel,
-    TrainingConfig,
     em_train,
     gmm_log_likelihoods,
     lbg_init,
@@ -138,7 +137,7 @@ def test_04_em_monotone_likelihood(criterion):
                 parts.append(center + spread * rng.standard_normal((80, dim)))
             data = np.concatenate(parts)
             for m in (2, 4, 8, 16):
-                cfg = TrainingConfig(num_components=m)
+                cfg = ModelConfig()
                 model = em_train(data, lbg_init(data, m, cfg), cfg)
                 assert len(model.em_log_likelihoods) == cfg.em_iterations + 1
                 drop = float(np.min(np.diff(model.em_log_likelihoods)))
@@ -147,7 +146,7 @@ def test_04_em_monotone_likelihood(criterion):
         print(f"    worst likelihood step over 400 trainings: {worst_drop:.3e}")
 
         data = np.random.default_rng(1044).standard_normal((500, 4)) * 1.7 + 0.3
-        cfg = TrainingConfig(num_components=1)
+        cfg = ModelConfig()
         model = em_train(data, lbg_init(data, 1, cfg), cfg)
         np.testing.assert_allclose(model.means[0], data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(model.variances[0], data.var(axis=0), atol=1e-9)
@@ -196,7 +195,7 @@ def test_06_fusion_boundary_decisions(criterion, synthetic_corpus, trained_store
         assert entries
         for entry in entries:
             signal = load_audio(entry.path, expected_rate=synthetic_corpus.sample_rate)
-            spectral, residual = extract_streams(signal, cfg, source_meta=entry.utterance_id)
+            spectral, residual = extract_streams(signal, cfg)
             scores = score_utterance(spectral, residual, model_set, eta=0.5)
 
             by_spectral = min(
@@ -258,7 +257,6 @@ def test_08_rerun_is_byte_identical(criterion, evaluation, toolkit_config, train
             corpus,
             store,
             eta=0.5,
-            cfg=toolkit_config,
             report_path=report2,
             records_path=records2,
         )

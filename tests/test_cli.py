@@ -1,15 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
 from sidkit.cli import main
 from sidkit.commands import evaluate_command, identify_command
-from sidkit.config import ResidualConfig, SpectralConfig, ToolkitConfig
 from sidkit.corpus import read_manifest
 from sidkit.errors import FeatureDimensionMismatch
-from sidkit.store import ModelStore
+from sidkit.store import CONFIG_NAME, ModelStore
 
 
 @pytest.fixture(scope="module")
@@ -151,40 +151,48 @@ class TestIdentify:
         assert "error:" in capsys.readouterr().err
 
 
-# Feature widths that differ from the ones the default store was trained on
-# (19 cepstra, 6 residual moments).
-NARROW_CONFIGS = {
-    "spectral": ToolkitConfig(spectral=SpectralConfig(num_cepstra=12)),
-    "residual": ToolkitConfig(residual=ResidualConfig(num_moments=4)),
+# config.ini edits that make the recorded widths differ from the ones the
+# default store's models were trained with (19 cepstra, 6 residual moments).
+NARROW_EDITS = {
+    "spectral": ("num_cepstra = 19", "num_cepstra = 12"),
+    "residual": ("num_moments = 6", "num_moments = 4"),
 }
+
+
+def narrow_store(store_dir, out_dir, stream):
+    """A copy of ``store_dir`` whose config.ini disagrees with its records."""
+    shutil.copytree(store_dir, out_dir)
+    config = out_dir / CONFIG_NAME
+    old, new = NARROW_EDITS[stream]
+    config.write_text(config.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return ModelStore(out_dir)
 
 
 class TestWidthMismatch:
     """Scoring features narrower than the stored models is a typed error."""
 
-    @pytest.mark.parametrize("stream", sorted(NARROW_CONFIGS))
-    def test_evaluate_names_utterance_and_stream(self, cli_workspace, stream):
+    @pytest.mark.parametrize("stream", sorted(NARROW_EDITS))
+    def test_evaluate_names_utterance_and_stream(self, cli_workspace, tmp_path, stream):
         corpus_dir, store_dir = cli_workspace
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         first = min(e.utterance_id for e in manifest.test_entries)
         with pytest.raises(FeatureDimensionMismatch) as info:
-            evaluate_command(manifest, ModelStore(store_dir), cfg=NARROW_CONFIGS[stream])
+            evaluate_command(manifest, narrow_store(store_dir, tmp_path / "store", stream))
         message = str(info.value)
         assert first in message and stream in message
 
-    @pytest.mark.parametrize("stream", sorted(NARROW_CONFIGS))
-    def test_identify_names_audio_and_stream(self, cli_workspace, stream):
+    @pytest.mark.parametrize("stream", sorted(NARROW_EDITS))
+    def test_identify_names_audio_and_stream(self, cli_workspace, tmp_path, stream):
         corpus_dir, store_dir = cli_workspace
         path = read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path
         with pytest.raises(FeatureDimensionMismatch) as info:
-            identify_command(path, ModelStore(store_dir), cfg=NARROW_CONFIGS[stream])
+            identify_command(path, narrow_store(store_dir, tmp_path / "store", stream))
         message = str(info.value)
         assert str(path) in message and stream in message
 
     def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
         corpus_dir, store_dir = cli_workspace
-        config = tmp_path / "narrow.ini"
-        config.write_text("[spectral]\nnum_cepstra = 12\n")
+        narrow_store(store_dir, tmp_path / "store", "spectral")
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         first = min(e.utterance_id for e in manifest.test_entries)
         rc = main(
@@ -193,9 +201,7 @@ class TestWidthMismatch:
                 "--manifest",
                 str(corpus_dir / "manifest.tsv"),
                 "--store",
-                str(store_dir),
-                "--config",
-                str(config),
+                str(tmp_path / "store"),
             ]
         )
         assert rc == 1

@@ -1,0 +1,117 @@
+"""A trained store supplies its own config to evaluate, identify and later training."""
+
+import pytest
+
+from sidkit.audio_io import load_audio
+from sidkit.commands import (
+    evaluate_command,
+    extract_streams,
+    identify_command,
+    load_model_set,
+    train_command,
+)
+from sidkit.config import FusionConfig, PreprocessConfig, SpectralConfig, ToolkitConfig
+from sidkit.corpus import CorpusManifest, default_speaker_specs, generate_synthetic_corpus
+from sidkit.errors import ConfigMismatch, SampleRateMismatch, StoreIntegrityError
+from sidkit.identify import identify, score_utterance, with_eta
+from sidkit.store import CONFIG_NAME, ModelStore
+
+TRAINING_CONFIGS = {
+    "frame_len": ToolkitConfig(preprocess=PreprocessConfig(frame_len=240, frame_shift=120)),
+    "lfcc": ToolkitConfig(spectral=SpectralConfig(kind="lfcc", num_cepstra=12)),
+}
+
+
+def make_corpus(root, speakers, sample_rate=8000):
+    return generate_synthetic_corpus(
+        default_speaker_specs(speakers, seed=3),
+        train_utts=3,
+        test_utts=2,
+        utt_seconds=1.0,
+        seed=3,
+        out_dir=root,
+        sample_rate=sample_rate,
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return make_corpus(tmp_path_factory.mktemp("corpus"), 4)
+
+
+def decisions_under(cfg, manifest, store):
+    """(fused, spectral-only, residual-only) decisions per test utterance,
+    scored directly with ``cfg``."""
+    model_set = load_model_set(store, manifest.speakers())
+    decisions = []
+    for entry in sorted(manifest.test_entries, key=lambda e: e.utterance_id):
+        signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
+        spectral, residual = extract_streams(signal, cfg)
+        scores = score_utterance(
+            spectral, residual, model_set, cfg.fusion.eta, cfg.fusion.per_frame_average
+        )
+        etas = (cfg.fusion.eta, 1.0, 0.0)
+        decisions.append(tuple(identify(with_eta(scores, eta)) for eta in etas))
+    return decisions
+
+
+def snapshot(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_CONFIGS))
+def test_scoring_uses_the_training_config(corpus, tmp_path, name):
+    cfg = TRAINING_CONFIGS[name]
+    train_command(corpus, cfg, tmp_path / "store")
+    store = ModelStore(tmp_path / "store")
+    assert store.config == cfg
+
+    run = evaluate_command(corpus, store)
+    got = [
+        (fused[2], spectral[2], residual[2])
+        for fused, spectral, residual in zip(
+            run.fused.decisions, run.spectral_only.decisions, run.residual_only.decisions
+        )
+    ]
+    expected = decisions_under(cfg, corpus, store)
+    assert got == expected
+    entries = sorted(corpus.test_entries, key=lambda e: e.utterance_id)
+    for entry, (fused, _, _) in zip(entries, expected):
+        assert identify_command(entry.path, store).decided_id == fused
+
+
+def test_training_into_a_store_keeps_its_config_and_rate(corpus, tmp_path):
+    store_dir = tmp_path / "store"
+    speakers = corpus.speakers()
+    for group in (speakers[:2], speakers[2:]):
+        entries = [e for e in corpus.train_entries if e.speaker_id in group]
+        train_command(CorpusManifest(entries, corpus.sample_rate), ToolkitConfig(), store_dir)
+    assert ModelStore(store_dir).speakers() == speakers
+    before = snapshot(store_dir)
+
+    mismatch = r"frame_len = 160 \(not 240\); frame_shift = 80 \(not 120\)"
+    with pytest.raises(ConfigMismatch, match=mismatch):
+        train_command(corpus, TRAINING_CONFIGS["frame_len"], store_dir)
+    assert snapshot(store_dir) == before
+
+    wideband = make_corpus(tmp_path / "wideband", 2, sample_rate=16000)
+    with pytest.raises(SampleRateMismatch, match="8000 Hz, not 16000"):
+        train_command(wideband, ToolkitConfig(), store_dir)
+    assert snapshot(store_dir) == before
+
+
+def test_store_without_config_is_rejected(corpus, tmp_path):
+    store_dir = tmp_path / "store"
+    train_command(corpus, ToolkitConfig(), store_dir)
+    (store_dir / CONFIG_NAME).unlink()
+    with pytest.raises(StoreIntegrityError, match="no training config"):
+        train_command(corpus, ToolkitConfig(), store_dir)
+    with pytest.raises(StoreIntegrityError, match="no training config"):
+        evaluate_command(corpus, ModelStore(store_dir))
+
+
+def test_stored_eta_is_the_default(corpus, tmp_path):
+    store = train_command(corpus, ToolkitConfig(fusion=FusionConfig(eta=0.25)), tmp_path / "store")
+    assert evaluate_command(corpus, store).eta == 0.25
+    assert identify_command(corpus.test_entries[0].path, store).scores.eta == 0.25
+    assert evaluate_command(corpus, store, eta=0.75).eta == 0.75

@@ -11,6 +11,7 @@ from sidkit.config import (
     ToolkitConfig,
     load_config,
     parse_config,
+    render_config,
     write_default_config,
 )
 
@@ -84,6 +85,28 @@ class TestParsing:
         """``[model] seed`` was never read and is no longer a key."""
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("[model]\nseed = 0\n")
+
+    def test_missing_section_header_is_value_error(self):
+        with pytest.raises(ValueError, match="malformed config"):
+            parse_config("frame_len = 240\n")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ToolkitConfig(),
+            ToolkitConfig(
+                preprocess=PreprocessConfig(
+                    pre_emphasis=0.1 + 0.2, frame_len=240, frame_shift=120
+                ),
+                spectral=SpectralConfig(kind="lpcc", num_cepstra=12),
+                model=ModelConfig(variance_floor_factor=1e-7),
+                fusion=FusionConfig(eta=0.25, per_frame_average=True),
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_rendered_config_parses_back_exactly(self, cfg):
+        assert parse_config(render_config(cfg)) == cfg
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config section"):

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sidkit.config import ModelConfig
 from sidkit.errors import InsufficientData
 from sidkit.gmm import (
     GmmModel,
-    TrainingConfig,
     component_log_density,
     em_train,
     gmm_log_likelihood,
@@ -47,7 +47,7 @@ class TestLbgInit:
     def test_single_component_is_global_stats(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((400, 5)) * 2.0 + 1.0
-        model = lbg_init(x, 1, TrainingConfig(num_components=1))
+        model = lbg_init(x, 1, ModelConfig())
         np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-12)
         assert model.weights[0] == 1.0
@@ -59,7 +59,7 @@ class TestLbgInit:
         """
         rng = np.random.default_rng(41)
         x, mean_a, mean_b = two_clouds(rng)
-        model = lbg_init(x, 2, TrainingConfig(num_components=2))
+        model = lbg_init(x, 2, ModelConfig())
         got = sorted(model.means.tolist())
         want = sorted([mean_a.tolist(), mean_b.tolist()])
         for g, w in zip(got, want):
@@ -69,24 +69,25 @@ class TestLbgInit:
         rng = np.random.default_rng(42)
         x, _, _ = two_clouds(rng)
         for m in (2, 4, 8):
-            model = lbg_init(x, m, TrainingConfig(num_components=m))
+            model = lbg_init(x, m, ModelConfig())
             assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(model.weights >= 1.0 / (4 * m))
 
     def test_power_of_two_required(self):
         rng = np.random.default_rng(43)
-        with pytest.raises(ValueError):
-            lbg_init(rng.standard_normal((100, 2)), 3, TrainingConfig(num_components=3))
+        for m in (3, 0):
+            with pytest.raises(ValueError, match=f"got {m}$"):
+                lbg_init(rng.standard_normal((100, 2)), m, ModelConfig())
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(44)
         with pytest.raises(InsufficientData):
-            lbg_init(rng.standard_normal((3, 2)), 4, TrainingConfig(num_components=4))
+            lbg_init(rng.standard_normal((3, 2)), 4, ModelConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(45)
         x = rng.standard_normal((300, 4))
-        cfg = TrainingConfig(num_components=4)
+        cfg = ModelConfig()
         a = lbg_init(x, 4, cfg)
         b = lbg_init(x, 4, cfg)
         np.testing.assert_array_equal(a.means, b.means)
@@ -96,7 +97,7 @@ class TestLbgInit:
     def test_variances_floored(self):
         rng = np.random.default_rng(46)
         x = rng.standard_normal((200, 3))
-        cfg = TrainingConfig(num_components=4)
+        cfg = ModelConfig()
         model = lbg_init(x, 4, cfg)
         floor = variance_floor(x, cfg.variance_floor_factor)
         assert np.all(model.variances >= floor)
@@ -206,7 +207,7 @@ class TestEmTrain:
         bad_init = GmmModel(weights=np.array([1.0]),
                             means=np.full((1, 3), 9.0),
                             variances=np.full((1, 3), 4.0))
-        cfg = TrainingConfig(num_components=1, em_iterations=1)
+        cfg = ModelConfig(em_iterations=1)
         model = em_train(x, bad_init, cfg)
         np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-9)
@@ -215,7 +216,7 @@ class TestEmTrain:
     def test_log_likelihood_trace_non_decreasing(self):
         rng = np.random.default_rng(52)
         x = rng.standard_normal((400, 4))
-        cfg = TrainingConfig(num_components=4, em_iterations=10)
+        cfg = ModelConfig(em_iterations=10)
         model = em_train(x, lbg_init(x, 4, cfg), cfg)
         trace = np.asarray(model.em_log_likelihoods)
         assert trace.size == 11
@@ -228,7 +229,7 @@ class TestEmTrain:
         labels = rng.random(n) < 0.5
         x = np.where(labels, -3.0, 3.0) + rng.standard_normal(n)
         x = x[:, None]
-        cfg = TrainingConfig(num_components=2, em_iterations=10)
+        cfg = ModelConfig(em_iterations=10)
         model = em_train(x, lbg_init(x, 2, cfg), cfg)
         got = sorted(model.means.ravel().tolist())
         assert got[0] == pytest.approx(-3.0, abs=0.15)
@@ -241,7 +242,7 @@ class TestEmTrain:
         rng = np.random.default_rng(54)
         for m in (2, 4, 8):
             x = rng.standard_normal((30 * m, 5))
-            cfg = TrainingConfig(num_components=m, em_iterations=10)
+            cfg = ModelConfig(em_iterations=10)
             model = em_train(x, lbg_init(x, m, cfg), cfg)
             floor = variance_floor(x, cfg.variance_floor_factor)
             assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -253,7 +254,7 @@ class TestEmTrain:
         accumulation happens in a canonical sorted order internally."""
         rng = np.random.default_rng(55)
         x = rng.standard_normal((300, 3))
-        cfg = TrainingConfig(num_components=2, em_iterations=5)
+        cfg = ModelConfig(em_iterations=5)
         model_a = em_train(x, lbg_init(x, 2, cfg), cfg)
         perm = rng.permutation(len(x))
         y = x[perm]
@@ -265,9 +266,9 @@ class TestEmTrain:
     def test_warns_on_scarce_data(self):
         rng = np.random.default_rng(56)
         x = rng.standard_normal((20, 2))
-        cfg = TrainingConfig(num_components=8, em_iterations=2)
+        cfg = ModelConfig(em_iterations=2)
         init = lbg_init(x, 8, cfg)
-        with pytest.warns(UserWarning, match="unreliable"):
+        with pytest.warns(UserWarning, match="only 20 vectors for 8 components.*unreliable"):
             em_train(x, init, cfg)
 
     def test_collapsed_component_recovers(self):
@@ -280,7 +281,7 @@ class TestEmTrain:
             means=np.array([[0.0, 0.0], [1e6, 1e6]]),
             variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
         )
-        cfg = TrainingConfig(num_components=2, em_iterations=10)
+        cfg = ModelConfig(em_iterations=10)
         model = em_train(x, init, cfg)
         assert np.all(np.abs(model.means) < 10.0)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -295,7 +296,7 @@ class TestEmTrain:
             means=np.array([[0.0, 0.0], [1e6, 1e6]]),
             variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
         )
-        cfg = TrainingConfig(num_components=2, em_iterations=10)
+        cfg = ModelConfig(em_iterations=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = em_train(x, init, cfg)
@@ -307,7 +308,7 @@ class TestEmTrain:
         for _ in range(10):
             for m in (2, 4):
                 x = rng.standard_normal((25 * m, 3)) + rng.uniform(-2, 2, 3)
-                cfg = TrainingConfig(num_components=m, em_iterations=10)
+                cfg = ModelConfig(em_iterations=10)
                 model = em_train(x, lbg_init(x, m, cfg), cfg)
                 trace = np.asarray(model.em_log_likelihoods)
                 assert np.all(np.diff(trace) >= -1e-8)

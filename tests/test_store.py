@@ -1,11 +1,20 @@
 """Binary model records and the directory-backed model store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sidkit.config import FusionConfig, SpectralConfig, ToolkitConfig
 from sidkit.errors import MissingModel, StoreIntegrityError
 from sidkit.gmm import GmmModel
-from sidkit.store import INDEX_NAME, ModelStore, model_from_bytes, model_to_bytes
+from sidkit.store import (
+    CONFIG_NAME,
+    INDEX_NAME,
+    ModelStore,
+    model_from_bytes,
+    model_to_bytes,
+)
 
 
 def random_model(rng, m=4, d=6, kind="mfcc"):
@@ -177,3 +186,53 @@ class TestModelStore:
         (path / INDEX_NAME).write_text("alice\tspectral\n", encoding="utf-8")
         with pytest.raises(StoreIntegrityError):
             ModelStore(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[fusion]\ntypo = 1\n", "[preprocess]\nframe_len = twenty\n", "frame_len = 160\n"],
+        ids=["unknown-key", "bad-value", "no-section"],
+    )
+    def test_bad_config_is_integrity_error(self, tmp_path, text):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / CONFIG_NAME).write_text(text, encoding="utf-8")
+        with pytest.raises(StoreIntegrityError, match=CONFIG_NAME):
+            ModelStore(path)
+
+    def test_save_records_config_and_leaves_no_temp_file(self, tmp_path):
+        rng = np.random.default_rng(74)
+        path = tmp_path / "store"
+        cfg = ToolkitConfig(spectral=SpectralConfig(kind="lfcc"), fusion=FusionConfig(eta=0.3))
+        store = ModelStore(path)
+        store.bind(cfg, 8000)
+        store.save("alice", "spectral", random_model(rng))
+        store.save("alice", "residual", random_model(rng, kind="residual_moments"))
+        assert sorted(p.name for p in path.iterdir()) == sorted(
+            [CONFIG_NAME, INDEX_NAME, "alice__residual.gmm", "alice__spectral.gmm"]
+        )
+        reopened = ModelStore(path)
+        assert (reopened.config, reopened.sample_rate) == (cfg, 8000)
+
+    def test_torn_index_write_keeps_previous_store(self, tmp_path, monkeypatch):
+        """A save whose index write fails halfway leaves the old index in place."""
+        rng = np.random.default_rng(75)
+        path = tmp_path / "store"
+        models = {speaker: random_model(rng) for speaker in ("alice", "bob")}
+        store = ModelStore(path, sample_rate=8000)
+        for speaker, model in models.items():
+            store.save(speaker, "spectral", model)
+
+        def torn_write(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            store.save("carol", "spectral", random_model(rng))
+        monkeypatch.undo()
+
+        reopened = ModelStore(path)
+        assert reopened.speakers() == ["alice", "bob"]
+        for speaker, model in models.items():
+            np.testing.assert_array_equal(reopened.load(speaker, "spectral").means, model.means)
