@@ -17,7 +17,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file into a float signal in [-1, 1).
 
     Raises:
-        UnsupportedFormat: not a WAV file, or not mono 16-bit PCM.
+        UnsupportedFormat: the file cannot be read, is not a WAV file, or is
+            not mono 16-bit PCM.
         SampleRateMismatch: the file's rate differs from ``expected_rate``.
     """
     path = Path(path)
@@ -37,6 +38,10 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise UnsupportedFormat(f"{path}: {exc}") from exc
+    except EOFError as exc:
+        raise UnsupportedFormat(f"{path}: truncated WAV header") from exc
+    except OSError as exc:
+        raise UnsupportedFormat(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if expected_rate is not None and rate != expected_rate:
         raise SampleRateMismatch(f"{path}: sample rate {rate}, expected {expected_rate}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM16_SCALE

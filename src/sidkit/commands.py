@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import load_audio
 from .config import ToolkitConfig
 from .corpus import CorpusManifest, ManifestEntry
-from .errors import MissingModel, SampleRateMismatch, SidkitError
+from .errors import ManifestError, MissingModel, SampleRateMismatch, SidkitError
 from .frontend import AudioSignal, preprocess
 from .gmm import GmmModel, em_train, lbg_init
 from .identify import (
     EvaluationReport,
-    SpeakerModelSet,
     UtteranceScores,
     evaluate,
     identify,
@@ -31,13 +30,9 @@ from .identify import (
 )
 from .residual_moments import extract_residual_moments
 from .spectral import extract_filterbank_cepstra, extract_lpcc, make_filterbank
-from .store import ModelStore
+from .store import STREAMS, ModelStore
 
 logger = logging.getLogger(__name__)
-
-SPECTRAL_STREAM = "spectral"
-RESIDUAL_STREAM = "residual"
-RESIDUAL_KIND = "residual_moments"
 
 
 def _tagged(exc: SidkitError, context: str) -> SidkitError:
@@ -85,11 +80,8 @@ def _speaker_features(
     return np.concatenate(spectral_parts), np.concatenate(residual_parts)
 
 
-def _train_stream(
-    features: np.ndarray, num_components: int, kind: str, cfg: ToolkitConfig
-) -> GmmModel:
-    init = lbg_init(features, num_components, cfg.model)
-    return replace(em_train(features, init, cfg.model), feature_kind=kind)
+def _train_stream(features: np.ndarray, num_components: int, cfg: ToolkitConfig) -> GmmModel:
+    return em_train(features, lbg_init(features, num_components, cfg.model), cfg.model)
 
 
 def train_command(
@@ -105,42 +97,27 @@ def train_command(
     for entries in by_speaker.values():
         entries.sort(key=lambda e: e.utterance_id)
 
-    def train_one(speaker: str) -> tuple[str, GmmModel, GmmModel]:
+    def train_one(speaker: str) -> tuple[str, tuple[GmmModel, GmmModel]]:
         spectral_feats, residual_feats = _speaker_features(
             by_speaker[speaker], manifest, cfg
         )
         try:
-            spectral_model = _train_stream(
-                spectral_feats, cfg.model.m_spectral, cfg.spectral.kind, cfg
-            )
-            residual_model = _train_stream(
-                residual_feats, cfg.model.m_residual, RESIDUAL_KIND, cfg
-            )
+            spectral_model = _train_stream(spectral_feats, cfg.model.m_spectral, cfg)
+            residual_model = _train_stream(residual_feats, cfg.model.m_residual, cfg)
         except SidkitError as exc:
             raise _tagged(exc, f"speaker {speaker}") from exc
-        return speaker, spectral_model, residual_model
+        return speaker, (spectral_model, residual_model)
 
     results = [train_one(speaker) for speaker in sorted(by_speaker)]
-    for speaker, spectral_model, residual_model in results:
-        for stream, model in (
-            (SPECTRAL_STREAM, spectral_model),
-            (RESIDUAL_STREAM, residual_model),
-        ):
+    for speaker, models in results:
+        for stream, model in zip(STREAMS, models):
             store.save(speaker, stream, model)
             values = " ".join(f"{v:.6f}" for v in model.em_log_likelihoods[1:])
             logger.info(
                 "speaker %s %s stream (%s, M=%d): EM log-likelihoods %s",
-                speaker, stream, model.feature_kind, model.num_components, values,
+                speaker, stream, store.kind(stream), model.num_components, values,
             )
     return store
-
-
-def load_model_set(store: ModelStore, speakers: list[str]) -> SpeakerModelSet:
-    """Load both stream models for the given speakers from a store."""
-    return SpeakerModelSet(
-        spectral={s: store.load(s, SPECTRAL_STREAM) for s in speakers},
-        residual={s: store.load(s, RESIDUAL_STREAM) for s in speakers},
-    )
 
 
 @dataclass(frozen=True)
@@ -169,19 +146,18 @@ def _record(entry: ManifestEntry, scores: UtteranceScores, decided: str) -> dict
 
 
 def _score_files(
-    store: ModelStore, speakers: list[str], eta: float | None, sample_rate, files
+    store: ModelStore, models: dict, eta: float | None, sample_rate, files
 ) -> list[UtteranceScores]:
-    """Score (path, context) ``files`` against the stored models of ``speakers``
-    under the store's training config, ``eta`` defaulting to its own; an
-    error is prefixed with the context of the file it came from."""
-    model_set = load_model_set(store, speakers)
+    """Score (path, context) ``files`` against ``models`` under the store's
+    training config, ``eta`` defaulting to its own; an error is prefixed
+    with the context of the file it came from."""
     cfg = store.config
     eta = cfg.fusion.eta if eta is None else eta
     scored = []
     for path, context in files:
         try:
             features = extract_streams(load_audio(path, expected_rate=sample_rate), cfg)
-            scores = score_utterance(*features, model_set, eta, cfg.fusion.per_frame_average)
+            scores = score_utterance(*features, models, eta, cfg.fusion.per_frame_average)
         except SidkitError as exc:
             raise _tagged(exc, context) from exc
         scored.append(scores)
@@ -209,9 +185,14 @@ def evaluate_command(
         )
     entries = sorted(manifest.test_entries, key=lambda e: e.utterance_id)
     if not entries:
-        raise ValueError("manifest has no test utterances")
+        raise ManifestError("manifest has no test utterances")
+    enrolled = store.models()
+    for speaker in manifest.speakers():
+        if speaker not in enrolled:
+            raise MissingModel(f"no models for speaker {speaker!r} in store {store.path}")
+    models = {speaker: enrolled[speaker] for speaker in manifest.speakers()}
     files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
-    scored = _score_files(store, manifest.speakers(), eta, manifest.sample_rate, files)
+    scored = _score_files(store, models, eta, manifest.sample_rate, files)
 
     fused_triples, spectral_triples, residual_triples, records = [], [], [], []
     for entry, scores in zip(entries, scored):
@@ -285,14 +266,14 @@ def identify_command(
 
     ``eta`` defaults to the store's training config.
     """
-    speakers = store.speakers()
-    if not speakers:
+    models = store.models()
+    if not models:
         raise MissingModel(f"model store at {store.path} is empty")
     [scores] = _score_files(
-        store, speakers, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
+        store, models, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
     )
     ranking = tuple(
-        sorted(speakers, key=lambda s: (-scores.scores[s].combined, s))
+        sorted(models, key=lambda s: (-scores.scores[s].combined, s))
     )
     return IdentificationResult(
         decided_id=identify(scores), ranking=ranking, scores=scores

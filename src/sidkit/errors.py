@@ -34,7 +34,7 @@ class FeatureDimensionMismatch(SidkitError):
 
 
 class UnsupportedFormat(SidkitError):
-    """Audio file is not 16-bit PCM mono WAV."""
+    """Audio file cannot be read, or is not 16-bit PCM mono WAV."""
 
 
 class SampleRateMismatch(SidkitError):

@@ -37,7 +37,6 @@ class GmmModel:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    feature_kind: str = ""
     em_log_likelihoods: tuple = ()
 
     def __post_init__(self):
@@ -235,8 +234,7 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
     weights = init.weights.copy()
     means = init.means.copy()
     variances = init.variances.copy()
-    model = GmmModel(weights=weights, means=means, variances=variances,
-                     feature_kind=init.feature_kind)
+    model = GmmModel(weights=weights, means=means, variances=variances)
     trace = []
     for _ in range(cfg.em_iterations):
         joint = _log_joint(features, model)
@@ -261,7 +259,6 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
                 weights[j] = 1.0 / num
             weights = weights / weights.sum()
 
-        model = GmmModel(weights=weights, means=means, variances=variances,
-                         feature_kind=init.feature_kind)
+        model = GmmModel(weights=weights, means=means, variances=variances)
     trace.append(float(gmm_log_likelihoods(features, model).sum()))
     return replace(model, em_log_likelihoods=tuple(trace))

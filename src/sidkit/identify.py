@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +32,6 @@ class UtteranceScores:
         return sorted(self.scores)
 
 
-@dataclass
-class SpeakerModelSet:
-    """Enrolled speakers, each with a spectral and a residual model."""
-
-    spectral: dict[str, GmmModel] = field(default_factory=dict)
-    residual: dict[str, GmmModel] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if set(self.spectral) != set(self.residual):
-            missing = set(self.spectral) ^ set(self.residual)
-            raise ValueError(f"speakers missing one stream: {sorted(missing)}")
-        for models in (self.spectral, self.residual):
-            kinds = {m.feature_kind for m in models.values()}
-            if len(kinds) > 1:
-                raise ValueError(f"inconsistent feature kinds in one stream: {sorted(kinds)}")
-
-    def speakers(self) -> list[str]:
-        return sorted(self.spectral)
-
-
 def combine_scores(spectral: float, residual: float, eta: float) -> float:
     """Weighted sum of the two stream scores; eta weights the spectral stream."""
     if not 0.0 <= eta <= 1.0:
@@ -62,11 +42,12 @@ def combine_scores(spectral: float, residual: float, eta: float) -> float:
 def score_utterance(
     spectral_features: np.ndarray,
     residual_features: np.ndarray,
-    model_set: SpeakerModelSet,
+    models: dict[str, tuple[GmmModel, GmmModel]],
     eta: float = 0.5,
     per_frame_average: bool = False,
 ) -> UtteranceScores:
-    """Score one utterance's feature streams against every enrolled speaker.
+    """Score one utterance's feature streams against every speaker of
+    ``models`` (speaker -> (spectral model, residual model)).
 
     Each stream's score is the total log-likelihood of its frames under the
     speaker's model for that stream (mean per frame when ``per_frame_average``
@@ -80,13 +61,12 @@ def score_utterance(
         raise EmptyFeatureStream("no spectral feature vectors to score")
     if residual_features.shape[0] == 0:
         raise EmptyFeatureStream("no residual feature vectors to score")
-    if not model_set.speakers():
-        raise ValueError("model set is empty")
-    for stream, features, models in (
-        ("spectral", spectral_features, model_set.spectral),
-        ("residual", residual_features, model_set.residual),
+    if not models:
+        raise ValueError("no speakers to score against")
+    for stream, features, dims in (
+        ("spectral", spectral_features, {s.dim for s, _ in models.values()}),
+        ("residual", residual_features, {r.dim for _, r in models.values()}),
     ):
-        dims = {model.dim for model in models.values()}
         if dims != {features.shape[1]}:
             raise FeatureDimensionMismatch(
                 f"{stream} features have {features.shape[1]} dimensions, "
@@ -94,9 +74,10 @@ def score_utterance(
             )
 
     scores: dict[str, StreamScores] = {}
-    for speaker in model_set.speakers():
-        s_ll = gmm_log_likelihoods(spectral_features, model_set.spectral[speaker])
-        r_ll = gmm_log_likelihoods(residual_features, model_set.residual[speaker])
+    for speaker in sorted(models):
+        spectral_model, residual_model = models[speaker]
+        s_ll = gmm_log_likelihoods(spectral_features, spectral_model)
+        r_ll = gmm_log_likelihoods(residual_features, residual_model)
         s_total = float(np.mean(s_ll) if per_frame_average else np.sum(s_ll))
         r_total = float(np.mean(r_ll) if per_frame_average else np.sum(r_ll))
         scores[speaker] = StreamScores(

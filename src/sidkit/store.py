@@ -1,15 +1,21 @@
 """Model persistence: one binary record per model, a text index and the
 training config.
 
-The index lists each model's speaker, stream, record file, feature kind,
-dimension and component count.  Those columns are taken from the models
-as they are saved (or from the index itself when a store is reopened), so
-writing the index never re-reads a record.
+The store owns the enrolled speakers: ``models()`` reads every speaker's
+(spectral, residual) pair once per store, until the next ``save``.
 
 ``config.ini`` holds the ``ToolkitConfig`` (as ``render_config`` writes it)
 that every model was trained with; scoring takes its front end, widths and
-fusion settings from there.  Index and config are replaced whole through a
-temp file and ``os.replace``; a torn record fails its CRC32 instead.
+fusion settings from there, and each stream's feature kind comes from it
+(``[spectral] kind``, or ``residual_moments``).  ``save`` writes that kind
+into the record and the index; ``load`` rejects a record of another kind.
+
+The index lists each model's speaker, stream, record file, feature kind,
+dimension and component count.  Those columns are taken from the models
+as they are saved (or from the index itself when a store is reopened), so
+writing the index never re-reads a record.  Index and config are replaced
+whole through a temp file and ``os.replace``; a torn record fails its
+CRC32 instead.
 
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
@@ -36,15 +42,17 @@ FORMAT_VERSION = 1
 
 INDEX_NAME = "index.tsv"
 CONFIG_NAME = "config.ini"
+STREAMS = ("spectral", "residual")
+RESIDUAL_KIND = "residual_moments"
 # Speaker-id bytes kept verbatim in record filenames.
 _FILENAME_BYTES = frozenset((string.ascii_letters + string.digits + ".-").encode())
 
 
-def model_to_bytes(model: GmmModel) -> bytes:
-    """Serialize one model to the versioned binary record."""
-    kind = model.feature_kind.encode("utf-8")
-    payload = struct.pack("<HH", FORMAT_VERSION, len(kind))
-    payload += kind
+def model_to_bytes(model: GmmModel, kind: str) -> bytes:
+    """Serialize one model of feature ``kind`` to the versioned binary record."""
+    encoded = kind.encode("utf-8")
+    payload = struct.pack("<HH", FORMAT_VERSION, len(encoded))
+    payload += encoded
     payload += struct.pack("<II", model.dim, model.num_components)
     payload += model.weights.astype("<f8").tobytes()
     payload += model.means.astype("<f8").tobytes()
@@ -53,8 +61,8 @@ def model_to_bytes(model: GmmModel) -> bytes:
     return MAGIC + payload + struct.pack("<I", checksum)
 
 
-def model_from_bytes(data: bytes) -> GmmModel:
-    """Parse and checksum-validate one binary model record.
+def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
+    """Parse and checksum-validate one binary model record: (kind, model).
 
     Raises:
         StoreIntegrityError: bad magic, truncation, or checksum mismatch.
@@ -85,7 +93,7 @@ def model_from_bytes(data: bytes) -> GmmModel:
         payload, dtype="<f8", count=num_components * dim, offset=offset
     ).reshape(num_components, dim)
     try:
-        return GmmModel(weights=weights, means=means, variances=variances, feature_kind=kind)
+        return kind, GmmModel(weights=weights, means=means, variances=variances)
     except ValueError as exc:
         raise StoreIntegrityError(f"invalid model parameters: {exc}") from exc
 
@@ -100,12 +108,13 @@ def _write_atomic(path: Path, text: str) -> None:
 class ModelStore:
     """Directory of model records, a tab-separated index and the training config."""
 
-    def __init__(self, path, sample_rate: int | None = None):
+    def __init__(self, path):
         self.path = Path(path)
-        self.sample_rate = sample_rate
+        self.sample_rate: int | None = None
         self._config: ToolkitConfig | None = None
         # (speaker, stream) -> (record filename, feature kind, d, M)
         self._entries: dict[tuple[str, str], tuple[str, str, int, int]] = {}
+        self._models: dict[str, tuple[GmmModel, GmmModel]] | None = None
         index = self.path / INDEX_NAME
         if index.exists():
             self._read_index(index)
@@ -144,17 +153,20 @@ class ModelStore:
                 )
         self._config, self.sample_rate = cfg, sample_rate
 
+    def kind(self, stream: str) -> str:
+        """The feature kind the store's config puts in ``stream``."""
+        if stream not in STREAMS:
+            raise ValueError(f"unknown stream {stream!r}, expected one of {STREAMS}")
+        return self.config.spectral.kind if stream == "spectral" else RESIDUAL_KIND
+
     def _read_index(self, index: Path) -> None:
         for line in index.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
+            try:
                 if line.startswith("# sample_rate:"):
                     self.sample_rate = int(line.split(":", 1)[1])
-                continue
-            try:
-                speaker, stream, filename, kind, dim, m = line.split("\t")
-                self._entries[(speaker, stream)] = (filename, kind, int(dim), int(m))
+                elif line.strip() and not line.startswith("#"):
+                    speaker, stream, filename, kind, dim, m = line.split("\t")
+                    self._entries[(speaker, stream)] = (filename, kind, int(dim), int(m))
             except ValueError as exc:
                 raise StoreIntegrityError(f"malformed index line {line!r}") from exc
 
@@ -176,27 +188,44 @@ class ModelStore:
         return f"{safe}__{stream}.gmm"
 
     def save(self, speaker: str, stream: str, model: GmmModel) -> None:
+        """Write one model under the kind the bound config gives ``stream``."""
+        kind = self.kind(stream)
         self.path.mkdir(parents=True, exist_ok=True)
-        if not self._entries and self._config is not None:
-            _write_atomic(self.path / CONFIG_NAME, render_config(self._config))
+        if not self._entries:
+            _write_atomic(self.path / CONFIG_NAME, render_config(self.config))
         filename = self._filename(speaker, stream)
-        (self.path / filename).write_bytes(model_to_bytes(model))
-        self._entries[(speaker, stream)] = (
-            filename, model.feature_kind, model.dim, model.num_components
-        )
+        (self.path / filename).write_bytes(model_to_bytes(model, kind))
+        self._entries[(speaker, stream)] = (filename, kind, model.dim, model.num_components)
+        self._models = None
         self._write_index()
 
     def load(self, speaker: str, stream: str) -> GmmModel:
+        """Read one model back; ``ConfigMismatch`` if its record holds another
+        feature kind than the config gives ``stream``."""
         key = (speaker, stream)
         if key not in self._entries:
             raise MissingModel(f"no {stream} model for speaker {speaker!r}")
         record = self.path / self._entries[key][0]
         if not record.exists():
             raise MissingModel(f"model file missing: {record}")
-        return model_from_bytes(record.read_bytes())
+        kind, model = model_from_bytes(record.read_bytes())
+        expected = self.kind(stream)
+        if kind != expected:
+            raise ConfigMismatch(
+                f"{record}: the {stream} model of speaker {speaker!r} holds {kind} "
+                f"features, but {CONFIG_NAME} says {expected}"
+            )
+        return model
 
     def speakers(self) -> list[str]:
         return sorted({speaker for speaker, _ in self._entries})
 
-    def streams(self, speaker: str) -> list[str]:
-        return sorted(stream for spk, stream in self._entries if spk == speaker)
+    def models(self) -> dict[str, tuple[GmmModel, GmmModel]]:
+        """Every enrolled speaker's (spectral, residual) models, in speaker
+        order, read through ``load`` once until the next ``save``."""
+        if self._models is None:
+            self._models = {
+                speaker: tuple(self.load(speaker, stream) for stream in STREAMS)
+                for speaker in self.speakers()
+            }
+        return self._models

@@ -1,14 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
+import re
 import shutil
 
 import pytest
 
 from sidkit.cli import main
 from sidkit.commands import evaluate_command, identify_command
-from sidkit.corpus import read_manifest
-from sidkit.errors import FeatureDimensionMismatch
+from sidkit.corpus import CorpusManifest, read_manifest
+from sidkit.errors import ConfigMismatch, FeatureDimensionMismatch, UnsupportedFormat
 from sidkit.store import CONFIG_NAME, ModelStore
 
 
@@ -59,8 +61,7 @@ class TestTrain:
         _, store_dir = cli_workspace
         store = ModelStore(store_dir)
         assert len(store.speakers()) == 4
-        for speaker in store.speakers():
-            assert store.streams(speaker) == ["residual", "spectral"]
+        assert list(store.models()) == store.speakers()
         assert len(list(store_dir.glob("*.gmm"))) == 8
 
 
@@ -157,15 +158,18 @@ NARROW_EDITS = {
     "spectral": ("num_cepstra = 19", "num_cepstra = 12"),
     "residual": ("num_moments = 6", "num_moments = 4"),
 }
+# The same width, another spectral kind than the records hold.
+KIND_EDIT = ("kind = mfcc", "kind = lfcc")
 
 
-def narrow_store(store_dir, out_dir, stream):
+def narrow_store(store_dir, out_dir, edit):
     """A copy of ``store_dir`` whose config.ini disagrees with its records."""
     shutil.copytree(store_dir, out_dir)
     config = out_dir / CONFIG_NAME
-    old, new = NARROW_EDITS[stream]
+    old, new = edit
     config.write_text(config.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
     return ModelStore(out_dir)
+
 
 
 class TestWidthMismatch:
@@ -177,7 +181,9 @@ class TestWidthMismatch:
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         first = min(e.utterance_id for e in manifest.test_entries)
         with pytest.raises(FeatureDimensionMismatch) as info:
-            evaluate_command(manifest, narrow_store(store_dir, tmp_path / "store", stream))
+            evaluate_command(
+                manifest, narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
+            )
         message = str(info.value)
         assert first in message and stream in message
 
@@ -186,13 +192,15 @@ class TestWidthMismatch:
         corpus_dir, store_dir = cli_workspace
         path = read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path
         with pytest.raises(FeatureDimensionMismatch) as info:
-            identify_command(path, narrow_store(store_dir, tmp_path / "store", stream))
+            identify_command(
+                path, narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
+            )
         message = str(info.value)
         assert str(path) in message and stream in message
 
     def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
         corpus_dir, store_dir = cli_workspace
-        narrow_store(store_dir, tmp_path / "store", "spectral")
+        narrow_store(store_dir, tmp_path / "store", NARROW_EDITS["spectral"])
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         first = min(e.utterance_id for e in manifest.test_entries)
         rc = main(
@@ -207,6 +215,57 @@ class TestWidthMismatch:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and first in err and "12" in err and "19" in err
+
+
+class TestKindMismatch:
+    """Records of another feature kind than config.ini names are rejected."""
+
+    def test_evaluate_and_identify_name_stream_and_kinds(self, cli_workspace, tmp_path):
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        store = narrow_store(store_dir, tmp_path / "store", KIND_EDIT)
+        pattern = "spectral model of speaker .* holds mfcc features, but config.ini says lfcc"
+        with pytest.raises(ConfigMismatch, match=pattern):
+            evaluate_command(manifest, store)
+        with pytest.raises(ConfigMismatch, match=pattern):
+            identify_command(manifest.test_entries[0].path, store)
+
+    def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        corpus_dir, store_dir = cli_workspace
+        narrow_store(store_dir, tmp_path / "store", KIND_EDIT)
+        manifest = str(corpus_dir / "manifest.tsv")
+        assert main(["evaluate", "--manifest", manifest, "--store", str(tmp_path / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mfcc" in err and "lfcc" in err
+
+
+class TestUnreadableAudio:
+    """A missing WAV is a typed error naming the file and the utterance."""
+
+    def test_identify_names_the_file(self, cli_workspace, tmp_path):
+        _, store_dir = cli_workspace
+        missing = tmp_path / "missing.wav"
+        with pytest.raises(UnsupportedFormat, match=re.escape(f"audio {missing}: ") + ".*cannot read"):
+            identify_command(missing, ModelStore(store_dir))
+
+    def test_evaluate_names_the_utterance(self, cli_workspace, tmp_path):
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        gone = manifest.test_entries[0]
+        entries = [
+            dataclasses.replace(e, path=tmp_path / "missing.wav") if e is gone else e
+            for e in manifest.entries
+        ]
+        with pytest.raises(UnsupportedFormat, match=f"utterance {gone.utterance_id}: .*cannot read"):
+            evaluate_command(CorpusManifest(entries, manifest.sample_rate), ModelStore(store_dir))
+
+    def test_cli_identify_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        _, store_dir = cli_workspace
+        missing = tmp_path / "missing.wav"
+        rc = main(["identify", "--audio", str(missing), "--store", str(store_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
 
 class TestDefaultConfig:

@@ -1,4 +1,7 @@
-"""A trained store supplies its own config to evaluate, identify and later training."""
+"""A trained store supplies its own config and its models to evaluate, identify
+and later training."""
+
+import dataclasses
 
 import pytest
 
@@ -7,12 +10,18 @@ from sidkit.commands import (
     evaluate_command,
     extract_streams,
     identify_command,
-    load_model_set,
     train_command,
 )
 from sidkit.config import FusionConfig, PreprocessConfig, SpectralConfig, ToolkitConfig
 from sidkit.corpus import CorpusManifest, default_speaker_specs, generate_synthetic_corpus
-from sidkit.errors import ConfigMismatch, SampleRateMismatch, StoreIntegrityError
+from sidkit.errors import (
+    ConfigMismatch,
+    ManifestError,
+    MissingModel,
+    SampleRateMismatch,
+    StoreIntegrityError,
+    UnsupportedFormat,
+)
 from sidkit.identify import identify, score_utterance, with_eta
 from sidkit.store import CONFIG_NAME, ModelStore
 
@@ -42,13 +51,13 @@ def corpus(tmp_path_factory):
 def decisions_under(cfg, manifest, store):
     """(fused, spectral-only, residual-only) decisions per test utterance,
     scored directly with ``cfg``."""
-    model_set = load_model_set(store, manifest.speakers())
+    models = store.models()
     decisions = []
     for entry in sorted(manifest.test_entries, key=lambda e: e.utterance_id):
         signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
         spectral, residual = extract_streams(signal, cfg)
         scores = score_utterance(
-            spectral, residual, model_set, cfg.fusion.eta, cfg.fusion.per_frame_average
+            spectral, residual, models, cfg.fusion.eta, cfg.fusion.per_frame_average
         )
         etas = (cfg.fusion.eta, 1.0, 0.0)
         decisions.append(tuple(identify(with_eta(scores, eta)) for eta in etas))
@@ -115,3 +124,47 @@ def test_stored_eta_is_the_default(corpus, tmp_path):
     assert evaluate_command(corpus, store).eta == 0.25
     assert identify_command(corpus.test_entries[0].path, store).scores.eta == 0.25
     assert evaluate_command(corpus, store, eta=0.75).eta == 0.75
+
+
+def test_identify_reads_each_record_once_per_store(corpus, tmp_path, monkeypatch):
+    train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    store = ModelStore(tmp_path / "store")
+    reads = []
+    load = ModelStore.load
+
+    def counted(self, speaker, stream):
+        reads.append((speaker, stream))
+        return load(self, speaker, stream)
+
+    monkeypatch.setattr(ModelStore, "load", counted)
+    first = identify_command(corpus.test_entries[0].path, store)
+    second = identify_command(corpus.test_entries[0].path, store)
+    assert sorted(reads) == sorted((s, stream) for s in corpus.speakers()
+                                   for stream in ("spectral", "residual"))
+    assert second.scores == first.scores
+
+
+def test_manifest_speaker_missing_from_the_store_is_missing_model(corpus, tmp_path):
+    speakers = corpus.speakers()
+    enrolled = [e for e in corpus.train_entries if e.speaker_id != speakers[-1]]
+    store = train_command(CorpusManifest(enrolled, corpus.sample_rate), ToolkitConfig(),
+                          tmp_path / "store")
+    with pytest.raises(MissingModel, match=f"no models for speaker {speakers[-1]!r}"):
+        evaluate_command(corpus, store)
+
+
+def test_manifest_without_test_split_is_manifest_error(corpus, tmp_path):
+    train_only = CorpusManifest(corpus.train_entries, corpus.sample_rate)
+    with pytest.raises(ManifestError, match="no test utterances"):
+        evaluate_command(train_only, ModelStore(tmp_path / "store"))
+
+
+def test_unreadable_training_audio_names_the_utterance(corpus, tmp_path):
+    gone = min(corpus.train_entries, key=lambda e: (e.speaker_id, e.utterance_id))
+    entries = [
+        dataclasses.replace(e, path=tmp_path / "missing.wav") if e is gone else e
+        for e in corpus.entries
+    ]
+    with pytest.raises(UnsupportedFormat, match=f"utterance {gone.utterance_id}: .*cannot read"):
+        train_command(CorpusManifest(entries, corpus.sample_rate), ToolkitConfig(),
+                      tmp_path / "store")

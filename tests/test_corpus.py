@@ -1,5 +1,6 @@
 """WAV I/O, manifests, and the synthetic speaker corpus."""
 
+import re
 import wave
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestAudioIo:
         path.write_bytes(b"this is not audio")
         with pytest.raises(UnsupportedFormat):
             load_audio(path)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        """A missing file, a directory and an empty file name the path."""
+        (tmp_path / "empty.wav").write_bytes(b"")
+        for path, reason in (
+            (tmp_path / "missing.wav", "cannot read"),
+            (tmp_path, "cannot read"),
+            (tmp_path / "empty.wav", "truncated WAV header"),
+        ):
+            with pytest.raises(UnsupportedFormat, match=re.escape(f"{path}: {reason}")):
+                load_audio(path)
 
     def test_rate_mismatch(self, tmp_path):
         path = tmp_path / "x.wav"

@@ -6,7 +6,6 @@ import pytest
 from sidkit.errors import EmptyFeatureStream, FeatureDimensionMismatch
 from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.identify import (
-    SpeakerModelSet,
     StreamScores,
     UtteranceScores,
     combine_scores,
@@ -17,20 +16,19 @@ from sidkit.identify import (
 )
 
 
-def make_model(rng, d, kind):
+def make_model(rng, d):
     return GmmModel(
         weights=np.array([1.0]),
         means=rng.uniform(-1, 1, (1, d)),
         variances=rng.uniform(0.5, 1.5, (1, d)),
-        feature_kind=kind,
     )
 
 
 def make_model_set(rng, speakers, d_spectral=4, d_residual=3):
-    return SpeakerModelSet(
-        spectral={s: make_model(rng, d_spectral, "mfcc") for s in speakers},
-        residual={s: make_model(rng, d_residual, "residual_moments") for s in speakers},
-    )
+    """speaker -> (spectral model, residual model)."""
+    spectral = [make_model(rng, d_spectral) for _ in speakers]
+    residual = [make_model(rng, d_residual) for _ in speakers]
+    return dict(zip(speakers, zip(spectral, residual)))
 
 
 def fake_scores(table, eta=0.5):
@@ -58,31 +56,6 @@ class TestCombineScores:
             combine_scores(0.0, 0.0, 1.2)
 
 
-class TestSpeakerModelSet:
-    def test_mismatched_speakers_rejected(self):
-        rng = np.random.default_rng(80)
-        with pytest.raises(ValueError):
-            SpeakerModelSet(
-                spectral={"a": make_model(rng, 2, "mfcc")},
-                residual={},
-            )
-
-    def test_inconsistent_kinds_rejected(self):
-        rng = np.random.default_rng(81)
-        with pytest.raises(ValueError):
-            SpeakerModelSet(
-                spectral={"a": make_model(rng, 2, "mfcc"),
-                          "b": make_model(rng, 2, "lfcc")},
-                residual={"a": make_model(rng, 2, "residual_moments"),
-                          "b": make_model(rng, 2, "residual_moments")},
-            )
-
-    def test_speakers_sorted(self):
-        rng = np.random.default_rng(82)
-        model_set = make_model_set(rng, ["zoe", "amy", "mel"])
-        assert model_set.speakers() == ["amy", "mel", "zoe"]
-
-
 class TestScoreUtterance:
     def test_totals_are_frame_sums(self):
         """Each stream score is the plain sum of per-frame log-likelihoods."""
@@ -92,8 +65,8 @@ class TestScoreUtterance:
         residual = rng.uniform(-1, 1, (20, 3))
         scores = score_utterance(spectral, residual, model_set, eta=0.5)
         for spk in ("a", "b"):
-            s_expect = float(np.sum(gmm_log_likelihoods(spectral, model_set.spectral[spk])))
-            r_expect = float(np.sum(gmm_log_likelihoods(residual, model_set.residual[spk])))
+            s_expect = float(np.sum(gmm_log_likelihoods(spectral, model_set[spk][0])))
+            r_expect = float(np.sum(gmm_log_likelihoods(residual, model_set[spk][1])))
             assert scores.scores[spk].spectral == s_expect
             assert scores.scores[spk].residual == r_expect
             assert scores.scores[spk].combined == 0.5 * s_expect + 0.5 * r_expect

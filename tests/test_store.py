@@ -17,15 +17,20 @@ from sidkit.store import (
 )
 
 
-def random_model(rng, m=4, d=6, kind="mfcc"):
+def random_model(rng, m=4, d=6):
     weights = rng.uniform(0.5, 1.5, m)
     weights /= weights.sum()
     return GmmModel(
         weights=weights,
         means=rng.uniform(-2, 2, (m, d)),
         variances=rng.uniform(0.1, 2.0, (m, d)),
-        feature_kind=kind,
     )
+
+
+def bound_store(path, cfg=ToolkitConfig()):
+    store = ModelStore(path)
+    store.bind(cfg, 8000)
+    return store
 
 
 class TestRecordFormat:
@@ -33,25 +38,26 @@ class TestRecordFormat:
         rng = np.random.default_rng(60)
         for _ in range(10):
             model = random_model(rng)
-            back = model_from_bytes(model_to_bytes(model))
+            kind, back = model_from_bytes(model_to_bytes(model, "mfcc"))
             np.testing.assert_array_equal(back.weights, model.weights)
             np.testing.assert_array_equal(back.means, model.means)
             np.testing.assert_array_equal(back.variances, model.variances)
-            assert back.feature_kind == model.feature_kind
+            assert kind == "mfcc"
 
     def test_reserialization_stable(self):
         rng = np.random.default_rng(61)
         model = random_model(rng)
-        data = model_to_bytes(model)
-        assert model_to_bytes(model_from_bytes(data)) == data
+        data = model_to_bytes(model, "mfcc")
+        kind, back = model_from_bytes(data)
+        assert model_to_bytes(back, kind) == data
 
     def test_magic_present(self):
         rng = np.random.default_rng(62)
-        assert model_to_bytes(random_model(rng))[:4] == b"SIDM"
+        assert model_to_bytes(random_model(rng), "mfcc")[:4] == b"SIDM"
 
     def test_bad_magic_rejected(self):
         rng = np.random.default_rng(63)
-        data = bytearray(model_to_bytes(random_model(rng)))
+        data = bytearray(model_to_bytes(random_model(rng), "mfcc"))
         data[0] ^= 0xFF
         with pytest.raises(StoreIntegrityError):
             model_from_bytes(bytes(data))
@@ -59,7 +65,7 @@ class TestRecordFormat:
     def test_every_bit_flip_detected(self):
         """Flipping any single byte anywhere in the record is caught."""
         rng = np.random.default_rng(64)
-        data = model_to_bytes(random_model(rng, m=2, d=2))
+        data = model_to_bytes(random_model(rng, m=2, d=2), "mfcc")
         for pos in range(len(data)):
             corrupt = bytearray(data)
             corrupt[pos] ^= 0x01
@@ -68,14 +74,14 @@ class TestRecordFormat:
 
     def test_truncation_rejected(self):
         rng = np.random.default_rng(65)
-        data = model_to_bytes(random_model(rng))
+        data = model_to_bytes(random_model(rng), "mfcc")
         for cut in (0, 3, 10, len(data) - 1):
             with pytest.raises(StoreIntegrityError):
                 model_from_bytes(data[:cut])
 
     def test_trailing_garbage_rejected(self):
         rng = np.random.default_rng(66)
-        data = model_to_bytes(random_model(rng))
+        data = model_to_bytes(random_model(rng), "mfcc")
         with pytest.raises(StoreIntegrityError):
             model_from_bytes(data + b"\x00")
 
@@ -83,7 +89,7 @@ class TestRecordFormat:
 class TestModelStore:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(67)
-        store = ModelStore(tmp_path / "store", sample_rate=8000)
+        store = bound_store(tmp_path / "store")
         model = random_model(rng)
         store.save("alice", "spectral", model)
         back = store.load("alice", "spectral")
@@ -96,17 +102,17 @@ class TestModelStore:
 
     def test_index_lists_speakers_and_streams(self, tmp_path):
         rng = np.random.default_rng(68)
-        store = ModelStore(tmp_path / "store", sample_rate=8000)
+        store = bound_store(tmp_path / "store")
         for speaker in ("carol", "alice", "bob"):
             store.save(speaker, "spectral", random_model(rng))
-            store.save(speaker, "residual", random_model(rng, d=6, kind="residual_moments"))
+            store.save(speaker, "residual", random_model(rng, d=6))
         assert store.speakers() == ["alice", "bob", "carol"]
-        assert store.streams("alice") == ["residual", "spectral"]
+        assert list(store.models()) == ["alice", "bob", "carol"]
 
     def test_reopen_reads_index(self, tmp_path):
         rng = np.random.default_rng(69)
         path = tmp_path / "store"
-        store = ModelStore(path, sample_rate=8000)
+        store = bound_store(path)
         model = random_model(rng)
         store.save("alice", "spectral", model)
 
@@ -116,10 +122,31 @@ class TestModelStore:
         back = reopened.load("alice", "spectral")
         np.testing.assert_array_equal(back.weights, model.weights)
 
+    def test_save_after_models_is_visible(self, tmp_path):
+        rng = np.random.default_rng(76)
+        store = bound_store(tmp_path / "store")
+        for speaker in ("alice", "bob"):
+            store.save(speaker, "spectral", random_model(rng))
+            store.save(speaker, "residual", random_model(rng))
+            assert list(store.models()) == sorted({"alice", speaker})
+        np.testing.assert_array_equal(
+            store.models()["bob"][1].means, store.load("bob", "residual").means
+        )
+
+    def test_speaker_missing_a_stream_is_missing_model(self, tmp_path):
+        rng = np.random.default_rng(77)
+        path = tmp_path / "store"
+        store = bound_store(path)
+        store.save("alice", "spectral", random_model(rng))
+        store.save("alice", "residual", random_model(rng))
+        store.save("bob", "spectral", random_model(rng))
+        with pytest.raises(MissingModel, match="no residual model for speaker 'bob'"):
+            ModelStore(path).models()
+
     def test_corrupt_file_detected_on_load(self, tmp_path):
         rng = np.random.default_rng(70)
         path = tmp_path / "store"
-        store = ModelStore(path, sample_rate=8000)
+        store = bound_store(path)
         store.save("alice", "spectral", random_model(rng))
         record = next(path.glob("*.gmm"))
         raw = bytearray(record.read_bytes())
@@ -130,17 +157,18 @@ class TestModelStore:
 
     def test_index_columns_survive_reopen_and_save(self, tmp_path):
         """Saving into a reopened store rewrites every index row with the
-        kind, d and M of the model it names."""
+        d and M of the model it names and the kind its config gives the stream."""
         rng = np.random.default_rng(71)
         path = tmp_path / "store"
+        kinds = {"spectral": "lpcc", "residual": "residual_moments"}
         models = {
-            ("alice", "spectral"): random_model(rng, m=4, d=6, kind="mfcc"),
-            ("alice", "residual"): random_model(rng, m=2, d=3, kind="residual_moments"),
+            ("alice", "spectral"): random_model(rng, m=4, d=6),
+            ("alice", "residual"): random_model(rng, m=2, d=3),
         }
-        store = ModelStore(path, sample_rate=8000)
+        store = bound_store(path, ToolkitConfig(spectral=SpectralConfig(kind="lpcc")))
         for (speaker, stream), model in models.items():
             store.save(speaker, stream, model)
-        models[("bob", "spectral")] = random_model(rng, m=8, d=5, kind="lpcc")
+        models[("bob", "spectral")] = random_model(rng, m=8, d=5)
         ModelStore(path).save("bob", "spectral", models[("bob", "spectral")])
 
         rows = [
@@ -152,7 +180,7 @@ class TestModelStore:
         for speaker, stream, filename, kind, dim, m in rows:
             model = models[(speaker, stream)]
             assert (kind, int(dim), int(m)) == (
-                model.feature_kind, model.dim, model.num_components
+                kinds[stream], model.dim, model.num_components
             )
             assert (path / filename).exists()
         assert "# sample_rate: 8000" in (path / INDEX_NAME).read_text(encoding="utf-8")
@@ -164,7 +192,7 @@ class TestModelStore:
         path = tmp_path / "store"
         speakers = ("a b", "a_b", "a__b", "a_20b", "a/b", "\u00e9", " a", "a ")
         models = {s: random_model(rng) for s in speakers}
-        store = ModelStore(path, sample_rate=8000)
+        store = bound_store(path)
         for speaker, model in models.items():
             store.save(speaker, "spectral", model)
         assert len(list(path.glob("*.gmm"))) == len(speakers)
@@ -177,15 +205,16 @@ class TestModelStore:
     def test_plain_ids_keep_their_filenames(self, tmp_path):
         rng = np.random.default_rng(73)
         path = tmp_path / "store"
-        ModelStore(path).save("spk00", "spectral", random_model(rng))
+        bound_store(path).save("spk00", "spectral", random_model(rng))
         assert [p.name for p in path.glob("*.gmm")] == ["spk00__spectral.gmm"]
 
     def test_malformed_index_is_integrity_error(self, tmp_path):
         path = tmp_path / "store"
         path.mkdir()
-        (path / INDEX_NAME).write_text("alice\tspectral\n", encoding="utf-8")
-        with pytest.raises(StoreIntegrityError):
-            ModelStore(path)
+        for text in ("alice\tspectral\n", "# sample_rate: 8k\n"):
+            (path / INDEX_NAME).write_text(text, encoding="utf-8")
+            with pytest.raises(StoreIntegrityError, match="malformed index line"):
+                ModelStore(path)
 
     @pytest.mark.parametrize(
         "text",
@@ -206,7 +235,7 @@ class TestModelStore:
         store = ModelStore(path)
         store.bind(cfg, 8000)
         store.save("alice", "spectral", random_model(rng))
-        store.save("alice", "residual", random_model(rng, kind="residual_moments"))
+        store.save("alice", "residual", random_model(rng))
         assert sorted(p.name for p in path.iterdir()) == sorted(
             [CONFIG_NAME, INDEX_NAME, "alice__residual.gmm", "alice__spectral.gmm"]
         )
@@ -218,7 +247,7 @@ class TestModelStore:
         rng = np.random.default_rng(75)
         path = tmp_path / "store"
         models = {speaker: random_model(rng) for speaker in ("alice", "bob")}
-        store = ModelStore(path, sample_rate=8000)
+        store = bound_store(path)
         for speaker, model in models.items():
             store.save(speaker, "spectral", model)
 
