@@ -198,9 +198,18 @@ def render_config(cfg: ToolkitConfig) -> str:
 
 
 def load_config(path) -> ToolkitConfig:
-    """Load a configuration file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Load a configuration file from disk.
+
+    Raises:
+        ValueError: the file cannot be read or is not a valid config.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read config {path}: {reason}") from exc
+    return parse_config(text)
 
 
 def write_default_config(path) -> None:

@@ -76,12 +76,22 @@ class CorpusManifest:
 
 
 def read_manifest(path) -> CorpusManifest:
-    """Parse a manifest file; relative audio paths resolve against its directory."""
+    """Parse a manifest file; relative audio paths resolve against its directory.
+
+    Raises:
+        ManifestError: the file cannot be read as UTF-8 text, or a line is
+            malformed.
+    """
     path = Path(path)
     root = path.parent
     sample_rate = DEFAULT_SAMPLE_RATE
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ManifestError(f"cannot read manifest {path}: {reason}") from exc
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue

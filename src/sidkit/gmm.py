@@ -3,15 +3,34 @@
 Training is deterministic: binary-splitting vector quantization seeds the
 components, then a fixed number of EM passes refines weights, means, and
 floored diagonal variances.  All densities are evaluated in the log domain.
+
+Scoring, the EM E-step and the log-likelihood trace share one kernel.  With
+precisions ``p = 1/var`` and every vector and mean shifted by ``s``, the mean
+of the component means, the log joint density of vector ``x`` and component
+``m`` is the quadratic form
+
+    log w_m + log N(x | mu_m, var_m) = [y*y, y] . A_m + c_m,   y = x - s,
+
+    A_m = [-p_m / 2,  (mu_m - s) * p_m]                        (2D,)
+    c_m = log w_m - (D log 2pi + sum log var_m + sum (mu_m - s)^2 p_m) / 2
+
+so a batch of ``N`` vectors costs one ``(N, 2D) x (2D, M)`` product.  Each
+model computes ``s``, ``A`` and ``c`` once.  The shift keeps the expanded
+square from cancelling away the digits of ``x - mu`` when the means sit far
+from the origin relative to their spread.  The product is an ``einsum``, not
+``@``: a BLAS matrix product may block and accumulate differently for one
+row than for many, while ``einsum`` computes every output element the same
+way, so a batch scores bit-identically to its rows one at a time.  The sum
+over components is a max-shifted log-sum-exp in numpy.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import ModelConfig
 from .errors import InsufficientData
@@ -63,6 +82,23 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    @cached_property
+    def _quadratic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shift ``s`` (D,), matrix ``A`` (M, 2D) and constant ``c`` (M,) of
+        the quadratic form in the module docstring; computed once per model."""
+        shift = self.means.mean(axis=0)
+        centred = self.means - shift
+        precisions = 1.0 / self.variances
+        form = np.hstack([-0.5 * precisions, centred * precisions])
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(self.weights)
+        const = log_weights - 0.5 * (
+            self.dim * LOG_TWO_PI
+            + np.sum(np.log(self.variances), axis=1)
+            + np.sum(centred * centred * precisions, axis=1)
+        )
+        return shift, form, const
+
 
 def _canonical_order(features: np.ndarray) -> np.ndarray:
     """Rows sorted lexicographically: makes every accumulation during
@@ -98,16 +134,26 @@ def _reseed_empty_cells(features, centroids, labels, empty):
     return centroids
 
 
+def _cell_means(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each cell's vectors; an empty cell gets zeros.
+
+    One ``bincount`` adds every cell's vectors in row order, the order in
+    which ``features[labels == j].mean(axis=0)`` sums a 2-D cell, so the
+    two agree bit for bit (1-D data aside, where numpy sums pairwise).
+    """
+    dim = features.shape[1]
+    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=features.ravel(), minlength=counts.size * dim)
+    return sums.reshape(counts.size, dim) / np.maximum(counts, 1)[:, None]
+
+
 def _kmeans(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Lloyd passes until centroid movement < tolerance or the pass limit."""
     for _ in range(_KMEANS_MAX_PASSES):
         labels = _nearest_centroid(features, centroids)
-        new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=centroids.shape[0])
+        new_centroids = _cell_means(features, labels, counts)
         empty = np.flatnonzero(counts == 0)
-        for j in range(centroids.shape[0]):
-            if counts[j] > 0:
-                new_centroids[j] = features[labels == j].mean(axis=0)
         if empty.size:
             new_centroids = _reseed_empty_cells(features, new_centroids, labels, empty)
         move = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
@@ -158,12 +204,9 @@ def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> Gmm
     else:
         raise InsufficientData("could not populate every cell; too few distinct vectors")
 
-    means = np.empty_like(centroids)
-    variances = np.empty_like(centroids)
-    for j in range(num_components):
-        cell = features[labels == j]
-        means[j] = cell.mean(axis=0)
-        variances[j] = np.maximum(cell.var(axis=0), floor)
+    means = _cell_means(features, labels, counts)
+    scatter = features - means[labels]
+    variances = np.maximum(_cell_means(scatter * scatter, labels, counts), floor)
     weights = counts / counts.sum()
     return GmmModel(weights=weights, means=means, variances=variances)
 
@@ -182,30 +225,34 @@ def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
     )
 
 
-def _log_densities(features: np.ndarray, model: GmmModel) -> np.ndarray:
-    """Component log densities for a batch: shape (num_vectors, M)."""
-    diff = features[:, None, :] - model.means[None, :, :]
-    quad = np.sum(diff * diff / model.variances[None, :, :], axis=2)
-    const = model.dim * LOG_TWO_PI + np.sum(np.log(model.variances), axis=1)
-    return -0.5 * (const[None, :] + quad)
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis of a 2-D array, shifted by each row's
+    max; a row whose max is not finite is shifted by 0, so an all ``-inf``
+    row gives ``-inf``."""
+    peak = values.max(axis=-1)
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.exp(values - peak[:, None]).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + peak
 
 
 def _log_joint(features: np.ndarray, model: GmmModel) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(model.weights)
-    return _log_densities(features, model) + log_weights[None, :]
+    """log w_m + log N(x_n | component m) for a batch: shape (num_vectors, M)."""
+    shift, form, const = model._quadratic_form
+    y = features - shift
+    return np.einsum("nk,mk->nm", np.hstack([y * y, y]), form) + const
 
 
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
-    """Stable log p(x | model) via max-shifted summation over components."""
+    """log p(x | model) for one vector: the one-row case of the batch kernel."""
     x = np.asarray(x, dtype=np.float64)
-    return float(logsumexp(_log_joint(x[None, :], model), axis=1)[0])
+    return float(_logsumexp(_log_joint(x[None, :], model))[0])
 
 
 def gmm_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
     """Per-vector log-likelihoods for a feature matrix."""
     features = np.asarray(features, dtype=np.float64)
-    return logsumexp(_log_joint(features, model), axis=1)
+    return _logsumexp(_log_joint(features, model))
 
 
 def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:
@@ -238,7 +285,7 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
     trace = []
     for _ in range(cfg.em_iterations):
         joint = _log_joint(features, model)
-        per_vector = logsumexp(joint, axis=1)
+        per_vector = _logsumexp(joint)
         trace.append(float(per_vector.sum()))
         resp = np.exp(joint - per_vector[:, None])
         totals = resp.sum(axis=0)

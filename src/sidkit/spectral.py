@@ -5,8 +5,8 @@ log energies, type-II DCT with the dc coefficient discarded.  LPCC comes
 from the cepstral recursion on the all-pole model coefficients.
 
 Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix: one ``rfft``, one matmul with the filterbank and one ``dct``
-along the frame axis for MFCC/LFCC, and for LPCC one LP solve per
+frame matrix: one ``rfft``, one matmul with the filterbank and one matmul
+with a cached DCT matrix for MFCC/LFCC, and for LPCC one LP solve per
 :func:`~sidkit.lpc.compute_lp` call followed by the cepstral recursion
 across all frames.  Each helper also takes a single frame (the one-row
 case along the last axis).
@@ -15,9 +15,9 @@ case along the last axis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import NoUsableFrames
 from .frontend import FrameSequence
@@ -103,12 +103,23 @@ def filterbank_energies(spectrum: np.ndarray, bank: FilterBank) -> np.ndarray:
     return np.log(np.maximum(raw, LOG_ENERGY_FLOOR))
 
 
+@lru_cache(maxsize=None)
+def _dct_matrix(num_filters: int, num_cepstra: int) -> np.ndarray:
+    """Read-only ``(num_filters, num_cepstra)`` matrix of the orthonormal
+    type-II DCT, coefficients 1..num_cepstra (the dc column dropped)."""
+    n = np.arange(num_filters)[:, None]
+    k = np.arange(1, num_cepstra + 1)[None, :]
+    matrix = np.sqrt(2.0 / num_filters) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_filters))
+    matrix.setflags(write=False)
+    return matrix
+
+
 def cepstra_from_energies(energies: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
     """Orthonormal type-II DCT of the log energies per row, dc coefficient dropped."""
     energies = np.asarray(energies, dtype=np.float64)
     if num_cepstra >= energies.shape[-1]:
         raise ValueError("num_cepstra must be below the number of filters")
-    return dct(energies, type=2, norm="ortho", axis=-1)[..., 1 : num_cepstra + 1]
+    return energies @ _dct_matrix(energies.shape[-1], num_cepstra)
 
 
 def lpcc_from_lp(lp: LpCoefficients | LpFrames, num_cepstra: int = 19) -> np.ndarray:

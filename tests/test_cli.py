@@ -10,7 +10,12 @@ import pytest
 from sidkit.cli import main
 from sidkit.commands import evaluate_command, identify_command
 from sidkit.corpus import CorpusManifest, read_manifest
-from sidkit.errors import ConfigMismatch, FeatureDimensionMismatch, UnsupportedFormat
+from sidkit.errors import (
+    ConfigMismatch,
+    FeatureDimensionMismatch,
+    ManifestError,
+    UnsupportedFormat,
+)
 from sidkit.store import CONFIG_NAME, ModelStore
 
 
@@ -266,6 +271,37 @@ class TestUnreadableAudio:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
+
+
+class TestMissingInputFiles:
+    """A missing manifest or config file is an error line naming the path."""
+
+    def test_read_manifest_names_the_path(self, tmp_path):
+        missing = tmp_path / "nothere.tsv"
+        with pytest.raises(ManifestError, match=re.escape(f"manifest {missing}: ")):
+            read_manifest(missing)
+        not_text = tmp_path / "latin1.tsv"
+        not_text.write_bytes(b"\xff\xfe")
+        with pytest.raises(ManifestError, match=re.escape(f"manifest {not_text}: ")):
+            read_manifest(not_text)
+
+    @pytest.mark.parametrize(
+        "argv, missing_name",
+        [
+            (["evaluate", "--manifest", "{tmp}/nothere.tsv", "--store", "{store}"], "nothere.tsv"),
+            (["train", "--manifest", "{tmp}/nothere.tsv", "--out", "{tmp}/out"], "nothere.tsv"),
+            (["train", "--manifest", "{corpus}/manifest.tsv", "--out", "{tmp}/out",
+              "--config", "{tmp}/nothere.ini"], "nothere.ini"),
+        ],
+        ids=["evaluate-manifest", "train-manifest", "train-config"],
+    )
+    def test_cli_fails_cleanly(self, cli_workspace, tmp_path, capsys, argv, missing_name):
+        corpus_dir, store_dir = cli_workspace
+        rc = main([a.format(tmp=tmp_path, store=store_dir, corpus=corpus_dir) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / missing_name) in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDefaultConfig:

@@ -9,6 +9,8 @@ from sidkit.config import ModelConfig
 from sidkit.errors import InsufficientData
 from sidkit.gmm import (
     GmmModel,
+    _cell_means,
+    _logsumexp,
     component_log_density,
     em_train,
     gmm_log_likelihood,
@@ -101,6 +103,26 @@ class TestLbgInit:
         model = lbg_init(x, 4, cfg)
         floor = variance_floor(x, cfg.variance_floor_factor)
         assert np.all(model.variances >= floor)
+
+    def test_cell_stats_equal_loop_form(self):
+        """The bincount cell means and variances equal, bit for bit, the
+        per-cell ``mean``/``var`` loop they replace (2-D cells; numpy sums a
+        1-D column pairwise instead).  An empty cell gets zeros."""
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            n, d, m = int(rng.integers(1, 2000)), int(rng.integers(2, 25)), int(rng.integers(1, 17))
+            x = rng.standard_normal((n, d)) * rng.uniform(0.1, 100) + rng.uniform(-50, 50)
+            labels = rng.integers(0, m, n)
+            counts = np.bincount(labels, minlength=m)
+            means = _cell_means(x, labels, counts)
+            scatter = x - means[labels]
+            variances = _cell_means(scatter * scatter, labels, counts)
+            for j in range(m):
+                if counts[j]:
+                    np.testing.assert_array_equal(means[j], x[labels == j].mean(axis=0))
+                    np.testing.assert_array_equal(variances[j], x[labels == j].var(axis=0))
+                else:
+                    np.testing.assert_array_equal(means[j], np.zeros(d))
 
 
 class TestComponentLogDensity:
@@ -196,6 +218,93 @@ class TestGmmLogLikelihood:
         batch = gmm_log_likelihoods(xs, model)
         singles = np.array([gmm_log_likelihood(x, model) for x in xs])
         np.testing.assert_array_equal(batch, singles)
+
+
+class TestLogDensityKernel:
+    """The precomputed quadratic form against the per-component oracle."""
+
+    @staticmethod
+    def _oracle(xs, model):
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(model.weights)
+        joint = np.array([
+            [log_weights[i] + component_log_density(x, i, model)
+             for i in range(model.num_components)]
+            for x in xs
+        ])
+        return np.logaddexp.reduce(joint, axis=1)
+
+    @staticmethod
+    def _random_model(rng, m, d, centre=0.0, spread=3.0, var_scale=1.0):
+        weights = rng.uniform(0.2, 1.0, m)
+        return GmmModel(weights=weights / weights.sum(),
+                        means=centre + rng.uniform(-spread, spread, (m, d)),
+                        variances=var_scale * rng.uniform(0.1, 3.0, (m, d)))
+
+    def test_matches_oracle_across_orders_and_widths(self):
+        rng = np.random.default_rng(60)
+        for m in (1, 2, 8, 16):
+            for d in (1, 6, 19):
+                model = self._random_model(rng, m, d)
+                xs = rng.uniform(-5.0, 5.0, (40, d))
+                np.testing.assert_allclose(
+                    gmm_log_likelihoods(xs, model), self._oracle(xs, model), rtol=0, atol=1e-9
+                )
+
+    def test_far_off_means_keep_their_digits(self):
+        """Means at 1e4 +/- 1e-2 with variances near 1e-4: the shift by the
+        mean of the means keeps the expanded square from cancelling."""
+        rng = np.random.default_rng(61)
+        for m in (2, 8):
+            model = self._random_model(rng, m, 6, centre=1e4, spread=1e-2, var_scale=1e-4)
+            xs = 1e4 + rng.uniform(-1e-2, 1e-2, (40, 6))
+            np.testing.assert_allclose(
+                gmm_log_likelihoods(xs, model), self._oracle(xs, model), rtol=0, atol=1e-9
+            )
+
+    def test_constant_dimension_at_variance_floor(self):
+        """A trained model of data with one constant dimension holds that
+        dimension at the 1e-12 floor and still matches the oracle, on and
+        off the constant."""
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((400, 4))
+        x[:, 2] = 0.37
+        cfg = ModelConfig()
+        model = em_train(x, lbg_init(x, 4, cfg), cfg)
+        assert np.all(model.variances[:, 2] == 1e-12)
+        xs = rng.standard_normal((40, 4))
+        xs[:, 2] = 0.37
+        xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 20)
+        np.testing.assert_allclose(
+            gmm_log_likelihoods(xs, model), self._oracle(xs, model), rtol=0, atol=1e-9
+        )
+
+    def test_zero_weight_component_is_inert(self):
+        """A component of weight 0 raises no warning and changes no score.
+        The dead mean sits at the live means' midpoint, so the shift is the same."""
+        rng = np.random.default_rng(63)
+        means = np.array([[-1.0, 2.0, 0.5], [1.0, 0.0, -0.5]])
+        variances = rng.uniform(0.5, 2.0, (2, 3))
+        live = GmmModel(weights=np.array([0.25, 0.75]), means=means, variances=variances)
+        with_dead = GmmModel(weights=np.array([0.25, 0.0, 0.75]),
+                             means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
+                             variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
+        xs = rng.uniform(-3.0, 3.0, (30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gmm_log_likelihoods(xs, with_dead)
+            single = gmm_log_likelihood(xs[0], with_dead)
+        np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, live))
+        assert single == got[0]
+
+    def test_logsumexp_all_minus_inf_row(self):
+        """A row of -inf sums to -inf without a floating-point warning."""
+        values = np.array([[-np.inf, -np.inf], [0.0, np.log(3.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(values)
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(np.log(4.0), abs=1e-15)
 
 
 class TestEmTrain:
