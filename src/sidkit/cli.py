@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     )
     try:
         return _RUNNERS[args.command](args)
-    except (SidkitError, ValueError) as exc:
+    except (SidkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

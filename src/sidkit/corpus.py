@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import save_audio
-from .errors import ManifestError, UnstableFilter
+from .errors import ManifestError, SidkitError, UnstableFilter
 from .frontend import AudioSignal
 
 DEFAULT_SAMPLE_RATE = 8000
@@ -209,7 +209,10 @@ def synthesize_utterance(
     The output is peak-normalized to 0.7 so PCM16 encoding never clips.
     """
     # Imported here: scipy.signal costs ~1 s to import and only synthesis uses it.
-    from scipy.signal import lfilter
+    try:
+        from scipy.signal import lfilter
+    except ImportError as exc:
+        raise SidkitError(f"synthesis needs scipy: pip install sidkit[synth] ({exc})") from exc
 
     excitation = rng.standard_normal(num_samples) * spec.noise_floor
     pos = int(rng.integers(0, spec.pitch_period))

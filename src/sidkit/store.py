@@ -1,21 +1,19 @@
-"""Model persistence: one binary record per model, a text index and the
-training config.
+"""Model persistence: one binary record per model plus the training config.
 
-The store owns the enrolled speakers: ``models()`` reads every speaker's
+A store directory is ``config.ini`` and one ``<speaker>__<stream>.gmm``
+record per model; other files are ignored.  The enrolled speakers are the
+ids the record names decode to, and ``models()`` reads every speaker's
 (spectral, residual) pair once per store, until the next ``save``.
 
-``config.ini`` holds the ``ToolkitConfig`` (as ``render_config`` writes it)
-that every model was trained with; scoring takes its front end, widths and
-fusion settings from there, and each stream's feature kind comes from it
-(``[spectral] kind``, or ``residual_moments``).  ``save`` writes that kind
-into the record and the index; ``load`` rejects a record of another kind.
-
-The index lists each model's speaker, stream, record file, feature kind,
-dimension and component count.  Those columns are taken from the models
-as they are saved (or from the index itself when a store is reopened), so
-writing the index never re-reads a record.  Index and config are replaced
-whole through a temp file and ``os.replace``; a torn record fails its
-CRC32 instead.
+``config.ini`` starts with ``# sample_rate: <Hz>`` and then holds the
+``ToolkitConfig`` (as ``render_config`` writes it) that every model was
+trained with; ``parse_config`` reads the rate line as a comment.  Scoring
+takes its front end, widths and fusion settings from there, and each
+stream's feature kind comes from it (``[spectral] kind``, or
+``residual_moments``).  ``save`` writes that kind into the record; ``load``
+rejects a record of another kind.  Records and config are replaced whole
+through a temp file and ``os.replace``, so a failed save leaves the
+previous store.
 
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
@@ -40,8 +38,8 @@ from .gmm import GmmModel
 MAGIC = b"SIDM"
 FORMAT_VERSION = 1
 
-INDEX_NAME = "index.tsv"
 CONFIG_NAME = "config.ini"
+RATE_PREFIX = "# sample_rate:"
 STREAMS = ("spectral", "residual")
 RESIDUAL_KIND = "residual_moments"
 # Speaker-id bytes kept verbatim in record filenames.
@@ -98,30 +96,30 @@ def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
         raise StoreIntegrityError(f"invalid model parameters: {exc}") from exc
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` in one step, so a failed write leaves the old file."""
     temp = path.with_name(path.name + ".tmp")
-    temp.write_text(text, encoding="utf-8")
+    temp.write_bytes(data)
     os.replace(temp, path)
 
 
 class ModelStore:
-    """Directory of model records, a tab-separated index and the training config."""
+    """Directory of model records and the training config."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.sample_rate: int | None = None
         self._config: ToolkitConfig | None = None
-        # (speaker, stream) -> (record filename, feature kind, d, M)
-        self._entries: dict[tuple[str, str], tuple[str, str, int, int]] = {}
         self._models: dict[str, tuple[GmmModel, GmmModel]] | None = None
-        index = self.path / INDEX_NAME
-        if index.exists():
-            self._read_index(index)
         config = self.path / CONFIG_NAME
         if config.exists():
             try:
-                self._config = parse_config(config.read_text(encoding="utf-8"))
+                text = config.read_text(encoding="utf-8")
+                head = text.partition("\n")[0]
+                if not head.startswith(RATE_PREFIX):
+                    raise ValueError(f"first line is not '{RATE_PREFIX} <Hz>'; retrain this store")
+                self.sample_rate = int(head[len(RATE_PREFIX) :])
+                self._config = parse_config(text)
             except ValueError as exc:
                 raise StoreIntegrityError(f"{config}: {exc}") from exc
 
@@ -142,7 +140,7 @@ class ModelStore:
             ConfigMismatch, SampleRateMismatch: its models were trained
                 under another config or at another rate.
         """
-        if self._entries:
+        if self._record_names():
             if self.config != cfg:
                 pairs = zip(*(render_config(c).splitlines() for c in (self.config, cfg)))
                 changed = "; ".join(f"{a} (not {b.split(' = ')[1]})" for a, b in pairs if a != b)
@@ -159,25 +157,6 @@ class ModelStore:
             raise ValueError(f"unknown stream {stream!r}, expected one of {STREAMS}")
         return self.config.spectral.kind if stream == "spectral" else RESIDUAL_KIND
 
-    def _read_index(self, index: Path) -> None:
-        for line in index.read_text(encoding="utf-8").splitlines():
-            try:
-                if line.startswith("# sample_rate:"):
-                    self.sample_rate = int(line.split(":", 1)[1])
-                elif line.strip() and not line.startswith("#"):
-                    speaker, stream, filename, kind, dim, m = line.split("\t")
-                    self._entries[(speaker, stream)] = (filename, kind, int(dim), int(m))
-            except ValueError as exc:
-                raise StoreIntegrityError(f"malformed index line {line!r}") from exc
-
-    def _write_index(self) -> None:
-        lines = ["# speaker\tstream\tfile\tfeature_kind\td\tM"]
-        if self.sample_rate is not None:
-            lines.append(f"# sample_rate: {self.sample_rate}")
-        for (speaker, stream), (filename, kind, dim, m) in sorted(self._entries.items()):
-            lines.append(f"{speaker}\t{stream}\t{filename}\t{kind}\t{dim}\t{m}")
-        _write_atomic(self.path / INDEX_NAME, "\n".join(lines) + "\n")
-
     @staticmethod
     def _filename(speaker: str, stream: str) -> str:
         """Injective: ``[A-Za-z0-9.-]`` is kept and every other UTF-8 byte,
@@ -187,28 +166,50 @@ class ModelStore:
         )
         return f"{safe}__{stream}.gmm"
 
+    def _speaker_of(self, name: str) -> str:
+        """Inverse of ``_filename``: the speaker whose record ``name`` is."""
+        safe, _, stream = name.removesuffix(".gmm").partition("__")
+        head, *escaped = safe.split("_")
+        try:
+            raw = head.encode() + b"".join(bytes.fromhex(e[:2]) + e[2:].encode() for e in escaped)
+            speaker = raw.decode("utf-8")
+            if stream in STREAMS and self._filename(speaker, stream) == name:
+                return speaker
+        except ValueError:
+            pass
+        raise StoreIntegrityError(f"{self.path / name}: not a <speaker>__<stream>.gmm record name")
+
+    def _record_names(self) -> list[str]:
+        names = os.listdir(self.path) if self.path.is_dir() else []
+        return [name for name in names if name.endswith(".gmm")]
+
+    def speakers(self) -> list[str]:
+        """The enrolled speaker ids, read back from the record filenames."""
+        return sorted({self._speaker_of(name) for name in self._record_names()})
+
     def save(self, speaker: str, stream: str, model: GmmModel) -> None:
-        """Write one model under the kind the bound config gives ``stream``."""
+        """Write one model under the kind the bound config gives ``stream``.
+
+        The first record of a store (re)writes ``config.ini`` before it, so
+        the config left by a train that failed before writing any record is
+        never taken for the records' own."""
         kind = self.kind(stream)
-        self.path.mkdir(parents=True, exist_ok=True)
-        if not self._entries:
-            _write_atomic(self.path / CONFIG_NAME, render_config(self.config))
-        filename = self._filename(speaker, stream)
-        (self.path / filename).write_bytes(model_to_bytes(model, kind))
-        self._entries[(speaker, stream)] = (filename, kind, model.dim, model.num_components)
+        if not self._record_names():
+            self.path.mkdir(parents=True, exist_ok=True)
+            text = f"{RATE_PREFIX} {self.sample_rate}\n" + render_config(self.config)
+            _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
+        _write_atomic(self.path / self._filename(speaker, stream), model_to_bytes(model, kind))
         self._models = None
-        self._write_index()
 
     def load(self, speaker: str, stream: str) -> GmmModel:
         """Read one model back; ``ConfigMismatch`` if its record holds another
         feature kind than the config gives ``stream``."""
-        key = (speaker, stream)
-        if key not in self._entries:
-            raise MissingModel(f"no {stream} model for speaker {speaker!r}")
-        record = self.path / self._entries[key][0]
-        if not record.exists():
-            raise MissingModel(f"model file missing: {record}")
-        kind, model = model_from_bytes(record.read_bytes())
+        record = self.path / self._filename(speaker, stream)
+        try:
+            data = record.read_bytes()
+        except FileNotFoundError:
+            raise MissingModel(f"no {stream} model for speaker {speaker!r}") from None
+        kind, model = model_from_bytes(data)
         expected = self.kind(stream)
         if kind != expected:
             raise ConfigMismatch(
@@ -216,9 +217,6 @@ class ModelStore:
                 f"features, but {CONFIG_NAME} says {expected}"
             )
         return model
-
-    def speakers(self) -> list[str]:
-        return sorted({speaker for speaker, _ in self._entries})
 
     def models(self) -> dict[str, tuple[GmmModel, GmmModel]]:
         """Every enrolled speaker's (spectral, residual) models, in speaker

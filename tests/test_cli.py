@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shutil
+import sys
 
 import pytest
 
@@ -58,6 +59,16 @@ class TestSynth:
         assert len(manifest.test_entries) == 4 * 2
         for entry in manifest.entries:
             assert entry.path.exists()
+
+
+    def test_without_scipy_names_the_extra(self, tmp_path, monkeypatch, capsys):
+        """Synthesis is the one command that needs scipy, an optional extra."""
+        monkeypatch.setitem(sys.modules, "scipy.signal", None)
+        rc = main(["synth", "--speakers", "2", "--seconds", "0.5", "--out", str(tmp_path / "c")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pip install sidkit[synth]" in err
+        assert not (tmp_path / "c").exists()
 
 
 class TestTrain:
@@ -302,6 +313,30 @@ class TestMissingInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path / missing_name) in err
         assert not (tmp_path / "out").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an error line naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["evaluate", "--manifest", "{corpus}/manifest.tsv", "--store", "{store}",
+              "--report", "{tmp}/nodir/report.txt"], "nodir/report.txt"),
+            (["evaluate", "--manifest", "{corpus}/manifest.tsv", "--store", "{store}",
+              "--records", "{tmp}/nodir/records.jsonl"], "nodir/records.jsonl"),
+            (["synth", "--speakers", "2", "--seconds", "0.5", "--out", "{tmp}/afile/corpus"],
+             "afile/corpus"),
+        ],
+        ids=["evaluate-report", "evaluate-records", "synth"],
+    )
+    def test_cli_fails_cleanly(self, cli_workspace, tmp_path, capsys, argv, bad):
+        corpus_dir, store_dir = cli_workspace
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        rc = main([a.format(tmp=tmp_path, store=store_dir, corpus=corpus_dir) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / bad) in err
 
 
 class TestDefaultConfig:

@@ -1,20 +1,15 @@
 """Binary model records and the directory-backed model store."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sidkit.config import FusionConfig, SpectralConfig, ToolkitConfig
+from sidkit.config import FusionConfig, SpectralConfig, ToolkitConfig, render_config
 from sidkit.errors import MissingModel, StoreIntegrityError
 from sidkit.gmm import GmmModel
-from sidkit.store import (
-    CONFIG_NAME,
-    INDEX_NAME,
-    ModelStore,
-    model_from_bytes,
-    model_to_bytes,
-)
+from sidkit.store import CONFIG_NAME, ModelStore, model_from_bytes, model_to_bytes
 
 
 def random_model(rng, m=4, d=6):
@@ -155,36 +150,6 @@ class TestModelStore:
         with pytest.raises(StoreIntegrityError):
             ModelStore(path).load("alice", "spectral")
 
-    def test_index_columns_survive_reopen_and_save(self, tmp_path):
-        """Saving into a reopened store rewrites every index row with the
-        d and M of the model it names and the kind its config gives the stream."""
-        rng = np.random.default_rng(71)
-        path = tmp_path / "store"
-        kinds = {"spectral": "lpcc", "residual": "residual_moments"}
-        models = {
-            ("alice", "spectral"): random_model(rng, m=4, d=6),
-            ("alice", "residual"): random_model(rng, m=2, d=3),
-        }
-        store = bound_store(path, ToolkitConfig(spectral=SpectralConfig(kind="lpcc")))
-        for (speaker, stream), model in models.items():
-            store.save(speaker, stream, model)
-        models[("bob", "spectral")] = random_model(rng, m=8, d=5)
-        ModelStore(path).save("bob", "spectral", models[("bob", "spectral")])
-
-        rows = [
-            line.split("\t")
-            for line in (path / INDEX_NAME).read_text(encoding="utf-8").splitlines()
-            if not line.startswith("#")
-        ]
-        assert len(rows) == len(models)
-        for speaker, stream, filename, kind, dim, m in rows:
-            model = models[(speaker, stream)]
-            assert (kind, int(dim), int(m)) == (
-                kinds[stream], model.dim, model.num_components
-            )
-            assert (path / filename).exists()
-        assert "# sample_rate: 8000" in (path / INDEX_NAME).read_text(encoding="utf-8")
-
     def test_similar_ids_do_not_collide(self, tmp_path):
         """Ids that differ only in characters a filename cannot hold verbatim
         each keep their own record."""
@@ -197,6 +162,7 @@ class TestModelStore:
             store.save(speaker, "spectral", model)
         assert len(list(path.glob("*.gmm"))) == len(speakers)
         reopened = ModelStore(path)
+        assert reopened.speakers() == sorted(speakers)
         for speaker, model in models.items():
             np.testing.assert_array_equal(
                 reopened.load(speaker, "spectral").means, model.means
@@ -208,13 +174,63 @@ class TestModelStore:
         bound_store(path).save("spk00", "spectral", random_model(rng))
         assert [p.name for p in path.glob("*.gmm")] == ["spk00__spectral.gmm"]
 
-    def test_malformed_index_is_integrity_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "head", ["", "# sample_rate: 8k\n", "# sample_rate:\n"], ids=["missing", "8k", "empty"]
+    )
+    def test_bad_rate_line_is_integrity_error(self, tmp_path, head):
+        """config.ini must open with the store's rate; a store written before
+        the rate moved there (it kept an index.tsv) has to be retrained."""
         path = tmp_path / "store"
         path.mkdir()
-        for text in ("alice\tspectral\n", "# sample_rate: 8k\n"):
-            (path / INDEX_NAME).write_text(text, encoding="utf-8")
-            with pytest.raises(StoreIntegrityError, match="malformed index line"):
-                ModelStore(path)
+        (path / CONFIG_NAME).write_text(head + render_config(ToolkitConfig()), encoding="utf-8")
+        with pytest.raises(StoreIntegrityError, match=CONFIG_NAME) as info:
+            ModelStore(path)
+        if not head:
+            assert "retrain" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["a b__spectral.gmm", "_41__spectral.gmm", "_C3_A9__spectral.gmm", "a_zz__spectral.gmm",
+         "a_5__spectral.gmm", "alice__cepstral.gmm", "alice.gmm", "a___spectral.gmm"],
+    )
+    def test_unknown_record_name_is_integrity_error(self, tmp_path, name):
+        """A .gmm name that ``_filename`` cannot have written names the file."""
+        rng = np.random.default_rng(78)
+        path = tmp_path / "store"
+        bound_store(path).save("alice", "spectral", random_model(rng))
+        (path / name).write_bytes(b"")
+        with pytest.raises(StoreIntegrityError, match=re.escape(str(path / name))):
+            ModelStore(path).speakers()
+
+    def test_stray_files_are_ignored(self, tmp_path):
+        rng = np.random.default_rng(79)
+        path = tmp_path / "store"
+        store = bound_store(path)
+        for stream in ("spectral", "residual"):
+            store.save("alice", stream, random_model(rng))
+        for stray in ("notes.txt", "x__spectral.gmm.tmp", "index.tsv"):
+            (path / stray).write_text("alice\tspectral\n", encoding="utf-8")
+        reopened = ModelStore(path)
+        assert reopened.speakers() == ["alice"]
+        assert list(reopened.models()) == ["alice"]
+
+    def test_stale_config_without_records_is_replaced(self, tmp_path):
+        """A store holding only the config.ini of a train that failed before
+        its first record takes a train under another config and rate."""
+        rng = np.random.default_rng(80)
+        path = tmp_path / "store"
+        stale = ModelStore(path)
+        stale.bind(ToolkitConfig(), 8000)
+        stale.save("alice", "spectral", random_model(rng))
+        (path / "alice__spectral.gmm").unlink()
+
+        cfg = ToolkitConfig(spectral=SpectralConfig(kind="lfcc"))
+        store = ModelStore(path)
+        store.bind(cfg, 16000)
+        store.save("bob", "spectral", random_model(rng))
+        reopened = ModelStore(path)
+        assert (reopened.config, reopened.sample_rate) == (cfg, 16000)
+        assert reopened.speakers() == ["bob"]
 
     @pytest.mark.parametrize(
         "text",
@@ -224,7 +240,7 @@ class TestModelStore:
     def test_bad_config_is_integrity_error(self, tmp_path, text):
         path = tmp_path / "store"
         path.mkdir()
-        (path / CONFIG_NAME).write_text(text, encoding="utf-8")
+        (path / CONFIG_NAME).write_text("# sample_rate: 8000\n" + text, encoding="utf-8")
         with pytest.raises(StoreIntegrityError, match=CONFIG_NAME):
             ModelStore(path)
 
@@ -237,31 +253,46 @@ class TestModelStore:
         store.save("alice", "spectral", random_model(rng))
         store.save("alice", "residual", random_model(rng))
         assert sorted(p.name for p in path.iterdir()) == sorted(
-            [CONFIG_NAME, INDEX_NAME, "alice__residual.gmm", "alice__spectral.gmm"]
+            [CONFIG_NAME, "alice__residual.gmm", "alice__spectral.gmm"]
         )
+        assert (path / CONFIG_NAME).read_text(encoding="utf-8").startswith("# sample_rate: 8000\n")
         reopened = ModelStore(path)
         assert (reopened.config, reopened.sample_rate) == (cfg, 8000)
+        # A reopened store saves under its recorded config without a bind.
+        reopened.save("bob", "spectral", random_model(rng, m=2, d=3))
+        kinds = {p.name: model_from_bytes(p.read_bytes())[0] for p in path.glob("*.gmm")}
+        assert kinds == {
+            "alice__spectral.gmm": "lfcc", "alice__residual.gmm": "residual_moments",
+            "bob__spectral.gmm": "lfcc",
+        }
 
-    def test_torn_index_write_keeps_previous_store(self, tmp_path, monkeypatch):
-        """A save whose index write fails halfway leaves the old index in place."""
+    def test_torn_record_write_keeps_previous_store(self, tmp_path, monkeypatch):
+        """A save whose record write fails halfway, of a new speaker or over an
+        enrolled one, leaves the previous speakers, models and files."""
         rng = np.random.default_rng(75)
         path = tmp_path / "store"
-        models = {speaker: random_model(rng) for speaker in ("alice", "bob")}
         store = bound_store(path)
-        for speaker, model in models.items():
-            store.save(speaker, "spectral", model)
+        for speaker in ("alice", "bob"):
+            for stream in ("spectral", "residual"):
+                store.save(speaker, stream, random_model(rng))
+        files = {p.name: p.read_bytes() for p in path.iterdir()}
+        models = store.models()
 
-        def torn_write(self, text, encoding=None):
-            with open(self, "w", encoding=encoding) as fh:
-                fh.write(text[: len(text) // 2])
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
-        with pytest.raises(OSError):
-            store.save("carol", "spectral", random_model(rng))
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        for speaker in ("carol", "alice"):
+            with pytest.raises(OSError):
+                store.save(speaker, "spectral", random_model(rng))
         monkeypatch.undo()
 
         reopened = ModelStore(path)
         assert reopened.speakers() == ["alice", "bob"]
-        for speaker, model in models.items():
-            np.testing.assert_array_equal(reopened.load(speaker, "spectral").means, model.means)
+        for speaker, pair in models.items():
+            for before, after in zip(pair, reopened.models()[speaker]):
+                np.testing.assert_array_equal(after.means, before.means)
+        for name, data in files.items():
+            assert (path / name).read_bytes() == data
