@@ -191,6 +191,11 @@ def evaluate_command(
         if speaker not in enrolled:
             raise MissingModel(f"no models for speaker {speaker!r} in store {store.path}")
     models = {speaker: enrolled[speaker] for speaker in manifest.speakers()}
+    # Open the outputs before scoring, so an unwritable path fails first;
+    # append mode keeps an existing file whole if scoring then fails.
+    for path in (report_path, records_path):
+        if path is not None:
+            open(path, "a", encoding="utf-8").close()
     files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
     scored = _score_files(store, models, eta, manifest.sample_rate, files)
 

@@ -55,10 +55,6 @@ class FrameSequence:
     def __len__(self):
         return self.frames.shape[0]
 
-    @property
-    def frame_len(self) -> int:
-        return self.frames.shape[1]
-
 
 def hamming_window(length: int) -> np.ndarray:
     """Raised-cosine taper w(n) = 0.54 - 0.46 cos(2 pi n / (length - 1))."""

@@ -124,34 +124,24 @@ def identify(scores: UtteranceScores) -> str:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Identification decisions with accuracy and confusion counts."""
+    """Identification decisions with their accuracy."""
 
     decisions: tuple[tuple[str, str, str], ...]
     pia: float
-    confusion: dict[tuple[str, str], int]
 
     @property
     def num_trials(self) -> int:
         return len(self.decisions)
-
-    @property
-    def num_correct(self) -> int:
-        return sum(1 for _, true_id, decided in self.decisions if decided == true_id)
 
 
 def evaluate(decisions) -> EvaluationReport:
     """Summarize (utterance_id, true_id, decided_id) triples.
 
     Accuracy is the percentage of trials whose decided speaker matches the
-    true one; the confusion table counts (true, decided) pairs.
+    true one.
     """
     decisions = tuple((str(u), str(t), str(d)) for u, t, d in decisions)
     if not decisions:
         raise ValueError("no decisions to evaluate")
     correct = sum(1 for _, true_id, decided in decisions if decided == true_id)
-    confusion: dict[tuple[str, str], int] = {}
-    for _, true_id, decided in decisions:
-        key = (true_id, decided)
-        confusion[key] = confusion.get(key, 0) + 1
-    pia = 100.0 * correct / len(decisions)
-    return EvaluationReport(decisions=decisions, pia=pia, confusion=confusion)
+    return EvaluationReport(decisions=decisions, pia=100.0 * correct / len(decisions))

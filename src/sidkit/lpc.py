@@ -9,8 +9,9 @@ frame of shape ``(frame_len,)`` or an utterance's ``(num_frames, frame_len)``
 frame matrix: autocorrelation is one shifted multiply-and-sum per lag, the
 Levinson-Durbin order loop runs over all frames at once, and inverse
 filtering is one multiply-and-sum over a sliding window of lagged samples.
-A single frame is the one-row case of the same arithmetic, so its results
-are bit-identical to that frame's row in a matrix solve.
+A single frame is solved as a one-row matrix, so its result is bit-identical
+to that frame's row in a matrix solve, and a degenerate frame is marked
+unusable in either case rather than raised.
 """
 
 from __future__ import annotations
@@ -19,53 +20,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame
-
 # Relative ridge added to the zero-lag autocorrelation so near-silent
 # frames stay solvable without measurably biasing the coefficients.
 AUTOCORR_RIDGE = 1e-9
 
 
 @dataclass(frozen=True)
-class LpCoefficients:
-    """Predictor coefficients a(1)..a(p) plus the residual RMS gain."""
-
-    a: np.ndarray
-    gain: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        object.__setattr__(self, "a", a)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("a must be a non-empty 1-D array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients must be finite")
-        if self.gain < 0.0:
-            raise ValueError("gain must be non-negative")
-
-    @property
-    def order(self) -> int:
-        return self.a.size
-
-
-@dataclass(frozen=True)
 class LpFrames:
-    """Predictors of a frame matrix: one row of ``a`` per frame.
+    """Predictors a(1)..a(p) of one frame, or one row of ``a`` per frame.
 
-    ``usable`` marks the frames whose solve succeeded.  Degenerate frames
-    (zero energy, or a prediction error that collapsed mid-recursion) keep
-    their row but hold zero coefficients.
+    ``usable`` (shaped like the frames without their last axis) marks the
+    frames whose solve succeeded.  Degenerate frames (zero energy, or a
+    prediction error that collapsed mid-recursion) hold zero coefficients.
     """
 
     a: np.ndarray
     usable: np.ndarray
 
-    def __len__(self):
-        return self.a.shape[0]
-
     @property
     def order(self) -> int:
-        return self.a.shape[1]
+        return self.a.shape[-1]
 
 
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
@@ -101,79 +75,50 @@ def _levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return alpha, ok & np.all(np.isfinite(alpha), axis=1)
 
 
-def _solve_rows(frames: np.ndarray, order: int) -> LpFrames:
-    """Batched solve of a (num_frames, frame_len) matrix.
+def compute_lp(frames: np.ndarray, order: int) -> LpFrames:
+    """Fit order-p predictors to one frame or a ``(num_frames, frame_len)``
+    matrix by the autocorrelation method, all frames in one solve.
 
-    Degenerate rows divide by zero or overflow on their way to the mask;
-    those floating-point warnings are silenced, since the mask reports them.
+    Degenerate frames are marked in ``usable`` and get zero coefficients.
+    They divide by zero or overflow on their way to the mask; those
+    floating-point warnings are silenced, since the mask reports them.
     """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim not in (1, 2):
+        raise ValueError("expected one frame or a (num_frames, frame_len) matrix")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if frames.shape[1] <= order:
-        raise ValueError(f"frame length {frames.shape[1]} must exceed order {order}")
+    if frames.shape[-1] <= order:
+        raise ValueError(f"frame length {frames.shape[-1]} must exceed order {order}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = autocorrelation(frames, order)
+        r = autocorrelation(frames.reshape(-1, frames.shape[-1]), order)
         r[:, 0] *= 1.0 + AUTOCORR_RIDGE
         alpha, usable = _levinson_durbin(r, order)
         a = np.where(usable[:, None], -alpha, 0.0)
-    return LpFrames(a=a, usable=usable)
+    lead = frames.shape[:-1]
+    return LpFrames(a=a.reshape(lead + (order,)), usable=usable.reshape(lead))
 
 
-def compute_lp(frames: np.ndarray, order: int) -> LpCoefficients | LpFrames:
-    """Fit order-p predictors by the autocorrelation method.
+def inverse_filter(frames: np.ndarray, lp: LpFrames) -> np.ndarray:
+    """Residual e(n) = s(n) + sum_k a(k) s(n-k), zero history before each frame.
 
-    Given a frame matrix ``(num_frames, frame_len)``, solves every frame at
-    once and returns :class:`LpFrames`, marking degenerate frames in
-    ``usable`` instead of raising.  Given one frame, returns its
-    :class:`LpCoefficients` (the one-row case of the same solve), whose
-    gain is the RMS of the frame-local residual, so ``gain**2`` equals the
-    mean squared residual by construction.
-
-    Raises:
-        DegenerateFrame: a single frame is identically zero, or its
-            regularized normal equations are numerically singular.
+    Takes one frame or a frame matrix with the :class:`LpFrames` that
+    :func:`compute_lp` returned for it.  Each output sample is one dot
+    product of the taps [a(p)..a(1), 1] with the lagged window s(n-p..n)
+    of a zero-padded copy of its frame.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim == 2:
-        return _solve_rows(frames, order)
-    if frames.ndim != 1:
-        raise ValueError("expected one frame or a (num_frames, frame_len) matrix")
-    lp = _solve_rows(frames[None, :], order)
-    if not lp.usable[0]:
-        if not np.any(frames):
-            raise DegenerateFrame("frame has zero energy")
-        raise DegenerateFrame("prediction error collapsed during recursion")
-    residual = _filter(frames, lp.a[0])
-    return LpCoefficients(a=lp.a[0], gain=float(np.sqrt(np.mean(residual * residual))))
-
-
-def _filter(frames: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """e(n) = s(n) + sum_k a(k) s(n-k) along the last axis, zero history.
-
-    Each output sample is one dot product of the taps [a(p)..a(1), 1] with
-    the lagged window s(n-p..n) of a zero-padded copy of its frame.
-    """
-    order = a.shape[-1]
+    order = lp.order
+    if order >= frames.shape[-1]:
+        raise ValueError("predictor order must be below the frame length")
     padded = np.concatenate((np.zeros(frames.shape[:-1] + (order,)), frames), axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, order + 1, axis=-1)
-    taps = np.concatenate((a[..., ::-1], np.ones(a.shape[:-1] + (1,))), axis=-1)
+    taps = np.concatenate((lp.a[..., ::-1], np.ones(lp.a.shape[:-1] + (1,))), axis=-1)
     return np.einsum("...nk,...k->...n", windows, taps)
 
 
-def inverse_filter(frames: np.ndarray, lp: LpCoefficients | LpFrames) -> np.ndarray:
-    """Residual e(n) = s(n) + sum_k a(k) s(n-k), zero history before each frame.
-
-    Takes one frame with :class:`LpCoefficients`, or a frame matrix with the
-    :class:`LpFrames` that :func:`compute_lp` returned for it.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if lp.order >= frames.shape[-1]:
-        raise ValueError("predictor order must be below the frame length")
-    return _filter(frames, lp.a)
-
-
-def predict(frame: np.ndarray, lp: LpCoefficients) -> np.ndarray:
-    """Predictor output -sum_k a(k) s(n-k), zero history before the frame."""
+def predict(frame: np.ndarray, lp: LpFrames) -> np.ndarray:
+    """Predictor output -sum_k a(k) s(n-k) of one frame, zero history before it."""
     frame = np.asarray(frame, dtype=np.float64)
     conv = np.convolve(frame, lp.a)[: frame.size]
     shifted = np.concatenate(([0.0], conv[:-1]))

@@ -5,9 +5,11 @@ summarized by its central moments of orders 2 through K+1.  The first-order
 moment is zero by construction and therefore not emitted.
 
 Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix, with one LP solve per :func:`~sidkit.lpc.compute_lp` call.
-The per-frame helpers are the one-row case of the same kernels along the
-last axis, so a frame's features do not depend on its neighbours.
+frame matrix, with one :func:`~sidkit.lpc.compute_lp` solve whose
+``usable`` mask, together with the all-zero residuals, picks the frames
+that are skipped and counted.  The per-frame helpers are the one-row case
+of the same kernels along the last axis, so a frame's features do not
+depend on its neighbours.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ class ResidualMomentFeatures:
 
     vectors: np.ndarray
     skipped_frames: int = 0
-
-    def __len__(self):
-        return self.vectors.shape[0]
-
-    @property
-    def num_moments(self) -> int:
-        return self.vectors.shape[1]
 
 
 def _peak_normalize(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

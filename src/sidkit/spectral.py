@@ -6,10 +6,10 @@ from the cepstral recursion on the all-pole model coefficients.
 
 Features are computed on an utterance's whole ``(num_frames, frame_len)``
 frame matrix: one ``rfft``, one matmul with the filterbank and one matmul
-with a cached DCT matrix for MFCC/LFCC, and for LPCC one LP solve per
-:func:`~sidkit.lpc.compute_lp` call followed by the cepstral recursion
-across all frames.  Each helper also takes a single frame (the one-row
-case along the last axis).
+with a cached DCT matrix for MFCC/LFCC, and for LPCC one
+:func:`~sidkit.lpc.compute_lp` solve followed by the cepstral recursion on
+its coefficients across all frames.  Each helper also takes a single frame
+(the one-row case along the last axis).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoUsableFrames
 from .frontend import FrameSequence
-from .lpc import LpCoefficients, LpFrames, compute_lp
+from .lpc import compute_lp
 
 # Filterbank outputs below this value are clamped before the log.
 LOG_ENERGY_FLOOR = 1e-10
@@ -51,10 +51,6 @@ class FilterBank:
         if weights.ndim != 2 or weights.shape[1] != self.fft_size // 2 + 1:
             raise ValueError("weights shape must be (num_filters, fft_size // 2 + 1)")
 
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
-
 
 def make_filterbank(
     num_filters: int = 20,
@@ -76,12 +72,10 @@ def make_filterbank(
     else:
         edges = np.linspace(0.0, nyquist, num_filters + 2)
     bin_freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    weights = np.zeros((num_filters, bin_freqs.size))
-    for j in range(num_filters):
-        lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bin_freqs - lo) / (center - lo)
-        falling = (hi - bin_freqs) / (hi - center)
-        weights[j] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bin_freqs - lo) / (center - lo)
+    falling = (hi - bin_freqs) / (hi - center)
+    weights = np.clip(np.minimum(rising, falling), 0.0, 1.0)
     return FilterBank(weights=weights, scale=scale, fft_size=fft_size, sample_rate=sample_rate)
 
 
@@ -122,16 +116,18 @@ def cepstra_from_energies(energies: np.ndarray, num_cepstra: int = 19) -> np.nda
     return energies @ _dct_matrix(energies.shape[-1], num_cepstra)
 
 
-def lpcc_from_lp(lp: LpCoefficients | LpFrames, num_cepstra: int = 19) -> np.ndarray:
-    """Cepstrum of the all-pole model 1/A(z) by the standard recursion, per frame.
+def lpcc_from_lp(lp_a: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
+    """Cepstrum of the all-pole model 1/A(z) by the standard recursion, per
+    row of the predictor coefficients ``lp_a`` (``LpFrames.a``).
 
     c_n = -a_n - (1/n) sum_{k=1..n-1} k c_k a_{n-k}, with a_m = 0 beyond
-    the model order.  The gain never enters.  Frames without a usable
-    predictor hold zero coefficients and so get zero cepstra.
+    the model order.  Frames without a usable predictor hold zero
+    coefficients and so get zero cepstra.
     """
-    a = np.zeros(lp.a.shape[:-1] + (num_cepstra + 1,))
-    upto = min(lp.order, num_cepstra)
-    a[..., 1 : upto + 1] = lp.a[..., :upto]
+    lp_a = np.asarray(lp_a, dtype=np.float64)
+    a = np.zeros(lp_a.shape[:-1] + (num_cepstra + 1,))
+    upto = min(lp_a.shape[-1], num_cepstra)
+    a[..., 1 : upto + 1] = lp_a[..., :upto]
     c = np.zeros_like(a)
     for n in range(1, num_cepstra + 1):
         k = np.arange(1, n)
@@ -159,4 +155,4 @@ def extract_lpcc(
     lp = compute_lp(frames.frames, lp_order)
     if not np.any(lp.usable):
         raise NoUsableFrames("all frames degenerate for LPCC extraction")
-    return lpcc_from_lp(lp, num_cepstra)[lp.usable]
+    return lpcc_from_lp(lp.a, num_cepstra)[lp.usable]

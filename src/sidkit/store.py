@@ -97,10 +97,15 @@ def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` in one step, so a failed write leaves the old file."""
+    """Replace ``path`` in one step, so a failed write leaves the old file
+    and no temp file."""
     temp = path.with_name(path.name + ".tmp")
-    temp.write_bytes(data)
-    os.replace(temp, path)
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 class ModelStore:

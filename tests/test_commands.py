@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from sidkit import commands
 from sidkit.audio_io import load_audio
 from sidkit.commands import (
     evaluate_command,
@@ -28,6 +29,7 @@ from sidkit.store import CONFIG_NAME, ModelStore
 TRAINING_CONFIGS = {
     "frame_len": ToolkitConfig(preprocess=PreprocessConfig(frame_len=240, frame_shift=120)),
     "lfcc": ToolkitConfig(spectral=SpectralConfig(kind="lfcc", num_cepstra=12)),
+    "lpcc": ToolkitConfig(spectral=SpectralConfig(kind="lpcc")),
 }
 
 
@@ -168,3 +170,22 @@ def test_unreadable_training_audio_names_the_utterance(corpus, tmp_path):
     with pytest.raises(UnsupportedFormat, match=f"utterance {gone.utterance_id}: .*cannot read"):
         train_command(CorpusManifest(entries, corpus.sample_rate), ToolkitConfig(),
                       tmp_path / "store")
+
+
+@pytest.mark.parametrize("unwritable", ["report_path", "records_path"])
+def test_unwritable_output_fails_before_any_audio_is_read(
+    corpus, tmp_path, monkeypatch, unwritable
+):
+    store = train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    report = tmp_path / "report.txt"
+    report.write_text("previous report\n", encoding="utf-8")
+
+    def no_audio(*args, **kwargs):
+        raise AssertionError("audio read before the outputs were checked")
+
+    monkeypatch.setattr(commands, "load_audio", no_audio)
+    paths = {"report_path": report, "records_path": None,
+             unwritable: tmp_path / "nodir" / "out.txt"}
+    with pytest.raises(OSError):
+        evaluate_command(corpus, store, **paths)
+    assert report.read_text(encoding="utf-8") == "previous report\n"

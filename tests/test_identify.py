@@ -167,14 +167,7 @@ class TestEvaluate:
                      ("u3", "b", "a")]
         report = evaluate(decisions)
         assert report.pia == 75.0
-        assert report.num_correct == 3
         assert report.num_trials == 4
-
-    def test_confusion_counts(self):
-        decisions = [("u0", "a", "a"), ("u1", "a", "b"), ("u2", "a", "b")]
-        report = evaluate(decisions)
-        assert report.confusion[("a", "a")] == 1
-        assert report.confusion[("a", "b")] == 2
 
     def test_recomputation_consistent(self):
         """The reported accuracy always agrees with recounting decisions."""

@@ -43,3 +43,32 @@ def test_package_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert _run_fresh(code).strip() == "[]"
+
+
+def test_train_evaluate_identify_run_without_scipy(tmp_path):
+    """Every spectral kind trains, evaluates and identifies with scipy blocked
+    in a fresh interpreter, on a corpus synthesized beforehand."""
+    from sidkit.corpus import default_speaker_specs, generate_synthetic_corpus
+
+    corpus = generate_synthetic_corpus(
+        default_speaker_specs(2, seed=1), train_utts=2, test_utts=1,
+        utt_seconds=1.0, seed=1, out_dir=tmp_path / "corpus",
+    )
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from sidkit import ToolkitConfig, evaluate_command, identify_command, read_manifest, train_command
+from sidkit.config import SpectralConfig
+manifest = read_manifest({str(tmp_path / "corpus" / "manifest.tsv")!r})
+for kind in ("mfcc", "lfcc", "lpcc"):
+    cfg = ToolkitConfig(spectral=SpectralConfig(kind=kind))
+    store = train_command(manifest, cfg, {str(tmp_path)!r} + "/models-" + kind)
+    run = evaluate_command(manifest, store)
+    result = identify_command({str(corpus.test_entries[0].path)!r}, store)
+    print(kind, run.fused.num_trials, result.decided_id)
+"""
+    lines = [line.split() for line in _run_fresh(code).splitlines()]
+    assert [(kind, trials) for kind, trials, _ in lines] == [
+        ("mfcc", "2"), ("lfcc", "2"), ("lpcc", "2")
+    ]
+    assert all(decided in corpus.speakers() for _, _, decided in lines)

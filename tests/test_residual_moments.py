@@ -162,8 +162,7 @@ class TestExtractResidualMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             feats = extract_residual_moments(FrameSequence(frames), 17, 6)
-            with pytest.raises(DegenerateFrame):
-                compute_lp(frames[8], 17)
+            assert not compute_lp(frames[8], 17).usable
             expected = [
                 central_moments(
                     normalize_residual(inverse_filter(f, compute_lp(f, 17))), 6

@@ -268,7 +268,8 @@ class TestModelStore:
 
     def test_torn_record_write_keeps_previous_store(self, tmp_path, monkeypatch):
         """A save whose record write fails halfway, of a new speaker or over an
-        enrolled one, leaves the previous speakers, models and files."""
+        enrolled one, leaves the previous speakers, models and files, and no
+        temp file."""
         rng = np.random.default_rng(75)
         path = tmp_path / "store"
         store = bound_store(path)
@@ -296,3 +297,4 @@ class TestModelStore:
                 np.testing.assert_array_equal(after.means, before.means)
         for name, data in files.items():
             assert (path / name).read_bytes() == data
+        assert not list(path.glob("*.tmp"))
