@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,21 +41,20 @@ def _tagged(exc: SidkitError, context: str) -> SidkitError:
 
 
 def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Preprocess one utterance and extract (spectral, residual) feature matrices."""
-    kind = cfg.spectral.kind
+    """Preprocess one utterance into its frame matrix and extract the
+    (spectral, residual) feature matrices from it."""
+    spec = cfg.spectral
     frames = preprocess(signal, cfg.preprocess)
-    if kind in ("mfcc", "lfcc"):
-        bank = make_filterbank(
-            num_filters=cfg.spectral.num_filters,
-            fft_size=cfg.spectral.fft_size,
-            sample_rate=signal.sample_rate,
-            scale="mel" if kind == "mfcc" else "linear",
-        )
-        spectral = extract_filterbank_cepstra(frames, bank, cfg.spectral.num_cepstra)
-    elif kind == "lpcc":
-        spectral = extract_lpcc(frames, cfg.spectral.lpcc_lp_order, cfg.spectral.num_cepstra)
+    if spec.kind == "lpcc":
+        spectral = extract_lpcc(frames, spec.lpcc_lp_order, spec.num_cepstra)
     else:
-        raise ValueError(f"unknown spectral feature kind {kind!r}")
+        bank = make_filterbank(
+            num_filters=spec.num_filters,
+            fft_size=spec.fft_size,
+            sample_rate=signal.sample_rate,
+            scale="mel" if spec.kind == "mfcc" else "linear",
+        )
+        spectral = extract_filterbank_cepstra(frames, bank, spec.fft_size, spec.num_cepstra)
     residual = extract_residual_moments(
         frames, cfg.residual.lp_order, cfg.residual.num_moments
     ).vectors
@@ -89,11 +88,13 @@ def train_command(
 ) -> ModelStore:
     """Train one spectral and one residual model per speaker and persist both,
     into a store that ``ModelStore.bind`` accepts before anything is trained."""
-    store = ModelStore(store_dir)
-    store.bind(cfg, manifest.sample_rate)
     by_speaker: dict[str, list[ManifestEntry]] = {}
     for entry in manifest.train_entries:
         by_speaker.setdefault(entry.speaker_id, []).append(entry)
+    if not by_speaker:
+        raise ManifestError("manifest has no train utterances")
+    store = ModelStore(store_dir)
+    store.bind(cfg, manifest.sample_rate)
     for entries in by_speaker.values():
         entries.sort(key=lambda e: e.utterance_id)
 
@@ -145,14 +146,19 @@ def _record(entry: ManifestEntry, scores: UtteranceScores, decided: str) -> dict
     }
 
 
+def _fusion_eta(store: ModelStore, eta: float | None) -> float:
+    """``eta``, checked by ``FusionConfig``, or the store's own when None."""
+    fusion = store.config.fusion
+    return fusion.eta if eta is None else replace(fusion, eta=eta).eta
+
+
 def _score_files(
-    store: ModelStore, models: dict, eta: float | None, sample_rate, files
+    store: ModelStore, models: dict, eta: float, sample_rate, files
 ) -> list[UtteranceScores]:
     """Score (path, context) ``files`` against ``models`` under the store's
-    training config, ``eta`` defaulting to its own; an error is prefixed
-    with the context of the file it came from."""
+    training config; an error is prefixed with the context of the file it
+    came from."""
     cfg = store.config
-    eta = cfg.fusion.eta if eta is None else eta
     scored = []
     for path, context in files:
         try:
@@ -191,6 +197,7 @@ def evaluate_command(
         if speaker not in enrolled:
             raise MissingModel(f"no models for speaker {speaker!r} in store {store.path}")
     models = {speaker: enrolled[speaker] for speaker in manifest.speakers()}
+    eta = _fusion_eta(store, eta)
     # Open the outputs before scoring, so an unwritable path fails first;
     # append mode keeps an existing file whole if scoring then fails.
     for path in (report_path, records_path):
@@ -274,12 +281,11 @@ def identify_command(
     models = store.models()
     if not models:
         raise MissingModel(f"model store at {store.path} is empty")
+    eta = _fusion_eta(store, eta)
     [scores] = _score_files(
         store, models, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
     )
     ranking = tuple(
         sorted(models, key=lambda s: (-scores.scores[s].combined, s))
     )
-    return IdentificationResult(
-        decided_id=identify(scores), ranking=ranking, scores=scores
-    )
+    return IdentificationResult(decided_id=ranking[0], ranking=ranking, scores=scores)

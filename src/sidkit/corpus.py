@@ -12,7 +12,6 @@ distinct spectral envelope and a distinct excitation pitch.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,15 +188,6 @@ def default_speaker_specs(
                 pitch_period=int(periods[i]),
             )
         )
-    for i in range(num_speakers):
-        for j in range(i + 1, num_speakers):
-            dist = np.linalg.norm(specs[i].filter_coeffs - specs[j].filter_coeffs)
-            if dist <= 0.1 or abs(specs[i].pitch_period - specs[j].pitch_period) < 5:
-                warnings.warn(
-                    f"speakers {specs[i].speaker_id} and {specs[j].speaker_id} "
-                    "may be too similar for reliable identification",
-                    stacklevel=2,
-                )
     return specs
 
 

@@ -112,14 +112,7 @@ def with_eta(scores: UtteranceScores, eta: float) -> UtteranceScores:
 
 def identify(scores: UtteranceScores) -> str:
     """Pick the speaker with the highest combined score, lowest id on ties."""
-    best_id = None
-    best = -np.inf
-    for speaker in scores.speakers():
-        value = scores.scores[speaker].combined
-        if best_id is None or value > best:
-            best_id, best = speaker, value
-    assert best_id is not None
-    return best_id
+    return min(scores.scores, key=lambda s: (-scores.scores[s].combined, s))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ summarized by its central moments of orders 2 through K+1.  The first-order
 moment is zero by construction and therefore not emitted.
 
 Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix, with one :func:`~sidkit.lpc.compute_lp` solve whose
+frame matrix (:func:`~sidkit.frontend.preprocess`), with one :func:`~sidkit.lpc.compute_lp` solve whose
 ``usable`` mask, together with the all-zero residuals, picks the frames
 that are skipped and counted.  The per-frame helpers are the one-row case
 of the same kernels along the last axis, so a frame's features do not
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFrame, NoUsableFrames
-from .frontend import FrameSequence
+from .frontend import frame_matrix
 from .lpc import compute_lp, inverse_filter
 
 
@@ -71,7 +71,7 @@ def central_moments(residual: np.ndarray, num_moments: int) -> np.ndarray:
 
 
 def extract_residual_moments(
-    frames: FrameSequence, lp_order: int = 17, num_moments: int = 6
+    frames: np.ndarray, lp_order: int = 17, num_moments: int = 6
 ) -> ResidualMomentFeatures:
     """Run the residual-moment pipeline over an utterance's frame matrix.
 
@@ -80,12 +80,14 @@ def extract_residual_moments(
     counted.
 
     Raises:
+        ValueError: ``frames`` is not a 2-D frame matrix, or has no rows.
         NoUsableFrames: every frame was degenerate.
     """
+    frames = frame_matrix(frames)
     if len(frames) == 0:
-        raise ValueError("frame sequence must be non-empty")
-    lp = compute_lp(frames.frames, lp_order)
-    normalized, nonzero = _peak_normalize(inverse_filter(frames.frames, lp))
+        raise ValueError("frame matrix must have at least one row")
+    lp = compute_lp(frames, lp_order)
+    normalized, nonzero = _peak_normalize(inverse_filter(frames, lp))
     usable = lp.usable & nonzero
     skipped = len(frames) - int(np.count_nonzero(usable))
     if skipped == len(frames):

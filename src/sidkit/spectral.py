@@ -5,8 +5,9 @@ log energies, type-II DCT with the dc coefficient discarded.  LPCC comes
 from the cepstral recursion on the all-pole model coefficients.
 
 Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix: one ``rfft``, one matmul with the filterbank and one matmul
-with a cached DCT matrix for MFCC/LFCC, and for LPCC one
+frame matrix (:func:`~sidkit.frontend.preprocess`): one ``rfft``, one
+matmul with the filterbank weight matrix and one matmul with the DCT
+matrix for MFCC/LFCC, both built once per shape and cached, and for LPCC one
 :func:`~sidkit.lpc.compute_lp` solve followed by the cepstral recursion on
 its coefficients across all frames.  Each helper also takes a single frame
 (the one-row case along the last axis).
@@ -14,13 +15,12 @@ its coefficients across all frames.  Each helper also takes a single frame
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoUsableFrames
-from .frontend import FrameSequence
+from .frontend import frame_matrix
 from .lpc import compute_lp
 
 # Filterbank outputs below this value are clamped before the log.
@@ -36,33 +36,20 @@ def hz_from_mel(mels):
     return 700.0 * (10.0 ** (np.asarray(mels, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """Triangular filters sampled at FFT bin frequencies, unit peak."""
-
-    weights: np.ndarray
-    scale: str
-    fft_size: int
-    sample_rate: int
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", weights)
-        if weights.ndim != 2 or weights.shape[1] != self.fft_size // 2 + 1:
-            raise ValueError("weights shape must be (num_filters, fft_size // 2 + 1)")
-
-
+@lru_cache(maxsize=None)
 def make_filterbank(
     num_filters: int = 20,
     fft_size: int = 256,
     sample_rate: int = 8000,
     scale: str = "mel",
-) -> FilterBank:
-    """Build a peak-normalized triangular filterbank over [0, sample_rate/2].
+) -> np.ndarray:
+    """Read-only ``(num_filters, fft_size // 2 + 1)`` weight matrix of a
+    peak-normalized triangular filterbank over [0, sample_rate/2].
 
     Filter edges are equally spaced on the chosen scale; each filter's upper
     edge is the next filter's center.  Weights are the continuous unit-peak
-    triangles evaluated at the FFT bin frequencies.
+    triangles evaluated at the FFT bin frequencies.  The matrix is built
+    once per argument tuple and cached.
     """
     if scale not in ("mel", "linear"):
         raise ValueError(f"scale must be 'mel' or 'linear', got {scale!r}")
@@ -76,7 +63,8 @@ def make_filterbank(
     rising = (bin_freqs - lo) / (center - lo)
     falling = (hi - bin_freqs) / (hi - center)
     weights = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    return FilterBank(weights=weights, scale=scale, fft_size=fft_size, sample_rate=sample_rate)
+    weights.setflags(write=False)
+    return weights
 
 
 def power_spectrum(frame: np.ndarray, fft_size: int = 256) -> np.ndarray:
@@ -88,12 +76,13 @@ def power_spectrum(frame: np.ndarray, fft_size: int = 256) -> np.ndarray:
     return spectrum.real**2 + spectrum.imag**2
 
 
-def filterbank_energies(spectrum: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Log filterbank outputs per row, floored at LOG_ENERGY_FLOOR before the log."""
+def filterbank_energies(spectrum: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Log outputs of the ``make_filterbank`` weights ``bank`` per row,
+    floored at LOG_ENERGY_FLOOR before the log."""
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.shape[-1] != bank.fft_size // 2 + 1:
-        raise ValueError("spectrum length does not match the filterbank fft size")
-    raw = spectrum @ bank.weights.T
+    if spectrum.shape[-1] != bank.shape[1]:
+        raise ValueError("spectrum length does not match the filterbank width")
+    raw = spectrum @ bank.T
     return np.log(np.maximum(raw, LOG_ENERGY_FLOOR))
 
 
@@ -137,22 +126,29 @@ def lpcc_from_lp(lp_a: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
 
 
 def extract_filterbank_cepstra(
-    frames: FrameSequence, bank: FilterBank, num_cepstra: int = 19
+    frames: np.ndarray, bank: np.ndarray, fft_size: int, num_cepstra: int = 19
 ) -> np.ndarray:
-    """Cepstral matrix (num_frames, num_cepstra) for MFCC or LFCC."""
-    spectra = power_spectrum(frames.frames, bank.fft_size)
+    """Cepstral matrix (num_frames, num_cepstra) for MFCC or LFCC from a
+    frame matrix, with the ``make_filterbank`` weights ``bank`` built for
+    ``fft_size``.
+
+    Raises:
+        ValueError: ``frames`` is not a 2-D frame matrix.
+    """
+    spectra = power_spectrum(frame_matrix(frames), fft_size)
     return cepstra_from_energies(filterbank_energies(spectra, bank), num_cepstra)
 
 
 def extract_lpcc(
-    frames: FrameSequence, lp_order: int = 19, num_cepstra: int = 19
+    frames: np.ndarray, lp_order: int = 19, num_cepstra: int = 19
 ) -> np.ndarray:
-    """LPCC matrix for an utterance; degenerate frames are skipped.
+    """LPCC matrix for an utterance's frame matrix; degenerate frames are skipped.
 
     Raises:
+        ValueError: ``frames`` is not a 2-D frame matrix.
         NoUsableFrames: every frame was degenerate.
     """
-    lp = compute_lp(frames.frames, lp_order)
+    lp = compute_lp(frame_matrix(frames), lp_order)
     if not np.any(lp.usable):
         raise NoUsableFrames("all frames degenerate for LPCC extraction")
     return lpcc_from_lp(lp.a, num_cepstra)[lp.usable]

@@ -76,7 +76,7 @@ def test_02_residual_reconstruction_identity(criterion, synthetic_corpus, toolki
         total = 0
         for entry in synthetic_corpus.entries:
             signal = load_audio(entry.path, expected_rate=synthetic_corpus.sample_rate)
-            frames = preprocess(signal, cfg.preprocess).frames
+            frames = preprocess(signal, cfg.preprocess)
             for frame in frames:
                 lp = compute_lp(frame, cfg.residual.lp_order)
                 rebuilt = predict(frame, lp) + inverse_filter(frame, lp)

@@ -80,6 +80,15 @@ class TestTrain:
         assert list(store.models()) == store.speakers()
         assert len(list(store_dir.glob("*.gmm"))) == 8
 
+    def test_header_only_manifest_fails_cleanly(self, tmp_path, capsys):
+        """A manifest without train utterances is an error, and no store is made."""
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("# speaker_id\tutterance_id\tpath\tsplit\n", encoding="utf-8")
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "models")])
+        assert rc == 1
+        assert "no train utterances" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
 
 class TestEvaluate:
     def test_writes_report_and_records(self, cli_workspace, tmp_path, capsys):
@@ -133,6 +142,16 @@ class TestEvaluate:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eta_out_of_range_writes_no_output(self, cli_workspace, tmp_path, capsys):
+        corpus_dir, store_dir = cli_workspace
+        report, records = tmp_path / "r.txt", tmp_path / "rec.jsonl"
+        rc = main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"),
+                   "--store", str(store_dir), "--eta", "1.5",
+                   "--report", str(report), "--records", str(records)])
+        assert rc == 1
+        assert "eta must be in [0, 1]" in capsys.readouterr().err
+        assert not report.exists() and not records.exists()
 
 
 class TestIdentify:

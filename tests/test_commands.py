@@ -3,6 +3,7 @@ and later training."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from sidkit import commands
@@ -24,6 +25,7 @@ from sidkit.errors import (
     UnsupportedFormat,
 )
 from sidkit.identify import identify, score_utterance, with_eta
+from sidkit.spectral import make_filterbank
 from sidkit.store import CONFIG_NAME, ModelStore
 
 TRAINING_CONFIGS = {
@@ -189,3 +191,49 @@ def test_unwritable_output_fails_before_any_audio_is_read(
     with pytest.raises(OSError):
         evaluate_command(corpus, store, **paths)
     assert report.read_text(encoding="utf-8") == "previous report\n"
+
+
+def no_audio(*args, **kwargs):
+    raise AssertionError("audio read before eta was checked")
+
+
+def test_bad_eta_fails_before_any_output_or_audio(corpus, tmp_path, monkeypatch):
+    store = train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    monkeypatch.setattr(commands, "load_audio", no_audio)
+    report, records = tmp_path / "report.txt", tmp_path / "records.jsonl"
+    with pytest.raises(ValueError, match="eta must be in"):
+        evaluate_command(corpus, store, eta=1.5, report_path=report, records_path=records)
+    assert not report.exists() and not records.exists()
+
+
+def test_identify_checks_eta_before_reading_audio(corpus, tmp_path, monkeypatch):
+    store = train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    monkeypatch.setattr(commands, "load_audio", no_audio)
+    with pytest.raises(ValueError, match="eta must be in"):
+        identify_command(corpus.test_entries[0].path, store, eta=-0.1)
+
+
+def test_manifest_without_train_split_is_manifest_error(corpus, tmp_path):
+    with pytest.raises(ManifestError, match="no train utterances"):
+        train_command(CorpusManifest((), corpus.sample_rate), ToolkitConfig(),
+                      tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("kind", ["mfcc", "lfcc"])
+def test_extract_streams_builds_the_filterbank_once(corpus, kind):
+    cfg = ToolkitConfig(spectral=SpectralConfig(kind=kind))
+    make_filterbank.cache_clear()
+    for entry in corpus.test_entries:
+        extract_streams(load_audio(entry.path), cfg)
+    info = make_filterbank.cache_info()
+    assert (info.misses, info.hits) == (1, len(corpus.test_entries) - 1)
+
+
+def test_identify_decision_is_the_head_of_the_ranking(corpus, tmp_path):
+    store = train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    for entry in corpus.test_entries:
+        result = identify_command(entry.path, store)
+        assert result.decided_id == result.ranking[0] == identify(result.scores)
+        combined = [result.scores.scores[s].combined for s in result.ranking]
+        assert np.all(np.diff(combined) <= 0)

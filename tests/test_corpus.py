@@ -1,6 +1,7 @@
 """WAV I/O, manifests, and the synthetic speaker corpus."""
 
 import re
+import warnings
 import wave
 
 import numpy as np
@@ -193,6 +194,13 @@ class TestSyntheticSpeakers:
             for j in range(i + 1, 10):
                 dist = np.linalg.norm(specs[i].filter_coeffs - specs[j].filter_coeffs)
                 assert dist > 0.1
+
+    def test_many_default_specs_raise_no_warning(self):
+        """The generator's own pitch spacing is not flagged at large S."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            specs = default_speaker_specs(64, seed=0)
+        assert len({s.pitch_period for s in specs}) > 1
 
     def test_specs_deterministic(self):
         a = default_speaker_specs(5, seed=3)

@@ -7,7 +7,7 @@ import pytest
 
 from sidkit.config import PreprocessConfig
 from sidkit.errors import DegenerateFrame, NoUsableFrames
-from sidkit.frontend import AudioSignal, FrameSequence, preprocess
+from sidkit.frontend import AudioSignal, preprocess
 from sidkit.lpc import compute_lp, inverse_filter
 from sidkit.residual_moments import (
     central_moments,
@@ -131,21 +131,24 @@ class TestExtractResidualMoments:
         """Batch extraction equals the per-frame stage composition."""
         frames = self._frames(num=20)
         feats = extract_residual_moments(frames, lp_order=17, num_moments=6)
-        for t, frame in enumerate(frames.frames):
+        for t, frame in enumerate(frames):
             lp = compute_lp(frame, 17)
             expected = central_moments(normalize_residual(inverse_filter(frame, lp)), 6)
             np.testing.assert_array_equal(feats.vectors[t], expected)
 
     def test_degenerate_frames_skipped_and_counted(self):
-        frames = FrameSequence(
-            np.vstack([np.zeros(160), np.random.default_rng(29).uniform(-1, 1, 160)])
-        )
+        frames = np.vstack([np.zeros(160), np.random.default_rng(29).uniform(-1, 1, 160)])
         feats = extract_residual_moments(frames)
         assert feats.vectors.shape == (1, 6)
         assert feats.skipped_frames == 1
 
+    @pytest.mark.parametrize("shape", [(160,), (2, 4, 160)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            extract_residual_moments(np.ones(shape))
+
     def test_all_degenerate_rejected(self):
-        frames = FrameSequence(np.zeros((5, 160)))
+        frames = np.zeros((5, 160))
         with pytest.raises(NoUsableFrames):
             extract_residual_moments(frames)
 
@@ -161,7 +164,7 @@ class TestExtractResidualMoments:
         degenerate = zero_rows + [8]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            feats = extract_residual_moments(FrameSequence(frames), 17, 6)
+            feats = extract_residual_moments(frames, 17, 6)
             assert not compute_lp(frames[8], 17).usable
             expected = [
                 central_moments(

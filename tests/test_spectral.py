@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 from sidkit.errors import NoUsableFrames
-from sidkit.frontend import FrameSequence, hamming_window
+from sidkit.frontend import hamming_window
 from sidkit.lpc import compute_lp
 from sidkit.spectral import (
     LOG_ENERGY_FLOOR,
@@ -84,14 +84,14 @@ class TestFilterBank:
     def test_shapes_and_nonnegativity(self):
         for scale in ("mel", "linear"):
             bank = make_filterbank(20, 256, 8000, scale=scale)
-            assert bank.weights.shape == (20, 129)
-            assert np.all(bank.weights >= 0)
-            assert np.all(bank.weights <= 1.0)
+            assert bank.shape == (20, 129)
+            assert np.all(bank >= 0)
+            assert np.all(bank <= 1.0)
 
     def test_filters_ordered_by_center(self):
         for scale in ("mel", "linear"):
             bank = make_filterbank(20, 256, 8000, scale=scale)
-            centers = [np.argmax(bank.weights[j]) for j in range(20)]
+            centers = [np.argmax(bank[j]) for j in range(20)]
             assert centers == sorted(centers)
             assert len(set(centers)) == 20
 
@@ -99,19 +99,19 @@ class TestFilterBank:
         for scale in ("mel", "linear"):
             bank = make_filterbank(20, 256, 8000, scale=scale)
             for j in range(19):
-                both = (bank.weights[j] > 0) & (bank.weights[j + 1] > 0)
+                both = (bank[j] > 0) & (bank[j + 1] > 0)
                 assert np.any(both)
 
     def test_linear_filter_areas_near_equal(self):
         """Flat input: linear-scale filter areas agree within 5%."""
         bank = make_filterbank(20, 256, 8000, scale="linear")
-        areas = bank.weights.sum(axis=1)
+        areas = bank.sum(axis=1)
         assert np.max(areas) / np.min(areas) < 1.05
 
     def test_mel_filter_areas_grow(self):
         """Mel triangles widen with center frequency, so areas increase."""
         bank = make_filterbank(20, 256, 8000, scale="mel")
-        areas = bank.weights.sum(axis=1)
+        areas = bank.sum(axis=1)
         assert np.all(np.diff(areas) > 0)
 
     def test_mel_base_widths_match_edge_construction(self):
@@ -122,7 +122,7 @@ class TestFilterBank:
         edges = hz_from_mel(np.linspace(0.0, mel_from_hz(rate / 2), num_filters + 2))
         bin_freqs = np.arange(fft_size // 2 + 1) * rate / fft_size
         for j in range(num_filters):
-            support = np.flatnonzero(bank.weights[j] > 0)
+            support = np.flatnonzero(bank[j] > 0)
             inside = (bin_freqs > edges[j]) & (bin_freqs < edges[j + 2])
             np.testing.assert_array_equal(support, np.flatnonzero(inside))
 
@@ -143,8 +143,29 @@ class TestFilterBank:
             rising = (bin_freqs - lo) / (center - lo)
             falling = (hi - bin_freqs) / (hi - center)
             np.testing.assert_array_equal(
-                bank.weights[j], np.clip(np.minimum(rising, falling), 0.0, 1.0)
+                bank[j], np.clip(np.minimum(rising, falling), 0.0, 1.0)
             )
+
+
+    def test_cached_and_read_only(self):
+        bank = make_filterbank(20, 256, 8000, scale="mel")
+        assert make_filterbank(20, 256, 8000, scale="mel") is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+
+    def test_odd_fft_size(self):
+        """An odd FFT size has as many bins as the even size below it;
+        the cepstra use the size they are given, not the bank's width."""
+        frames = windowed_frames(np.random.default_rng(40), 4)
+        bank = make_filterbank(20, 257, 8000)
+        assert bank.shape == (20, 129)
+        got = extract_filterbank_cepstra(frames, bank, 257, 19)
+        expected = cepstra_from_energies(
+            filterbank_energies(power_spectrum(frames, 257), bank), 19
+        )
+        np.testing.assert_array_equal(got, expected)
+        assert not np.allclose(extract_filterbank_cepstra(frames, bank, 256, 19), got)
 
 
 class TestFilterbankEnergies:
@@ -159,7 +180,7 @@ class TestFilterbankEnergies:
         for scale in ("mel", "linear"):
             bank = make_filterbank(20, 256, 8000, scale=scale)
             energies = filterbank_energies(np.ones(129), bank)
-            expected = np.log(np.array([np.sum(bank.weights[j]) for j in range(20)]))
+            expected = np.log(np.array([np.sum(bank[j]) for j in range(20)]))
             np.testing.assert_allclose(energies, expected, atol=1e-12)
 
     def test_log_linearity(self):
@@ -257,7 +278,7 @@ class TestExtractFilterbankCepstra:
         """The frame-matrix route equals power spectrum -> filterbank -> DCT per frame."""
         frames = windowed_frames(np.random.default_rng(36), 40)
         bank = make_filterbank(20, 256, 8000, scale=scale)
-        got = extract_filterbank_cepstra(FrameSequence(frames), bank, 19)
+        got = extract_filterbank_cepstra(frames, bank, 256, 19)
         expected = np.array([
             cepstra_from_energies(filterbank_energies(power_spectrum(f, 256), bank), 19)
             for f in frames
@@ -270,7 +291,7 @@ class TestExtractFilterbankCepstra:
         frames = windowed_frames(np.random.default_rng(37), 6)
         frames[2] = 0.0
         bank = make_filterbank(20, 256, 8000)
-        got = extract_filterbank_cepstra(FrameSequence(frames), bank, 19)
+        got = extract_filterbank_cepstra(frames, bank, 256, 19)
         assert got.shape == (6, 19)
         floor = cepstra_from_energies(np.full(20, np.log(LOG_ENERGY_FLOOR)), 19)
         np.testing.assert_allclose(got[2], floor, atol=1e-12)
@@ -281,7 +302,7 @@ class TestExtractLpcc:
     def test_matches_per_frame_composition(self, lp_order, num_cepstra):
         """The batched solve and recursion equal compute_lp -> lpcc_from_lp per frame."""
         frames = windowed_frames(np.random.default_rng(38), 40)
-        got = extract_lpcc(FrameSequence(frames), lp_order, num_cepstra)
+        got = extract_lpcc(frames, lp_order, num_cepstra)
         expected = np.array(
             [lpcc_from_lp(compute_lp(f, lp_order).a, num_cepstra) for f in frames]
         )
@@ -294,11 +315,22 @@ class TestExtractLpcc:
         zero = np.zeros(160)
         frames = np.vstack([zero, voiced[0], voiced[1], zero, voiced[2],
                             voiced[3], voiced[4], zero])
-        got = extract_lpcc(FrameSequence(frames), lp_order=19, num_cepstra=19)
+        got = extract_lpcc(frames, lp_order=19, num_cepstra=19)
         expected = np.array([lpcc_from_lp(compute_lp(f, 19).a, 19) for f in voiced])
         assert got.shape == (5, 19)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(NoUsableFrames):
-            extract_lpcc(FrameSequence(np.zeros((4, 160))))
+            extract_lpcc(np.zeros((4, 160)))
+
+
+
+@pytest.mark.parametrize("shape", [(160,), (2, 4, 160)])
+def test_extractors_reject_non_matrix(shape):
+    frames = np.ones(shape)
+    bank = make_filterbank(20, 256, 8000)
+    with pytest.raises(ValueError, match="2-D"):
+        extract_filterbank_cepstra(frames, bank, 256, 19)
+    with pytest.raises(ValueError, match="2-D"):
+        extract_lpcc(frames, 19, 19)
