@@ -26,7 +26,7 @@ from .identify import (
     evaluate,
     identify,
     score_utterance,
-    with_eta,
+    stack_models,
 )
 from .residual_moments import extract_residual_moments
 from .spectral import extract_filterbank_cepstra, extract_lpcc, make_filterbank
@@ -153,17 +153,17 @@ def _fusion_eta(store: ModelStore, eta: float | None) -> float:
 
 
 def _score_files(
-    store: ModelStore, models: dict, eta: float, sample_rate, files
+    store: ModelStore, banks: tuple, eta: float, sample_rate, files
 ) -> list[UtteranceScores]:
-    """Score (path, context) ``files`` against ``models`` under the store's
-    training config; an error is prefixed with the context of the file it
-    came from."""
+    """Score (path, context) ``files`` against the (spectral, residual)
+    ``banks`` under the store's training config; an error is prefixed with
+    the context of the file it came from."""
     cfg = store.config
     scored = []
     for path, context in files:
         try:
             features = extract_streams(load_audio(path, expected_rate=sample_rate), cfg)
-            scores = score_utterance(*features, models, eta, cfg.fusion.per_frame_average)
+            scores = score_utterance(*features, banks, eta, cfg.fusion.per_frame_average)
         except SidkitError as exc:
             raise _tagged(exc, context) from exc
         scored.append(scores)
@@ -196,7 +196,7 @@ def evaluate_command(
     for speaker in manifest.speakers():
         if speaker not in enrolled:
             raise MissingModel(f"no models for speaker {speaker!r} in store {store.path}")
-    models = {speaker: enrolled[speaker] for speaker in manifest.speakers()}
+    banks = stack_models({speaker: enrolled[speaker] for speaker in manifest.speakers()})
     eta = _fusion_eta(store, eta)
     # Open the outputs before scoring, so an unwritable path fails first;
     # append mode keeps an existing file whole if scoring then fails.
@@ -204,18 +204,17 @@ def evaluate_command(
         if path is not None:
             open(path, "a", encoding="utf-8").close()
     files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
-    scored = _score_files(store, models, eta, manifest.sample_rate, files)
+    scored = _score_files(store, banks, eta, manifest.sample_rate, files)
 
     fused_triples, spectral_triples, residual_triples, records = [], [], [], []
     for entry, scores in zip(entries, scored):
         decided = identify(scores)
         fused_triples.append((entry.utterance_id, entry.speaker_id, decided))
-        spectral_triples.append(
-            (entry.utterance_id, entry.speaker_id, identify(with_eta(scores, 1.0)))
-        )
-        residual_triples.append(
-            (entry.utterance_id, entry.speaker_id, identify(with_eta(scores, 0.0)))
-        )
+        # eta = 1 (0) recombines exactly to the spectral (residual) total, so
+        # the single-stream systems decide on those totals directly.
+        for triples, stream in ((spectral_triples, "spectral"), (residual_triples, "residual")):
+            best = min(scores.scores, key=lambda s: (-getattr(scores.scores[s], stream), s))
+            triples.append((entry.utterance_id, entry.speaker_id, best))
         records.append(_record(entry, scores, decided))
 
     run = EvaluationRun(
@@ -278,14 +277,13 @@ def identify_command(
 
     ``eta`` defaults to the store's training config.
     """
-    models = store.models()
-    if not models:
+    if not store.models():
         raise MissingModel(f"model store at {store.path} is empty")
     eta = _fusion_eta(store, eta)
     [scores] = _score_files(
-        store, models, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
+        store, store.banks(), eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
     )
     ranking = tuple(
-        sorted(models, key=lambda s: (-scores.scores[s].combined, s))
+        sorted(scores.scores, key=lambda s: (-scores.scores[s].combined, s))
     )
     return IdentificationResult(decided_id=ranking[0], ranking=ranking, scores=scores)

@@ -22,6 +22,20 @@ from the origin relative to their spread.  The product is an ``einsum``, not
 row than for many, while ``einsum`` computes every output element the same
 way, so a batch scores bit-identically to its rows one at a time.  The sum
 over components is a max-shifted log-sum-exp in numpy.
+
+A ``ModelBank`` stacks the S same-shaped models of one stream, so that one
+product scores a batch against every speaker: its ``S*M`` rows are
+component-major (row ``m*S + s`` is component ``m`` of speaker ``s``), the
+``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the log-sum-exp runs over
+its middle axis, which numpy reduces faster than a short last axis.  The
+bank has one shift, the mean of all ``S*M`` component means, computed by the
+same helper as a model's.  Beyond the rounding of the score itself, trading
+a speaker's own shift for the bank's costs about ``eps * sum_d delta_d**2 /
+var_d`` nats per vector, ``delta`` being the gap between the two shifts.
+On trained stores of the synthetic corpora that kept every utterance total
+within 5e-13 of the per-model kernel, relatively; speakers that hold one
+dimension constant, at the variance floor, at different values push it to
+~1e-7 nats, which the tests pin against this bound.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import ModelConfig
-from .errors import InsufficientData
+from .errors import ConfigMismatch, InsufficientData
 
 # A component whose total responsibility falls below this is re-seeded.
 COLLAPSE_THRESHOLD = 1e-10
@@ -84,20 +98,63 @@ class GmmModel:
 
     @cached_property
     def _quadratic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shift ``s`` (D,), matrix ``A`` (M, 2D) and constant ``c`` (M,) of
-        the quadratic form in the module docstring; computed once per model."""
-        shift = self.means.mean(axis=0)
-        centred = self.means - shift
-        precisions = 1.0 / self.variances
-        form = np.hstack([-0.5 * precisions, centred * precisions])
-        with np.errstate(divide="ignore"):
-            log_weights = np.log(self.weights)
-        const = log_weights - 0.5 * (
-            self.dim * LOG_TWO_PI
-            + np.sum(np.log(self.variances), axis=1)
-            + np.sum(centred * centred * precisions, axis=1)
+        """Shift, matrix and constant of the quadratic form; computed once per model."""
+        return _quadratic_form_of(self.weights, self.means, self.variances)
+
+
+def _quadratic_form_of(
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shift ``s`` (D,), matrix ``A`` (K, 2D) and constant ``c`` (K,) of the
+    quadratic form in the module docstring for K components, ``s`` being the
+    mean of their means."""
+    shift = means.mean(axis=0)
+    centred = means - shift
+    precisions = 1.0 / variances
+    form = np.hstack([-0.5 * precisions, centred * precisions])
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+    const = log_weights - 0.5 * (
+        means.shape[1] * LOG_TWO_PI
+        + np.sum(np.log(variances), axis=1)
+        + np.sum(centred * centred * precisions, axis=1)
+    )
+    return shift, form, const
+
+
+class ModelBank:
+    """The models of one stream, one per speaker, stacked for scoring.
+
+    ``speakers`` is sorted; ``num_components`` counts all ``S*M`` stacked
+    Gaussians.  Row ``m*S + s`` of the quadratic form is component ``m`` of
+    speaker ``speakers[s]``, and one shift serves every speaker (see the
+    module docstring).
+
+    Raises:
+        ValueError: no models.
+        ConfigMismatch: the models differ in component count or dimension.
+    """
+
+    def __init__(self, models: dict[str, GmmModel]):
+        if not models:
+            raise ValueError("no speakers to score against")
+        self.speakers = tuple(sorted(models))
+        stacked = [models[speaker] for speaker in self.speakers]
+        first = stacked[0]
+        for speaker, model in zip(self.speakers, stacked):
+            if (model.num_components, model.dim) != (first.num_components, first.dim):
+                raise ConfigMismatch(
+                    f"cannot stack models of unequal shape: speaker {speaker!r} has "
+                    f"{model.num_components} components of dimension {model.dim}, speaker "
+                    f"{self.speakers[0]!r} has {first.num_components} of dimension {first.dim}"
+                )
+        self.dim = first.dim
+        self.num_components = len(stacked) * first.num_components
+        self._quadratic_form = _quadratic_form_of(
+            np.stack([m.weights for m in stacked], axis=1).reshape(-1),
+            np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim),
+            np.stack([m.variances for m in stacked], axis=1).reshape(-1, self.dim),
         )
-        return shift, form, const
 
 
 def _canonical_order(features: np.ndarray) -> np.ndarray:
@@ -225,19 +282,18 @@ def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
     )
 
 
-def _logsumexp(values: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis of a 2-D array, shifted by each row's
-    max; a row whose max is not finite is shifted by 0, so an all ``-inf``
-    row gives ``-inf``."""
-    peak = values.max(axis=-1)
+def _logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp over ``axis``, shifted by each max along it; a max that
+    is not finite is shifted by 0, so an all ``-inf`` slice gives ``-inf``."""
+    peak = values.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0
-    total = np.exp(values - peak[:, None]).sum(axis=-1)
+    total = np.exp(values - peak).sum(axis=axis)
     with np.errstate(divide="ignore"):
-        return np.log(total) + peak
+        return np.log(total) + np.squeeze(peak, axis=axis)
 
 
-def _log_joint(features: np.ndarray, model: GmmModel) -> np.ndarray:
-    """log w_m + log N(x_n | component m) for a batch: shape (num_vectors, M)."""
+def _log_joint(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
+    """log w_k + log N(x_n | component k) for a batch: shape (num_vectors, K)."""
     shift, form, const = model._quadratic_form
     y = features - shift
     return np.einsum("nk,mk->nm", np.hstack([y * y, y]), form) + const
@@ -249,10 +305,14 @@ def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
     return float(_logsumexp(_log_joint(x[None, :], model))[0])
 
 
-def gmm_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
-    """Per-vector log-likelihoods for a feature matrix."""
+def gmm_log_likelihoods(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
+    """Per-vector log-likelihoods for a feature matrix: shape (N,) under a
+    model, (N, S) under a bank of S speakers."""
     features = np.asarray(features, dtype=np.float64)
-    return _logsumexp(_log_joint(features, model))
+    joint = _log_joint(features, model)
+    if isinstance(model, ModelBank):
+        return _logsumexp(joint.reshape(joint.shape[0], -1, len(model.speakers)), axis=1)
+    return _logsumexp(joint)
 
 
 def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:

@@ -1,4 +1,9 @@
-"""Score-level fusion of the two feature streams and closed-set decisions."""
+"""Score-level fusion of the two feature streams and closed-set decisions.
+
+An utterance is scored against the enrolled speakers through two
+``ModelBank``s, one per stream, so each stream costs one kernel call
+whatever the number of speakers; ``stack_models`` builds them.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFeatureStream, FeatureDimensionMismatch
-from .gmm import GmmModel, gmm_log_likelihoods
+from .errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
+from .gmm import GmmModel, ModelBank, gmm_log_likelihoods
 
 
 @dataclass(frozen=True)
@@ -33,25 +38,39 @@ class UtteranceScores:
 
 
 def combine_scores(spectral: float, residual: float, eta: float) -> float:
-    """Weighted sum of the two stream scores; eta weights the spectral stream."""
+    """Weighted sum of the two stream scores (floats, or arrays of them);
+    eta weights the spectral stream."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     return eta * spectral + (1.0 - eta) * residual
 
 
+def stack_models(models: dict[str, tuple[GmmModel, GmmModel]]) -> tuple[ModelBank, ModelBank]:
+    """The (spectral, residual) banks of speaker -> (spectral model, residual model);
+    a ``ConfigMismatch`` from stacking names its stream."""
+    banks = []
+    for i, stream in enumerate(("spectral", "residual")):
+        try:
+            banks.append(ModelBank({speaker: pair[i] for speaker, pair in models.items()}))
+        except ConfigMismatch as exc:
+            raise ConfigMismatch(f"{stream} models: {exc}") from exc
+    return tuple(banks)
+
+
 def score_utterance(
     spectral_features: np.ndarray,
     residual_features: np.ndarray,
-    models: dict[str, tuple[GmmModel, GmmModel]],
+    banks: tuple[ModelBank, ModelBank],
     eta: float = 0.5,
     per_frame_average: bool = False,
 ) -> UtteranceScores:
-    """Score one utterance's feature streams against every speaker of
-    ``models`` (speaker -> (spectral model, residual model)).
+    """Score one utterance's feature streams against every speaker of the
+    (spectral, residual) ``banks``.
 
     Each stream's score is the total log-likelihood of its frames under the
     speaker's model for that stream (mean per frame when ``per_frame_average``
-    is set), and the combined score is their eta-weighted sum.
+    is set): a column sum of one ``gmm_log_likelihoods`` call on the stream's
+    bank.  The combined score is their eta-weighted sum.
     """
     spectral_features = np.asarray(spectral_features, dtype=np.float64)
     residual_features = np.asarray(residual_features, dtype=np.float64)
@@ -61,32 +80,30 @@ def score_utterance(
         raise EmptyFeatureStream("no spectral feature vectors to score")
     if residual_features.shape[0] == 0:
         raise EmptyFeatureStream("no residual feature vectors to score")
-    if not models:
-        raise ValueError("no speakers to score against")
-    for stream, features, dims in (
-        ("spectral", spectral_features, {s.dim for s, _ in models.values()}),
-        ("residual", residual_features, {r.dim for _, r in models.values()}),
+    spectral_bank, residual_bank = banks
+    if spectral_bank.speakers != residual_bank.speakers:
+        raise ValueError("the spectral and residual banks hold different speakers")
+    totals = []
+    for stream, features, bank in (
+        ("spectral", spectral_features, spectral_bank),
+        ("residual", residual_features, residual_bank),
     ):
-        if dims != {features.shape[1]}:
+        if bank.dim != features.shape[1]:
             raise FeatureDimensionMismatch(
                 f"{stream} features have {features.shape[1]} dimensions, "
-                f"but the {stream} models have {', '.join(map(str, sorted(dims)))}"
+                f"but the {stream} models have {bank.dim}"
             )
-
-    scores: dict[str, StreamScores] = {}
-    for speaker in sorted(models):
-        spectral_model, residual_model = models[speaker]
-        s_ll = gmm_log_likelihoods(spectral_features, spectral_model)
-        r_ll = gmm_log_likelihoods(residual_features, residual_model)
-        s_total = float(np.mean(s_ll) if per_frame_average else np.sum(s_ll))
-        r_total = float(np.mean(r_ll) if per_frame_average else np.sum(r_ll))
-        scores[speaker] = StreamScores(
-            spectral=s_total,
-            residual=r_total,
-            combined=combine_scores(s_total, r_total, eta),
-        )
+        ll = gmm_log_likelihoods(features, bank)
+        totals.append(ll.mean(axis=0) if per_frame_average else ll.sum(axis=0))
+    s_totals, r_totals = totals
+    combined = combine_scores(s_totals, r_totals, eta)
     return UtteranceScores(
-        scores=scores,
+        scores={
+            speaker: StreamScores(spectral=s, residual=r, combined=c)
+            for speaker, s, r, c in zip(
+                spectral_bank.speakers, s_totals.tolist(), r_totals.tolist(), combined.tolist()
+            )
+        },
         eta=eta,
         num_spectral_frames=spectral_features.shape[0],
         num_residual_frames=residual_features.shape[0],

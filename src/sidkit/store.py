@@ -2,8 +2,9 @@
 
 A store directory is ``config.ini`` and one ``<speaker>__<stream>.gmm``
 record per model; other files are ignored.  The enrolled speakers are the
-ids the record names decode to, and ``models()`` reads every speaker's
-(spectral, residual) pair once per store, until the next ``save``.
+ids the record names decode to.  ``models()`` reads every speaker's
+(spectral, residual) pair once per store, and ``banks()`` stacks them into
+one scoring bank per stream once, both until the next ``save``.
 
 ``config.ini`` starts with ``# sample_rate: <Hz>`` and then holds the
 ``ToolkitConfig`` (as ``render_config`` writes it) that every model was
@@ -11,9 +12,10 @@ trained with; ``parse_config`` reads the rate line as a comment.  Scoring
 takes its front end, widths and fusion settings from there, and each
 stream's feature kind comes from it (``[spectral] kind``, or
 ``residual_moments``).  ``save`` writes that kind into the record; ``load``
-rejects a record of another kind.  Records and config are replaced whole
-through a temp file and ``os.replace``, so a failed save leaves the
-previous store.
+rejects a record of another kind, or with another component count than the
+config gives its stream (``m_spectral``, ``m_residual``).  Records and
+config are replaced whole through a temp file and ``os.replace``, so a
+failed save leaves the previous store.
 
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
@@ -33,7 +35,8 @@ import numpy as np
 
 from .config import ToolkitConfig, parse_config, render_config
 from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError
-from .gmm import GmmModel
+from .gmm import GmmModel, ModelBank
+from .identify import stack_models
 
 MAGIC = b"SIDM"
 FORMAT_VERSION = 1
@@ -116,6 +119,7 @@ class ModelStore:
         self.sample_rate: int | None = None
         self._config: ToolkitConfig | None = None
         self._models: dict[str, tuple[GmmModel, GmmModel]] | None = None
+        self._banks: tuple[ModelBank, ModelBank] | None = None
         config = self.path / CONFIG_NAME
         if config.exists():
             try:
@@ -204,11 +208,11 @@ class ModelStore:
             text = f"{RATE_PREFIX} {self.sample_rate}\n" + render_config(self.config)
             _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
         _write_atomic(self.path / self._filename(speaker, stream), model_to_bytes(model, kind))
-        self._models = None
+        self._models = self._banks = None
 
     def load(self, speaker: str, stream: str) -> GmmModel:
         """Read one model back; ``ConfigMismatch`` if its record holds another
-        feature kind than the config gives ``stream``."""
+        feature kind or component count than the config gives ``stream``."""
         record = self.path / self._filename(speaker, stream)
         try:
             data = record.read_bytes()
@@ -221,6 +225,13 @@ class ModelStore:
                 f"{record}: the {stream} model of speaker {speaker!r} holds {kind} "
                 f"features, but {CONFIG_NAME} says {expected}"
             )
+        key = "m_spectral" if stream == "spectral" else "m_residual"
+        components = getattr(self.config.model, key)
+        if model.num_components != components:
+            raise ConfigMismatch(
+                f"{record}: the {stream} model of speaker {speaker!r} has "
+                f"{model.num_components} components, but {CONFIG_NAME} says {key} = {components}"
+            )
         return model
 
     def models(self) -> dict[str, tuple[GmmModel, GmmModel]]:
@@ -232,3 +243,11 @@ class ModelStore:
                 for speaker in self.speakers()
             }
         return self._models
+
+    def banks(self) -> tuple[ModelBank, ModelBank]:
+        """The (spectral, residual) banks of every enrolled speaker, stacked
+        from ``models()`` once until the next ``save``; ``ValueError`` if the
+        store holds no models."""
+        if self._banks is None:
+            self._banks = stack_models(self.models())
+        return self._banks

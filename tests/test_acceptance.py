@@ -189,13 +189,13 @@ def test_06_fusion_boundary_decisions(criterion, synthetic_corpus, trained_store
     """Weight 1 (or 0) reduces exactly to the single-stream system."""
     with criterion(6, "eta=1 / eta=0 decisions equal single-stream decisions, arithmetic exact"):
         cfg = toolkit_config
-        models = trained_store.models()
+        banks = trained_store.banks()
         entries = sorted(synthetic_corpus.test_entries, key=lambda e: e.utterance_id)
         assert entries
         for entry in entries:
             signal = load_audio(entry.path, expected_rate=synthetic_corpus.sample_rate)
             spectral, residual = extract_streams(signal, cfg)
-            scores = score_utterance(spectral, residual, models, eta=0.5)
+            scores = score_utterance(spectral, residual, banks, eta=0.5)
 
             by_spectral = min(
                 scores.speakers(), key=lambda s: (-scores.scores[s].spectral, s)

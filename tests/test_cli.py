@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from sidkit.cli import main
@@ -17,6 +18,7 @@ from sidkit.errors import (
     ManifestError,
     UnsupportedFormat,
 )
+from sidkit.gmm import GmmModel
 from sidkit.store import CONFIG_NAME, ModelStore
 
 
@@ -272,6 +274,43 @@ class TestKindMismatch:
         assert main(["evaluate", "--manifest", manifest, "--store", str(tmp_path / "store")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mfcc" in err and "lfcc" in err
+
+
+class TestComponentMismatch:
+    """A record re-saved with another component count than config.ini names
+    is rejected when the store is read, before any scoring."""
+
+    @staticmethod
+    def resaved_store(store_dir, out_dir):
+        """A copy of ``store_dir`` whose spk00 spectral record has 4 components."""
+        shutil.copytree(store_dir, out_dir)
+        store = ModelStore(out_dir)
+        old = store.load("spk00", "spectral")
+        store.save("spk00", "spectral", GmmModel(
+            weights=np.full(4, 0.25), means=old.means[:4], variances=old.variances[:4]
+        ))
+        return ModelStore(out_dir)
+
+    def test_evaluate_and_identify_name_record_and_counts(self, cli_workspace, tmp_path):
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        store = self.resaved_store(store_dir, tmp_path / "store")
+        pattern = (
+            "spk00__spectral.gmm: the spectral model of speaker 'spk00' has 4 components, "
+            "but config.ini says m_spectral = 8"
+        )
+        with pytest.raises(ConfigMismatch, match=pattern):
+            evaluate_command(manifest, store)
+        with pytest.raises(ConfigMismatch, match=pattern):
+            identify_command(manifest.test_entries[0].path, ModelStore(store.path))
+
+    def test_cli_identify_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        corpus_dir, store_dir = cli_workspace
+        self.resaved_store(store_dir, tmp_path / "store")
+        audio = str(read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path)
+        assert main(["identify", "--audio", audio, "--store", str(tmp_path / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "m_spectral = 8" in err and "Traceback" not in err
 
 
 class TestUnreadableAudio:

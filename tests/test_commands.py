@@ -55,13 +55,13 @@ def corpus(tmp_path_factory):
 def decisions_under(cfg, manifest, store):
     """(fused, spectral-only, residual-only) decisions per test utterance,
     scored directly with ``cfg``."""
-    models = store.models()
+    banks = store.banks()
     decisions = []
     for entry in sorted(manifest.test_entries, key=lambda e: e.utterance_id):
         signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
         spectral, residual = extract_streams(signal, cfg)
         scores = score_utterance(
-            spectral, residual, models, cfg.fusion.eta, cfg.fusion.per_frame_average
+            spectral, residual, banks, cfg.fusion.eta, cfg.fusion.per_frame_average
         )
         etas = (cfg.fusion.eta, 1.0, 0.0)
         decisions.append(tuple(identify(with_eta(scores, eta)) for eta in etas))

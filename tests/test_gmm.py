@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from sidkit.config import ModelConfig
-from sidkit.errors import InsufficientData
+from sidkit.errors import InsufficientData, SidkitError
 from sidkit.gmm import (
     GmmModel,
+    ModelBank,
     _cell_means,
     _logsumexp,
     component_log_density,
@@ -305,6 +306,146 @@ class TestLogDensityKernel:
             got = _logsumexp(values)
         assert got[0] == -np.inf
         assert got[1] == pytest.approx(np.log(4.0), abs=1e-15)
+
+
+class TestModelBank:
+    """A stream's stacked models against each model's own oracle."""
+
+    _oracle = staticmethod(TestLogDensityKernel._oracle)
+    _random_model = staticmethod(TestLogDensityKernel._random_model)
+
+    def _check_columns(self, xs, models, atol=1e-9):
+        bank = ModelBank(models)
+        got = gmm_log_likelihoods(xs, bank)
+        assert got.shape == (xs.shape[0], len(models))
+        for column, speaker in zip(got.T, sorted(models)):
+            np.testing.assert_allclose(column, self._oracle(xs, models[speaker]),
+                                       rtol=0, atol=atol)
+        return got
+
+    def test_matches_oracle_across_orders_widths_and_speakers(self):
+        rng = np.random.default_rng(64)
+        for s in (1, 3, 16):
+            for m in (1, 2, 8, 16):
+                for d in (1, 6, 19):
+                    models = {f"spk{i:02d}": self._random_model(rng, m, d) for i in range(s)}
+                    self._check_columns(rng.uniform(-5.0, 5.0, (12, d)), models)
+
+    def test_rows_are_component_major(self):
+        """Row m*S + s holds component m of the s-th speaker in id order."""
+        rng = np.random.default_rng(65)
+        models = {name: self._random_model(rng, 4, 3) for name in ("c", "a", "b")}
+        bank = ModelBank(models)
+        assert bank.speakers == ("a", "b", "c")
+        assert (bank.num_components, bank.dim) == (12, 3)
+        _, form, _ = bank._quadratic_form
+        for s, speaker in enumerate(bank.speakers):
+            for m in range(4):
+                np.testing.assert_array_equal(
+                    form[m * 3 + s, :3], -0.5 / models[speaker].variances[m]
+                )
+
+    def test_far_off_means_keep_their_digits(self):
+        rng = np.random.default_rng(66)
+        models = {
+            f"spk{i:02d}": self._random_model(rng, 8, 6, centre=1e4, spread=1e-2,
+                                              var_scale=1e-4)
+            for i in range(16)
+        }
+        self._check_columns(1e4 + rng.uniform(-1e-2, 1e-2, (40, 6)), models)
+
+    def test_constant_dimension_at_variance_floor(self):
+        """Speakers holding one dimension at the same constant, at the 1e-12 floor."""
+        rng = np.random.default_rng(67)
+        cfg = ModelConfig()
+        models = {}
+        for i in range(16):
+            x = rng.standard_normal((200, 4))
+            x[:, 2] = 0.37
+            models[f"spk{i:02d}"] = em_train(x, lbg_init(x, 4, cfg), cfg)
+        assert all(np.all(m.variances[:, 2] == 1e-12) for m in models.values())
+        xs = rng.standard_normal((40, 4))
+        xs[:, 2] = 0.37
+        xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 20)
+        self._check_columns(xs, models)
+
+    def test_constants_at_different_values_hold_the_stated_bound(self):
+        """Speakers holding a floored dimension at different constants put
+        their own shifts far from the bank's.  The error then exceeds the
+        1e-9 of the oracle tests, but stays within eps * (|score| +
+        sum_d delta_d**2 / var_d), delta being the gap between the shifts."""
+        rng = np.random.default_rng(68)
+        cfg = ModelConfig()
+        constants = (0.37, 0.38, 0.41)
+        models = {}
+        for i, constant in enumerate(constants):
+            x = rng.standard_normal((400, 4))
+            x[:, 2] = constant
+            models[f"spk{i}"] = em_train(x, lbg_init(x, 4, cfg), cfg)
+        bank = ModelBank(models)
+        xs = rng.standard_normal((60, 4))
+        xs[:, 2] = rng.choice(constants, 60)
+        xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 30)
+        got = gmm_log_likelihoods(xs, bank)
+        bank_shift = bank._quadratic_form[0]
+        worst = 0.0
+        for column, speaker in zip(got.T, bank.speakers):
+            model = models[speaker]
+            own = gmm_log_likelihoods(xs, model)
+            delta = model._quadratic_form[0] - bank_shift
+            bound = np.finfo(float).eps * (
+                np.abs(own) + np.sum(delta**2 / model.variances.min(axis=0))
+            )
+            error = np.abs(column - own)
+            assert np.all(error <= 4.0 * bound)
+            worst = max(worst, float(error.max()))
+        assert worst > 1e-9
+
+    def test_zero_weight_component_is_inert(self):
+        rng = np.random.default_rng(69)
+        means = np.array([[-1.0, 2.0, 0.5], [1.0, 0.0, -0.5]])
+        variances = rng.uniform(0.5, 2.0, (2, 3))
+        live = GmmModel(weights=np.array([0.25, 0.75]), means=means, variances=variances)
+        with_dead = GmmModel(weights=np.array([0.25, 0.0, 0.75]),
+                             means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
+                             variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
+        models = {"a": with_dead, "b": self._random_model(rng, 3, 3)}
+        xs = rng.uniform(-3.0, 3.0, (30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._check_columns(xs, models)
+        np.testing.assert_allclose(got[:, 0], gmm_log_likelihoods(xs, live), rtol=0, atol=1e-12)
+
+    def test_batch_equals_per_vector(self):
+        """einsum scores a batch bit-identically to its rows one at a time."""
+        rng = np.random.default_rng(70)
+        bank = ModelBank({f"spk{i}": self._random_model(rng, 8, 19) for i in range(5)})
+        xs = rng.uniform(-5.0, 5.0, (33, 19))
+        rows = np.vstack([gmm_log_likelihoods(x[None, :], bank) for x in xs])
+        np.testing.assert_array_equal(gmm_log_likelihoods(xs, bank), rows)
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(ValueError, match="no speakers to score against"):
+            ModelBank({})
+
+    @pytest.mark.parametrize("m, d", [(4, 6), (8, 5)])
+    def test_unequal_shapes_are_a_toolkit_error(self, m, d):
+        rng = np.random.default_rng(71)
+        models = {"a": self._random_model(rng, 8, 6), "b": self._random_model(rng, m, d)}
+        pattern = f"'b' has {m} components of dimension {d}, speaker 'a'"
+        with pytest.raises(SidkitError, match=pattern):
+            ModelBank(models)
+
+    def test_logsumexp_over_the_middle_axis(self):
+        """The axis argument reduces like the last-axis form of each slice."""
+        rng = np.random.default_rng(72)
+        values = rng.uniform(-50.0, 0.0, (6, 8, 5))
+        values[0, :, 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(values, axis=1)
+        for s in range(5):
+            np.testing.assert_allclose(got[:, s], _logsumexp(values[:, :, s]), rtol=1e-15)
 
 
 class TestEmTrain:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sidkit.errors import EmptyFeatureStream, FeatureDimensionMismatch
+from sidkit.errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
 from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.identify import (
     StreamScores,
@@ -12,6 +12,7 @@ from sidkit.identify import (
     evaluate,
     identify,
     score_utterance,
+    stack_models,
     with_eta,
 )
 
@@ -58,18 +59,26 @@ class TestCombineScores:
 
 class TestScoreUtterance:
     def test_totals_are_frame_sums(self):
-        """Each stream score is the plain sum of per-frame log-likelihoods."""
+        """Each stream score is exactly the column sum of the bank's per-frame
+        log-likelihoods, and the per-model sum within 1e-12: the bank's one
+        shift per stream may move the last bits."""
         rng = np.random.default_rng(83)
         model_set = make_model_set(rng, ["a", "b"])
+        banks = stack_models(model_set)
         spectral = rng.uniform(-1, 1, (20, 4))
         residual = rng.uniform(-1, 1, (20, 3))
-        scores = score_utterance(spectral, residual, model_set, eta=0.5)
-        for spk in ("a", "b"):
-            s_expect = float(np.sum(gmm_log_likelihoods(spectral, model_set[spk][0])))
-            r_expect = float(np.sum(gmm_log_likelihoods(residual, model_set[spk][1])))
+        scores = score_utterance(spectral, residual, banks, eta=0.5)
+        s_columns = gmm_log_likelihoods(spectral, banks[0]).sum(axis=0)
+        r_columns = gmm_log_likelihoods(residual, banks[1]).sum(axis=0)
+        for i, spk in enumerate(("a", "b")):
+            s_expect, r_expect = float(s_columns[i]), float(r_columns[i])
             assert scores.scores[spk].spectral == s_expect
             assert scores.scores[spk].residual == r_expect
             assert scores.scores[spk].combined == 0.5 * s_expect + 0.5 * r_expect
+            s_model = float(np.sum(gmm_log_likelihoods(spectral, model_set[spk][0])))
+            r_model = float(np.sum(gmm_log_likelihoods(residual, model_set[spk][1])))
+            assert s_expect == pytest.approx(s_model, rel=1e-12)
+            assert r_expect == pytest.approx(r_model, rel=1e-12)
 
     def test_additivity_over_concatenation(self):
         """Scoring concatenated streams equals summing separate scores."""
@@ -77,36 +86,57 @@ class TestScoreUtterance:
         model_set = make_model_set(rng, ["a"])
         s1, s2 = rng.uniform(-1, 1, (10, 4)), rng.uniform(-1, 1, (15, 4))
         r1, r2 = rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, (15, 3))
-        whole = score_utterance(np.vstack([s1, s2]), np.vstack([r1, r2]), model_set, 0.5)
-        part1 = score_utterance(s1, r1, model_set, 0.5)
-        part2 = score_utterance(s2, r2, model_set, 0.5)
+        banks = stack_models(model_set)
+        whole = score_utterance(np.vstack([s1, s2]), np.vstack([r1, r2]), banks, 0.5)
+        part1 = score_utterance(s1, r1, banks, 0.5)
+        part2 = score_utterance(s2, r2, banks, 0.5)
         got = whole.scores["a"].spectral
         want = part1.scores["a"].spectral + part2.scores["a"].spectral
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_empty_stream_rejected(self):
         rng = np.random.default_rng(85)
-        model_set = make_model_set(rng, ["a"])
+        banks = stack_models(make_model_set(rng, ["a"]))
         with pytest.raises(EmptyFeatureStream):
-            score_utterance(np.empty((0, 4)), rng.uniform(-1, 1, (5, 3)), model_set, 0.5)
+            score_utterance(np.empty((0, 4)), rng.uniform(-1, 1, (5, 3)), banks, 0.5)
         with pytest.raises(EmptyFeatureStream):
-            score_utterance(rng.uniform(-1, 1, (5, 4)), np.empty((0, 3)), model_set, 0.5)
+            score_utterance(rng.uniform(-1, 1, (5, 4)), np.empty((0, 3)), banks, 0.5)
 
     def test_width_mismatch_names_stream_and_widths(self):
         rng = np.random.default_rng(87)
-        model_set = make_model_set(rng, ["a", "b"])
+        banks = stack_models(make_model_set(rng, ["a", "b"]))
         with pytest.raises(FeatureDimensionMismatch, match="spectral .* 5 .* 4"):
-            score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), model_set)
+            score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), banks)
         with pytest.raises(FeatureDimensionMismatch, match="residual .* 2 .* 3"):
-            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2)), model_set)
+            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2)), banks)
+
+    def test_no_speakers_rejected(self):
+        with pytest.raises(ValueError, match="no speakers to score against"):
+            stack_models({})
+
+    def test_unequal_shapes_name_the_stream(self):
+        rng = np.random.default_rng(89)
+        model_set = make_model_set(rng, ["a", "b"])
+        model_set["b"] = (model_set["b"][0], make_model(rng, 5))
+        with pytest.raises(ConfigMismatch, match="^residual models: cannot stack"):
+            stack_models(model_set)
+
+    def test_banks_of_other_speakers_rejected(self):
+        rng = np.random.default_rng(88)
+        spectral, _ = stack_models(make_model_set(rng, ["a", "b"]))
+        _, residual = stack_models(make_model_set(rng, ["a", "c"]))
+        with pytest.raises(ValueError, match="different speakers"):
+            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 3)),
+                            (spectral, residual))
 
     def test_per_frame_average_mode(self):
         rng = np.random.default_rng(86)
         model_set = make_model_set(rng, ["a"])
         spectral = rng.uniform(-1, 1, (20, 4))
         residual = rng.uniform(-1, 1, (20, 3))
-        summed = score_utterance(spectral, residual, model_set, 0.5)
-        averaged = score_utterance(spectral, residual, model_set, 0.5,
+        banks = stack_models(model_set)
+        summed = score_utterance(spectral, residual, banks, 0.5)
+        averaged = score_utterance(spectral, residual, banks, 0.5,
                                    per_frame_average=True)
         assert averaged.scores["a"].spectral == pytest.approx(
             summed.scores["a"].spectral / 20.0, rel=1e-12

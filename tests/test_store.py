@@ -6,10 +6,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidkit.config import FusionConfig, SpectralConfig, ToolkitConfig, render_config
-from sidkit.errors import MissingModel, StoreIntegrityError
-from sidkit.gmm import GmmModel
-from sidkit.store import CONFIG_NAME, ModelStore, model_from_bytes, model_to_bytes
+from sidkit.config import (
+    FusionConfig,
+    ModelConfig,
+    SpectralConfig,
+    ToolkitConfig,
+    render_config,
+)
+from sidkit.errors import ConfigMismatch, MissingModel, StoreIntegrityError
+from sidkit.gmm import GmmModel, gmm_log_likelihoods
+from sidkit.identify import stack_models
+from sidkit.store import (
+    CONFIG_NAME,
+    STREAMS,
+    ModelStore,
+    model_from_bytes,
+    model_to_bytes,
+)
 
 
 def random_model(rng, m=4, d=6):
@@ -22,7 +35,11 @@ def random_model(rng, m=4, d=6):
     )
 
 
-def bound_store(path, cfg=ToolkitConfig()):
+# The component counts of random_model, which load checks records against.
+FOUR_COMPONENTS = ToolkitConfig(model=ModelConfig(m_spectral=4, m_residual=4))
+
+
+def bound_store(path, cfg=FOUR_COMPONENTS):
     store = ModelStore(path)
     store.bind(cfg, 8000)
     return store
@@ -127,6 +144,46 @@ class TestModelStore:
         np.testing.assert_array_equal(
             store.models()["bob"][1].means, store.load("bob", "residual").means
         )
+
+    def test_banks_are_stacked_once_until_save(self, tmp_path):
+        rng = np.random.default_rng(82)
+        store = bound_store(tmp_path / "store")
+        for speaker in ("bob", "alice"):
+            for stream in STREAMS:
+                store.save(speaker, stream, random_model(rng))
+        banks = store.banks()
+        assert store.banks() is banks
+        assert [bank.speakers for bank in banks] == [("alice", "bob")] * 2
+        store.save("alice", "spectral", random_model(rng))
+        store.save("carol", "spectral", random_model(rng))
+        store.save("carol", "residual", random_model(rng))
+        rebuilt = store.banks()
+        assert [bank.speakers for bank in rebuilt] == [("alice", "bob", "carol")] * 2
+        xs = rng.uniform(-2, 2, (10, 6))
+        for bank, fresh in zip(rebuilt, stack_models(ModelStore(store.path).models())):
+            np.testing.assert_array_equal(
+                gmm_log_likelihoods(xs, bank), gmm_log_likelihoods(xs, fresh)
+            )
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_record_of_another_component_count_is_config_mismatch(self, tmp_path, stream):
+        rng = np.random.default_rng(83)
+        path = tmp_path / "store"
+        store = bound_store(path)
+        store.save("alice", "spectral", random_model(rng))
+        store.save("alice", "residual", random_model(rng))
+        store.save("bob", "spectral", random_model(rng))
+        store.save("bob", "residual", random_model(rng))
+        store.save("bob", stream, random_model(rng, m=2))
+        pattern = (
+            re.escape(str(path / f"bob__{stream}.gmm"))
+            + f": the {stream} model of speaker 'bob' has 2 components, "
+            + f"but config.ini says m_{stream} = 4"
+        )
+        with pytest.raises(ConfigMismatch, match=pattern):
+            ModelStore(path).load("bob", stream)
+        with pytest.raises(ConfigMismatch, match=pattern):
+            ModelStore(path).banks()
 
     def test_speaker_missing_a_stream_is_missing_model(self, tmp_path):
         rng = np.random.default_rng(77)
