@@ -19,20 +19,37 @@ model computes ``s``, ``A`` and ``c`` once.  The shift keeps the expanded
 square from cancelling away the digits of ``x - mu`` when the means sit far
 from the origin relative to their spread.  The product is an ``einsum``, not
 ``@``: a BLAS matrix product may block and accumulate differently for one
-row than for many, while ``einsum`` computes every output element the same
-way, so a batch scores bit-identically to its rows one at a time.  The sum
-over components is a max-shifted log-sum-exp in numpy.
+row than for many, while ``einsum`` computes every output element as one
+sequential sum over the ``2D`` terms, so a batch scores bit-identically to
+its rows one at a time.  A model keeps ``A`` as ``(M, 2D)`` rows, so the
+einsum's inner loop runs over ``2D``; at the ``M = 8`` of EM that is about
+twice as fast on the spectral stream as the transposed layout.
+
+The sum over components is a max-shifted log-sum-exp in numpy.  Each
+argument of its ``exp`` (and of the EM responsibilities' ``exp(joint -
+log p(x))``) is first raised to ``_EXP_FLOOR = -700``.  numpy's ``exp``
+leaves its vector loop for a scalar path, 20-80x slower per element, on any
+element whose result underflows, below about -708; far components shifted
+by a speaker's best one land there often (up to a third of a bank's terms).
+The cut changes no result in practice: a slice whose peak is finite holds
+the peak's own term ``exp(0) = 1``, every raised term was below ``e**-700
+~ 1e-304`` either way, so the sum moves by at most ``M * 1e-304``, far
+below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
+``-inf`` is set to ``-inf`` explicitly.
 
 A ``ModelBank`` stacks the S same-shaped models of one stream, so that one
-product scores a batch against every speaker: its ``S*M`` rows are
-component-major (row ``m*S + s`` is component ``m`` of speaker ``s``), the
-``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the log-sum-exp runs over
-its middle axis, which numpy reduces faster than a short last axis.  The
-bank has one shift, the mean of all ``S*M`` component means, computed by the
-same helper as a model's.  Beyond the rounding of the score itself, trading
-a speaker's own shift for the bank's costs about ``eps * sum_d delta_d**2 /
-var_d`` nats per vector, ``delta`` being the gap between the two shifts.
-On trained stores of the synthetic corpora that kept every utterance total
+product scores a batch against every speaker.  Its ``S*M`` components are
+component-major (column ``m*S + s`` is component ``m`` of speaker ``s``),
+the ``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the log-sum-exp runs
+over its middle axis, which numpy reduces faster than a short last axis.
+The bank stores ``A`` transposed and contiguous, ``(2D, S*M)``, so the
+einsum's inner loop runs over the ``S*M`` components, hundreds long, with
+each output element still one sequential sum over ``2D``.  The bank has one
+shift, the mean of all ``S*M`` component means, computed by the same helper
+as a model's.  Beyond the rounding of the score itself, trading a speaker's
+own shift for the bank's costs about ``eps * sum_d delta_d**2 / var_d``
+nats per vector, ``delta`` being the gap between the two shifts.  On
+trained stores of the synthetic corpora that kept every utterance total
 within 5e-13 of the per-model kernel, relatively; speakers that hold one
 dimension constant, at the variance floor, at different values push it to
 ~1e-7 nats, which the tests pin against this bound.
@@ -41,7 +58,7 @@ dimension constant, at the variance floor, at different values push it to
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +73,9 @@ _KMEANS_MAX_PASSES = 50
 _KMEANS_MOVE_TOL = 1e-6
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+
+# exp arguments are raised to this before exp; see the module docstring.
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -126,9 +146,9 @@ class ModelBank:
     """The models of one stream, one per speaker, stacked for scoring.
 
     ``speakers`` is sorted; ``num_components`` counts all ``S*M`` stacked
-    Gaussians.  Row ``m*S + s`` of the quadratic form is component ``m`` of
-    speaker ``speakers[s]``, and one shift serves every speaker (see the
-    module docstring).
+    Gaussians.  The quadratic form's matrix is stored ``(2D, S*M)``: column
+    ``m*S + s`` is component ``m`` of speaker ``speakers[s]``, and one shift
+    serves every speaker (see the module docstring).
 
     Raises:
         ValueError: no models.
@@ -150,11 +170,12 @@ class ModelBank:
                 )
         self.dim = first.dim
         self.num_components = len(stacked) * first.num_components
-        self._quadratic_form = _quadratic_form_of(
+        shift, form, const = _quadratic_form_of(
             np.stack([m.weights for m in stacked], axis=1).reshape(-1),
             np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim),
             np.stack([m.variances for m in stacked], axis=1).reshape(-1, self.dim),
         )
+        self._quadratic_form = shift, np.ascontiguousarray(form.T), const
 
 
 def _canonical_order(features: np.ndarray) -> np.ndarray:
@@ -173,9 +194,13 @@ def variance_floor(features: np.ndarray, factor: float) -> np.ndarray:
     return np.maximum(floor, 1e-12)
 
 
-def _nearest_centroid(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest_centroid(
+    features: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Index of each vector's nearest centroid; ``sq_norms`` holds the
+    vectors' squared norms, which stay fixed while the centroids move."""
     sq = (
-        np.sum(features**2, axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * features @ centroids.T
         + np.sum(centroids**2, axis=1)[None, :]
     )
@@ -204,10 +229,10 @@ def _cell_means(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) ->
     return sums.reshape(counts.size, dim) / np.maximum(counts, 1)[:, None]
 
 
-def _kmeans(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _kmeans(features: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Lloyd passes until centroid movement < tolerance or the pass limit."""
     for _ in range(_KMEANS_MAX_PASSES):
-        labels = _nearest_centroid(features, centroids)
+        labels = _nearest_centroid(features, sq_norms, centroids)
         counts = np.bincount(labels, minlength=centroids.shape[0])
         new_centroids = _cell_means(features, labels, counts)
         empty = np.flatnonzero(counts == 0)
@@ -242,21 +267,22 @@ def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> Gmm
             f"{features.shape[0]} vectors for {num_components} components"
         )
     features = _canonical_order(features)
+    sq_norms = np.sum(features**2, axis=1)
     floor = variance_floor(features, cfg.variance_floor_factor)
     delta = cfg.lbg_split_epsilon * np.sqrt(features.var(axis=0))
     centroids = features.mean(axis=0, keepdims=True)
     while centroids.shape[0] < num_components:
         centroids = np.vstack([centroids + delta, centroids - delta])
-        centroids = _kmeans(features, centroids)
+        centroids = _kmeans(features, sq_norms, centroids)
 
-    labels = _nearest_centroid(features, centroids)
+    labels = _nearest_centroid(features, sq_norms, centroids)
     counts = np.bincount(labels, minlength=num_components)
     for _ in range(10):
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
         centroids = _reseed_empty_cells(features, centroids, labels, empty)
-        labels = _nearest_centroid(features, centroids)
+        labels = _nearest_centroid(features, sq_norms, centroids)
         counts = np.bincount(labels, minlength=num_components)
     else:
         raise InsufficientData("could not populate every cell; too few distinct vectors")
@@ -282,37 +308,50 @@ def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
     )
 
 
+def _exp_clamped(shifted: np.ndarray) -> np.ndarray:
+    """``exp`` of ``shifted``, in place, its arguments raised to ``_EXP_FLOOR``
+    first; the module docstring says why the cut changes no sum it feeds."""
+    np.maximum(shifted, _EXP_FLOOR, out=shifted)
+    return np.exp(shifted, out=shifted)
+
+
 def _logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """log sum exp over ``axis``, shifted by each max along it; a max that
-    is not finite is shifted by 0, so an all ``-inf`` slice gives ``-inf``."""
+    is not finite is shifted by 0, and an all ``-inf`` slice gives ``-inf``."""
     peak = values.max(axis=axis, keepdims=True)
+    empty = np.squeeze(peak == -np.inf, axis=axis)
     peak[~np.isfinite(peak)] = 0.0
-    total = np.exp(values - peak).sum(axis=axis)
-    with np.errstate(divide="ignore"):
-        return np.log(total) + np.squeeze(peak, axis=axis)
+    total = _exp_clamped(values - peak).sum(axis=axis)
+    return np.where(empty, -np.inf, np.log(total) + np.squeeze(peak, axis=axis))
 
 
-def _log_joint(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
-    """log w_k + log N(x_n | component k) for a batch: shape (num_vectors, K)."""
-    shift, form, const = model._quadratic_form
+def _log_joint(
+    features: np.ndarray, shift: np.ndarray, form: np.ndarray, const: np.ndarray,
+    form_axes: str = "mk",
+) -> np.ndarray:
+    """log w_m + log N(x_n | component m) for a batch: shape (num_vectors, K),
+    from the quadratic form ``(shift, form, const)``; ``form_axes`` is
+    ``"mk"`` for a ``(K, 2D)`` form, ``"km"`` for a bank's ``(2D, K)`` one."""
     y = features - shift
-    return np.einsum("nk,mk->nm", np.hstack([y * y, y]), form) + const
+    joint = np.einsum(f"nk,{form_axes}->nm", np.hstack([y * y, y]), form)
+    joint += const
+    return joint
 
 
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
     """log p(x | model) for one vector: the one-row case of the batch kernel."""
     x = np.asarray(x, dtype=np.float64)
-    return float(_logsumexp(_log_joint(x[None, :], model))[0])
+    return float(_logsumexp(_log_joint(x[None, :], *model._quadratic_form))[0])
 
 
 def gmm_log_likelihoods(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
     """Per-vector log-likelihoods for a feature matrix: shape (N,) under a
     model, (N, S) under a bank of S speakers."""
     features = np.asarray(features, dtype=np.float64)
-    joint = _log_joint(features, model)
     if isinstance(model, ModelBank):
+        joint = _log_joint(features, *model._quadratic_form, form_axes="km")
         return _logsumexp(joint.reshape(joint.shape[0], -1, len(model.speakers)), axis=1)
-    return _logsumexp(joint)
+    return _logsumexp(_log_joint(features, *model._quadratic_form))
 
 
 def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:
@@ -335,19 +374,20 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
             stacklevel=2,
         )
     features = _canonical_order(features)
+    squares = features**2
     floor = variance_floor(features, cfg.variance_floor_factor)
     global_var = np.maximum(features.var(axis=0), floor)
 
-    weights = init.weights.copy()
-    means = init.means.copy()
-    variances = init.variances.copy()
-    model = GmmModel(weights=weights, means=means, variances=variances)
+    weights, means, variances = init.weights, init.means, init.variances
     trace = []
-    for _ in range(cfg.em_iterations):
-        joint = _log_joint(features, model)
+    for iteration in range(cfg.em_iterations + 1):
+        joint = _log_joint(features, *_quadratic_form_of(weights, means, variances))
         per_vector = _logsumexp(joint)
         trace.append(float(per_vector.sum()))
-        resp = np.exp(joint - per_vector[:, None])
+        if iteration == cfg.em_iterations:
+            break
+        joint -= per_vector[:, None]
+        resp = _exp_clamped(joint)
         totals = resp.sum(axis=0)
 
         # Dividing by the clamped totals leaves live components exact and
@@ -355,7 +395,7 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
         clamped = np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
         weights = totals / num
         means = (resp.T @ features) / clamped
-        second = (resp.T @ features**2) / clamped
+        second = (resp.T @ squares) / clamped
         variances = np.maximum(second - means**2, floor)
         collapsed = np.flatnonzero(totals < COLLAPSE_THRESHOLD)
         if collapsed.size:
@@ -366,6 +406,5 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
                 weights[j] = 1.0 / num
             weights = weights / weights.sum()
 
-        model = GmmModel(weights=weights, means=means, variances=variances)
-    trace.append(float(gmm_log_likelihoods(features, model).sum()))
-    return replace(model, em_log_likelihoods=tuple(trace))
+    return GmmModel(weights=weights, means=means, variances=variances,
+                    em_log_likelihoods=tuple(trace))

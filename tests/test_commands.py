@@ -237,3 +237,20 @@ def test_identify_decision_is_the_head_of_the_ranking(corpus, tmp_path):
         assert result.decided_id == result.ranking[0] == identify(result.scores)
         combined = [result.scores.scores[s].combined for s in result.ranking]
         assert np.all(np.diff(combined) <= 0)
+
+
+def test_identify_and_evaluate_give_the_same_scores(synthetic_corpus, trained_store, evaluation):
+    """Every test utterance of the session corpus gets, bit for bit, the same
+    spectral, residual and combined scores for its decided and its true
+    speaker from ``identify_command`` as from ``evaluate_command``."""
+    run, _, _ = evaluation
+    by_utt = {r["utterance_id"]: r for r in run.records}
+    assert len(by_utt) == len(synthetic_corpus.test_entries)
+    for entry in synthetic_corpus.test_entries:
+        scores = identify_command(entry.path, trained_store, eta=run.eta).scores.scores
+        record = by_utt[entry.utterance_id]
+        for key in ("decided", "true"):
+            s = scores[record[f"{key}_id"]]
+            assert record[f"{key}_scores"] == {
+                "spectral": s.spectral, "residual": s.residual, "combined": s.combined
+            }

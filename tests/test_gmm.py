@@ -8,6 +8,7 @@ import pytest
 from sidkit.config import ModelConfig
 from sidkit.errors import InsufficientData, SidkitError
 from sidkit.gmm import (
+    _EXP_FLOOR,
     GmmModel,
     ModelBank,
     _cell_means,
@@ -298,6 +299,68 @@ class TestLogDensityKernel:
         np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, live))
         assert single == got[0]
 
+    @staticmethod
+    def _unclamped_logsumexp(values, axis=-1):
+        """The log-sum-exp formula with a plain ``exp`` of every term."""
+        peak = values.max(axis=axis, keepdims=True)
+        peak[~np.isfinite(peak)] = 0.0
+        with np.errstate(divide="ignore"):
+            total = np.exp(values - peak).sum(axis=axis)
+            return np.log(total) + np.squeeze(peak, axis=axis)
+
+    def test_logsumexp_equals_the_unclamped_formula(self):
+        """Raising exp arguments to the cut changes no bit of the result:
+        terms down to -1e4 below the peak, -inf terms, all -inf slices (also
+        of a 1-D input) and NaN, over the last and the middle axis."""
+        rng = np.random.default_rng(73)
+        for _ in range(300):
+            ndim = int(rng.integers(1, 4))
+            shape = tuple(int(n) for n in rng.integers(1, 40, ndim))
+            far = rng.random(shape) < 0.5
+            values = rng.uniform(-50.0, 50.0, shape) - far * rng.uniform(0.0, 1e4, shape)
+            values[rng.random(shape) < 0.1] = -np.inf
+            if rng.random() < 0.3:
+                values[(0,) * (ndim - 1)] = -np.inf
+            if ndim == 3 and rng.random() < 0.3:
+                values[0, :, 0] = -np.inf
+            if rng.random() < 0.2:
+                values.flat[int(rng.integers(values.size))] = np.nan
+            for axis in (-1, 1) if ndim == 3 else (-1,):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _logsumexp(values, axis=axis)
+                np.testing.assert_array_equal(got, self._unclamped_logsumexp(values, axis))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _logsumexp(np.full(5, -np.inf)) == -np.inf
+            assert np.isnan(_logsumexp(np.array([0.0, np.nan, -1e4])))
+            assert _logsumexp(np.array([0.0, -1e4])) == 0.0
+
+    def test_exp_never_sees_an_argument_below_the_cut(self, monkeypatch):
+        """Scoring a widely spread bank and training with a far-off
+        component both reach the cut, and never pass ``exp`` anything below it."""
+        rng = np.random.default_rng(74)
+        seen = []
+        real_exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            seen.append(float(np.min(x)))
+            return real_exp(x, *args, **kwargs)
+
+        models = {f"spk{i:02d}": self._random_model(rng, 8, 19, spread=30.0, var_scale=0.1)
+                  for i in range(16)}
+        xs = rng.uniform(-30.0, 30.0, (50, 19))
+        x = rng.standard_normal((200, 2))
+        init = GmmModel(weights=np.array([0.5, 0.5]),
+                        means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                        variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        monkeypatch.setattr(np, "exp", spy)
+        for run in (lambda: gmm_log_likelihoods(xs, ModelBank(models)),
+                    lambda: em_train(x, init, ModelConfig(em_iterations=10))):
+            seen.clear()
+            run()
+            assert seen and min(seen) == _EXP_FLOOR
+
     def test_logsumexp_all_minus_inf_row(self):
         """A row of -inf sums to -inf without a floating-point warning."""
         values = np.array([[-np.inf, -np.inf], [0.0, np.log(3.0)]])
@@ -331,18 +394,20 @@ class TestModelBank:
                     models = {f"spk{i:02d}": self._random_model(rng, m, d) for i in range(s)}
                     self._check_columns(rng.uniform(-5.0, 5.0, (12, d)), models)
 
-    def test_rows_are_component_major(self):
-        """Row m*S + s holds component m of the s-th speaker in id order."""
+    def test_columns_are_component_major(self):
+        """The form is stored transposed, (2D, S*M) and contiguous: column
+        m*S + s holds component m of the s-th speaker in id order."""
         rng = np.random.default_rng(65)
         models = {name: self._random_model(rng, 4, 3) for name in ("c", "a", "b")}
         bank = ModelBank(models)
         assert bank.speakers == ("a", "b", "c")
         assert (bank.num_components, bank.dim) == (12, 3)
         _, form, _ = bank._quadratic_form
+        assert form.shape == (6, 12) and form.flags.c_contiguous
         for s, speaker in enumerate(bank.speakers):
             for m in range(4):
                 np.testing.assert_array_equal(
-                    form[m * 3 + s, :3], -0.5 / models[speaker].variances[m]
+                    form[:3, m * 3 + s], -0.5 / models[speaker].variances[m]
                 )
 
     def test_far_off_means_keep_their_digits(self):
