@@ -7,7 +7,7 @@ import logging
 import sys
 
 from .commands import evaluate_command, identify_command, train_command
-from .config import ToolkitConfig, load_config, write_default_config
+from .config import DEFAULT_CONFIG_TEXT, ToolkitConfig, load_config, write_default_config
 from .corpus import (
     DEFAULT_SAMPLE_RATE,
     default_speaker_specs,
@@ -102,11 +102,12 @@ def _run_evaluate(args) -> int:
 def _run_identify(args) -> int:
     result = identify_command(args.audio, ModelStore(args.store), eta=args.eta)
     print(f"decided: {result.decided_id}")
+    scores = result.scores
     for rank, speaker in enumerate(result.ranking, 1):
-        s = result.scores.scores[speaker]
+        spectral, residual, combined = scores.scores[scores.speakers.index(speaker)].tolist()
         print(
-            f"{rank:3d}. {speaker}  combined={s.combined:.6f}  "
-            f"spectral={s.spectral:.6f}  residual={s.residual:.6f}"
+            f"{rank:3d}. {speaker}  combined={combined:.6f}  "
+            f"spectral={spectral:.6f}  residual={residual:.6f}"
         )
     return 0
 
@@ -116,8 +117,6 @@ def _run_default_config(args) -> int:
         write_default_config(args.out)
         print(f"wrote default configuration to {args.out}")
     else:
-        from .config import DEFAULT_CONFIG_TEXT
-
         sys.stdout.write(DEFAULT_CONFIG_TEXT)
     return 0
 

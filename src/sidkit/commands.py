@@ -3,7 +3,8 @@
 Speakers are trained and test utterances scored one after another, in
 sorted order, so reruns are deterministic.  Each utterance's features are
 computed on its whole frame matrix at once (see ``residual_moments`` and
-``spectral``).
+``spectral``).  ``evaluate_command`` stacks the utterances' score arrays
+and takes all three systems' decisions from one argmax over speakers.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .errors import ManifestError, MissingModel, SampleRateMismatch, SidkitError
 from .frontend import AudioSignal, preprocess
 from .gmm import GmmModel, em_train, lbg_init
 from .identify import (
+    COLUMNS,
+    COMBINED,
     EvaluationReport,
     UtteranceScores,
     evaluate,
-    identify,
     score_utterance,
     stack_models,
 )
@@ -95,22 +97,20 @@ def train_command(
         raise ManifestError("manifest has no train utterances")
     store = ModelStore(store_dir)
     store.bind(cfg, manifest.sample_rate)
-    for entries in by_speaker.values():
-        entries.sort(key=lambda e: e.utterance_id)
-
-    def train_one(speaker: str) -> tuple[str, tuple[GmmModel, GmmModel]]:
-        spectral_feats, residual_feats = _speaker_features(
-            by_speaker[speaker], manifest, cfg
-        )
+    # Every speaker is trained before any is saved, so a failure leaves the
+    # store as it was.
+    trained: dict[str, tuple[GmmModel, GmmModel]] = {}
+    for speaker in sorted(by_speaker):
+        entries = sorted(by_speaker[speaker], key=lambda e: e.utterance_id)
+        spectral_feats, residual_feats = _speaker_features(entries, manifest, cfg)
         try:
-            spectral_model = _train_stream(spectral_feats, cfg.model.m_spectral, cfg)
-            residual_model = _train_stream(residual_feats, cfg.model.m_residual, cfg)
+            trained[speaker] = (
+                _train_stream(spectral_feats, cfg.model.m_spectral, cfg),
+                _train_stream(residual_feats, cfg.model.m_residual, cfg),
+            )
         except SidkitError as exc:
             raise _tagged(exc, f"speaker {speaker}") from exc
-        return speaker, (spectral_model, residual_model)
-
-    results = [train_one(speaker) for speaker in sorted(by_speaker)]
-    for speaker, models in results:
+    for speaker, models in trained.items():
         for stream, model in zip(STREAMS, models):
             store.save(speaker, stream, model)
             values = " ".join(f"{v:.6f}" for v in model.em_log_likelihoods[1:])
@@ -132,17 +132,15 @@ class EvaluationRun:
     records: tuple[dict, ...]
 
 
-def _record(entry: ManifestEntry, scores: UtteranceScores, decided: str) -> dict:
-    def stream_scores(speaker: str) -> dict:
-        s = scores.scores[speaker]
-        return {"spectral": s.spectral, "residual": s.residual, "combined": s.combined}
-
+def _record(entry: ManifestEntry, scores: UtteranceScores, decided: int) -> dict:
+    """The JSON record of one utterance; ``decided`` is the fused pick's row."""
+    true = scores.speakers.index(entry.speaker_id)
     return {
         "utterance_id": entry.utterance_id,
         "true_id": entry.speaker_id,
-        "decided_id": decided,
-        "decided_scores": stream_scores(decided),
-        "true_scores": stream_scores(entry.speaker_id),
+        "decided_id": scores.speakers[decided],
+        "decided_scores": dict(zip(COLUMNS, scores.scores[decided].tolist())),
+        "true_scores": dict(zip(COLUMNS, scores.scores[true].tolist())),
     }
 
 
@@ -206,23 +204,21 @@ def evaluate_command(
     files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
     scored = _score_files(store, banks, eta, manifest.sample_rate, files)
 
-    fused_triples, spectral_triples, residual_triples, records = [], [], [], []
-    for entry, scores in zip(entries, scored):
-        decided = identify(scores)
-        fused_triples.append((entry.utterance_id, entry.speaker_id, decided))
-        # eta = 1 (0) recombines exactly to the spectral (residual) total, so
-        # the single-stream systems decide on those totals directly.
-        for triples, stream in ((spectral_triples, "spectral"), (residual_triples, "residual")):
-            best = min(scores.scores, key=lambda s: (-getattr(scores.scores[s], stream), s))
-            triples.append((entry.utterance_id, entry.speaker_id, best))
-        records.append(_record(entry, scores, decided))
-
+    # ``picks[c][u]`` is utterance u's best speaker in column c: the first
+    # maximum, so the lowest id on ties.  eta = 1 (0) recombines exactly to
+    # the spectral (residual) column, so those systems decide on it directly.
+    picks = np.stack([scores.scores for scores in scored]).argmax(axis=1).T.tolist()
+    speakers = scored[0].speakers
+    spectral_only, residual_only, fused = (
+        evaluate((e.utterance_id, e.speaker_id, speakers[i]) for e, i in zip(entries, column))
+        for column in picks
+    )
     run = EvaluationRun(
         eta=scored[0].eta,
-        fused=evaluate(fused_triples),
-        spectral_only=evaluate(spectral_triples),
-        residual_only=evaluate(residual_triples),
-        records=tuple(records),
+        fused=fused,
+        spectral_only=spectral_only,
+        residual_only=residual_only,
+        records=tuple(map(_record, entries, scored, picks[COMBINED])),
     )
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -283,7 +279,7 @@ def identify_command(
     [scores] = _score_files(
         store, store.banks(), eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
     )
-    ranking = tuple(
-        sorted(scores.scores, key=lambda s: (-scores.scores[s].combined, s))
-    )
+    # A stable sort keeps tied speakers in id order: the head is ``identify``'s pick.
+    order = np.argsort(-scores.scores[:, COMBINED], kind="stable").tolist()
+    ranking = tuple(scores.speakers[i] for i in order)
     return IdentificationResult(decided_id=ranking[0], ranking=ranking, scores=scores)

@@ -76,8 +76,11 @@ class ModelConfig:
     lbg_split_epsilon: float = 0.02
 
     def __post_init__(self):
-        if self.m_spectral < 1 or self.m_residual < 1:
-            raise ValueError("mixture sizes must be >= 1")
+        # Binary-splitting initialization doubles the component count.
+        for key in ("m_spectral", "m_residual"):
+            m = getattr(self, key)
+            if m < 1 or m & (m - 1):
+                raise ValueError(f"{key} must be a power of two, got {m}")
         if self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
 

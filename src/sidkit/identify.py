@@ -2,39 +2,41 @@
 
 An utterance is scored against the enrolled speakers through two
 ``ModelBank``s, one per stream, so each stream costs one kernel call
-whatever the number of speakers; ``stack_models`` builds them.
+whatever the number of speakers; ``stack_models`` builds them.  The
+result is one ``(S, 3)`` array with a row per speaker, in sorted id
+order.  Every decision takes the highest score and, on a tie, the lowest
+id: the first maximum of a column, or the head of a stable descending
+sort of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
 from .gmm import GmmModel, ModelBank, gmm_log_likelihoods
 
-
-@dataclass(frozen=True)
-class StreamScores:
-    """Per-speaker log-likelihood totals for one utterance."""
-
-    spectral: float
-    residual: float
-    combined: float
+# The columns of ``UtteranceScores.scores``.
+COLUMNS = ("spectral", "residual", "combined")
+SPECTRAL, RESIDUAL, COMBINED = range(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtteranceScores:
-    """Scores of one utterance against every enrolled speaker."""
+    """Scores of one utterance against every enrolled speaker.
 
-    scores: dict[str, StreamScores]
+    ``scores`` is a read-only ``(S, 3)`` array: row ``i`` holds the
+    spectral, residual and combined totals of ``speakers[i]``, and
+    ``speakers`` is sorted.
+    """
+
+    speakers: tuple[str, ...]
+    scores: np.ndarray
     eta: float
     num_spectral_frames: int
     num_residual_frames: int
-
-    def speakers(self) -> list[str]:
-        return sorted(self.scores)
 
 
 def combine_scores(spectral: float, residual: float, eta: float) -> float:
@@ -55,6 +57,13 @@ def stack_models(models: dict[str, tuple[GmmModel, GmmModel]]) -> tuple[ModelBan
         except ConfigMismatch as exc:
             raise ConfigMismatch(f"{stream} models: {exc}") from exc
     return tuple(banks)
+
+
+def _score_table(spectral: np.ndarray, residual: np.ndarray, eta: float) -> np.ndarray:
+    """The read-only ``(S, 3)`` array of per-speaker stream totals and their fusion."""
+    table = np.column_stack((spectral, residual, combine_scores(spectral, residual, eta)))
+    table.flags.writeable = False
+    return table
 
 
 def score_utterance(
@@ -95,15 +104,9 @@ def score_utterance(
             )
         ll = gmm_log_likelihoods(features, bank)
         totals.append(ll.mean(axis=0) if per_frame_average else ll.sum(axis=0))
-    s_totals, r_totals = totals
-    combined = combine_scores(s_totals, r_totals, eta)
     return UtteranceScores(
-        scores={
-            speaker: StreamScores(spectral=s, residual=r, combined=c)
-            for speaker, s, r, c in zip(
-                spectral_bank.speakers, s_totals.tolist(), r_totals.tolist(), combined.tolist()
-            )
-        },
+        speakers=spectral_bank.speakers,
+        scores=_score_table(*totals, eta),
         eta=eta,
         num_spectral_frames=spectral_features.shape[0],
         num_residual_frames=residual_features.shape[0],
@@ -112,24 +115,13 @@ def score_utterance(
 
 def with_eta(scores: UtteranceScores, eta: float) -> UtteranceScores:
     """Recombine the same per-stream totals under a different fusion weight."""
-    return UtteranceScores(
-        scores={
-            speaker: StreamScores(
-                spectral=s.spectral,
-                residual=s.residual,
-                combined=combine_scores(s.spectral, s.residual, eta),
-            )
-            for speaker, s in scores.scores.items()
-        },
-        eta=eta,
-        num_spectral_frames=scores.num_spectral_frames,
-        num_residual_frames=scores.num_residual_frames,
-    )
+    table = _score_table(scores.scores[:, SPECTRAL], scores.scores[:, RESIDUAL], eta)
+    return replace(scores, scores=table, eta=eta)
 
 
 def identify(scores: UtteranceScores) -> str:
     """Pick the speaker with the highest combined score, lowest id on ties."""
-    return min(scores.scores, key=lambda s: (-scores.scores[s].combined, s))
+    return scores.speakers[int(np.argmax(scores.scores[:, COMBINED]))]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from sidkit.gmm import (
     gmm_log_likelihoods,
     lbg_init,
 )
-from sidkit.identify import identify, score_utterance, with_eta
+from sidkit.identify import COMBINED, RESIDUAL, SPECTRAL, identify, score_utterance, with_eta
 from sidkit.lpc import AUTOCORR_RIDGE, compute_lp, inverse_filter, predict
 from sidkit.residual_moments import central_moments, normalize_residual
 
@@ -197,22 +197,19 @@ def test_06_fusion_boundary_decisions(criterion, synthetic_corpus, trained_store
             spectral, residual = extract_streams(signal, cfg)
             scores = score_utterance(spectral, residual, banks, eta=0.5)
 
-            by_spectral = min(
-                scores.speakers(), key=lambda s: (-scores.scores[s].spectral, s)
-            )
-            by_residual = min(
-                scores.speakers(), key=lambda s: (-scores.scores[s].residual, s)
-            )
+            rows = dict(zip(scores.speakers, scores.scores.tolist()))
+            by_spectral = min(rows, key=lambda s: (-rows[s][SPECTRAL], s))
+            by_residual = min(rows, key=lambda s: (-rows[s][RESIDUAL], s))
             assert identify(with_eta(scores, 1.0)) == by_spectral
             assert identify(with_eta(scores, 0.0)) == by_residual
 
-            for speaker in scores.speakers():
-                s = scores.scores[speaker]
-                assert with_eta(scores, 1.0).scores[speaker].combined == s.spectral
-                assert with_eta(scores, 0.0).scores[speaker].combined == s.residual
+            for i, speaker in enumerate(scores.speakers):
+                spectral, residual, _ = rows[speaker]
+                assert with_eta(scores, 1.0).scores[i, COMBINED] == spectral
+                assert with_eta(scores, 0.0).scores[i, COMBINED] == residual
                 for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    combined = with_eta(scores, eta).scores[speaker].combined
-                    assert combined == eta * s.spectral + (1.0 - eta) * s.residual
+                    combined = with_eta(scores, eta).scores[i, COMBINED]
+                    assert combined == eta * spectral + (1.0 - eta) * residual
 
 
 def test_07_synthetic_end_to_end_accuracy(criterion, evaluation, pipeline_timings):

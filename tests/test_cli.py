@@ -91,6 +91,21 @@ class TestTrain:
         assert "no train utterances" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
 
+    def test_non_power_of_two_component_count_fails_cleanly(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        """A config asking for 6 components exits 1 naming the key, and no
+        store is made."""
+        corpus_dir, _ = cli_workspace
+        config = tmp_path / "m6.ini"
+        config.write_text("[model]\nm_spectral = 6\n", encoding="utf-8")
+        rc = main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                   "--out", str(tmp_path / "models"), "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: m_spectral must be a power of two, got 6")
+        assert not (tmp_path / "models").exists()
+
 
 class TestEvaluate:
     def test_writes_report_and_records(self, cli_workspace, tmp_path, capsys):
@@ -171,6 +186,27 @@ class TestIdentify:
         # ranking lists every enrolled speaker once
         ranked = [ln.split()[1] for ln in out.splitlines()[1:]]
         assert sorted(ranked) == sorted(ModelStore(store_dir).speakers())
+
+    def test_each_line_carries_its_speakers_scores(self, cli_workspace, capsys):
+        """Every ranked line prints that speaker's own combined, spectral and
+        residual scores from ``identify_command``, best combined score first."""
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        for entry in manifest.test_entries:
+            assert main(["identify", "--audio", str(entry.path), "--store", str(store_dir),
+                         "--eta", "0.3"]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            result = identify_command(entry.path, ModelStore(store_dir), eta=0.3)
+            rows = dict(zip(result.scores.speakers, result.scores.scores.tolist()))
+            assert [ln.split()[1] for ln in lines] == list(result.ranking)
+            for line, speaker in zip(lines, result.ranking):
+                spectral, residual, combined = rows[speaker]
+                assert line.split()[2:] == [
+                    f"combined={combined:.6f}", f"spectral={spectral:.6f}",
+                    f"residual={residual:.6f}",
+                ]
+            combined = [float(ln.split()[2].removeprefix("combined=")) for ln in lines]
+            assert combined == sorted(combined, reverse=True)
 
     def test_missing_store_fails_cleanly(self, cli_workspace, tmp_path, capsys):
         """Pointing identify at an empty store directory exits with status 1."""

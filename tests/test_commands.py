@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sidkit import commands
-from sidkit.audio_io import load_audio
+from sidkit.audio_io import load_audio, save_audio
 from sidkit.commands import (
     evaluate_command,
     extract_streams,
@@ -15,16 +15,30 @@ from sidkit.commands import (
     train_command,
 )
 from sidkit.config import FusionConfig, PreprocessConfig, SpectralConfig, ToolkitConfig
-from sidkit.corpus import CorpusManifest, default_speaker_specs, generate_synthetic_corpus
+from sidkit.corpus import (
+    CorpusManifest,
+    ManifestEntry,
+    default_speaker_specs,
+    generate_synthetic_corpus,
+)
 from sidkit.errors import (
     ConfigMismatch,
+    EmptyAfterVad,
     ManifestError,
     MissingModel,
     SampleRateMismatch,
     StoreIntegrityError,
     UnsupportedFormat,
 )
-from sidkit.identify import identify, score_utterance, with_eta
+from sidkit.frontend import AudioSignal
+from sidkit.identify import (
+    COMBINED,
+    RESIDUAL,
+    SPECTRAL,
+    identify,
+    score_utterance,
+    with_eta,
+)
 from sidkit.spectral import make_filterbank
 from sidkit.store import CONFIG_NAME, ModelStore
 
@@ -145,7 +159,11 @@ def test_identify_reads_each_record_once_per_store(corpus, tmp_path, monkeypatch
     second = identify_command(corpus.test_entries[0].path, store)
     assert sorted(reads) == sorted((s, stream) for s in corpus.speakers()
                                    for stream in ("spectral", "residual"))
-    assert second.scores == first.scores
+    assert second.scores.speakers == first.scores.speakers
+    assert np.array_equal(second.scores.scores, first.scores.scores)
+    assert (second.scores.eta, second.scores.num_spectral_frames,
+            second.scores.num_residual_frames) == (
+        first.scores.eta, first.scores.num_spectral_frames, first.scores.num_residual_frames)
 
 
 def test_manifest_speaker_missing_from_the_store_is_missing_model(corpus, tmp_path):
@@ -213,6 +231,53 @@ def test_identify_checks_eta_before_reading_audio(corpus, tmp_path, monkeypatch)
         identify_command(corpus.test_entries[0].path, store, eta=-0.1)
 
 
+def test_silent_last_speaker_fails_before_any_model_is_saved(corpus, tmp_path):
+    """Every speaker is trained before any is saved: a last speaker whose
+    audio is all silence raises the tagged error and leaves no store."""
+    last = corpus.speakers()[-1]
+    silence = tmp_path / "silence.wav"
+    save_audio(silence, AudioSignal(np.zeros(corpus.sample_rate), corpus.sample_rate))
+    entries = [
+        dataclasses.replace(e, path=silence) if e.speaker_id == last else e
+        for e in corpus.train_entries
+    ]
+    first = min(e.utterance_id for e in entries if e.speaker_id == last)
+    with pytest.raises(EmptyAfterVad, match=f"^speaker {last} utterance {first}: "):
+        train_command(CorpusManifest(entries, corpus.sample_rate), ToolkitConfig(),
+                      tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+
+
+def test_tied_speakers_decide_for_the_lowest_id(corpus, tmp_path):
+    """Speakers ``a`` and ``b`` enrolled from the same audio tie on every
+    score, so every decision and ranking puts ``a`` first."""
+    source = corpus.speakers()[0]
+    entries = [
+        ManifestEntry(spk, f"{spk}_{e.utterance_id}", e.path, "train")
+        for e in corpus.train_entries if e.speaker_id == source
+        for spk in ("a", "b")
+    ]
+    entries += [
+        ManifestEntry("ab"[i % 2], f"test_{e.utterance_id}", e.path, "test")
+        for i, e in enumerate(corpus.test_entries)
+    ]
+    manifest = CorpusManifest(entries, corpus.sample_rate)
+    store = train_command(manifest, ToolkitConfig(), tmp_path / "store")
+
+    run = evaluate_command(manifest, store)
+    for report in (run.fused, run.spectral_only, run.residual_only):
+        assert [decided for _, _, decided in report.decisions] == ["a"] * len(
+            corpus.test_entries
+        )
+    for entry in corpus.test_entries:
+        result = identify_command(entry.path, store)
+        assert result.scores.speakers == ("a", "b")
+        assert np.array_equal(result.scores.scores[0], result.scores.scores[1])
+        assert result.ranking == ("a", "b")
+        for eta in (0.0, 0.5, 1.0):
+            assert identify(with_eta(result.scores, eta)) == "a"
+
+
 def test_manifest_without_train_split_is_manifest_error(corpus, tmp_path):
     with pytest.raises(ManifestError, match="no train utterances"):
         train_command(CorpusManifest((), corpus.sample_rate), ToolkitConfig(),
@@ -235,7 +300,8 @@ def test_identify_decision_is_the_head_of_the_ranking(corpus, tmp_path):
     for entry in corpus.test_entries:
         result = identify_command(entry.path, store)
         assert result.decided_id == result.ranking[0] == identify(result.scores)
-        combined = [result.scores.scores[s].combined for s in result.ranking]
+        rows = [result.scores.speakers.index(s) for s in result.ranking]
+        combined = result.scores.scores[rows, COMBINED]
         assert np.all(np.diff(combined) <= 0)
 
 
@@ -247,10 +313,10 @@ def test_identify_and_evaluate_give_the_same_scores(synthetic_corpus, trained_st
     by_utt = {r["utterance_id"]: r for r in run.records}
     assert len(by_utt) == len(synthetic_corpus.test_entries)
     for entry in synthetic_corpus.test_entries:
-        scores = identify_command(entry.path, trained_store, eta=run.eta).scores.scores
+        scores = identify_command(entry.path, trained_store, eta=run.eta).scores
         record = by_utt[entry.utterance_id]
         for key in ("decided", "true"):
-            s = scores[record[f"{key}_id"]]
+            s = scores.scores[scores.speakers.index(record[f"{key}_id"])]
             assert record[f"{key}_scores"] == {
-                "spectral": s.spectral, "residual": s.residual, "combined": s.combined
+                "spectral": s[SPECTRAL], "residual": s[RESIDUAL], "combined": s[COMBINED]
             }

@@ -137,3 +137,10 @@ class TestValidation:
     def test_nonpositive_iterations(self):
         with pytest.raises(ValueError):
             ModelConfig(em_iterations=0)
+
+    @pytest.mark.parametrize("key", ["m_spectral", "m_residual"])
+    def test_component_count_must_be_a_power_of_two(self, key):
+        """Binary splitting can only reach powers of two, so the config
+        rejects any other count, naming the key, before any audio is read."""
+        with pytest.raises(ValueError, match=f"{key} must be a power of two, got 6"):
+            parse_config(f"[model]\n{key} = 6\n")

@@ -6,7 +6,9 @@ import pytest
 from sidkit.errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
 from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.identify import (
-    StreamScores,
+    COMBINED,
+    RESIDUAL,
+    SPECTRAL,
     UtteranceScores,
     combine_scores,
     evaluate,
@@ -33,11 +35,13 @@ def make_model_set(rng, speakers, d_spectral=4, d_residual=3):
 
 
 def fake_scores(table, eta=0.5):
+    """Scores of speaker -> (spectral, residual) ``table``, rows in id order."""
+    speakers = tuple(sorted(table))
+    spectral = np.array([table[spk][0] for spk in speakers])
+    residual = np.array([table[spk][1] for spk in speakers])
     return UtteranceScores(
-        scores={
-            spk: StreamScores(s, r, combine_scores(s, r, eta))
-            for spk, (s, r) in table.items()
-        },
+        speakers=speakers,
+        scores=np.column_stack((spectral, residual, combine_scores(spectral, residual, eta))),
         eta=eta,
         num_spectral_frames=10,
         num_residual_frames=10,
@@ -70,11 +74,12 @@ class TestScoreUtterance:
         scores = score_utterance(spectral, residual, banks, eta=0.5)
         s_columns = gmm_log_likelihoods(spectral, banks[0]).sum(axis=0)
         r_columns = gmm_log_likelihoods(residual, banks[1]).sum(axis=0)
+        assert scores.speakers == ("a", "b")
         for i, spk in enumerate(("a", "b")):
             s_expect, r_expect = float(s_columns[i]), float(r_columns[i])
-            assert scores.scores[spk].spectral == s_expect
-            assert scores.scores[spk].residual == r_expect
-            assert scores.scores[spk].combined == 0.5 * s_expect + 0.5 * r_expect
+            assert scores.scores[i, SPECTRAL] == s_expect
+            assert scores.scores[i, RESIDUAL] == r_expect
+            assert scores.scores[i, COMBINED] == 0.5 * s_expect + 0.5 * r_expect
             s_model = float(np.sum(gmm_log_likelihoods(spectral, model_set[spk][0])))
             r_model = float(np.sum(gmm_log_likelihoods(residual, model_set[spk][1])))
             assert s_expect == pytest.approx(s_model, rel=1e-12)
@@ -90,8 +95,8 @@ class TestScoreUtterance:
         whole = score_utterance(np.vstack([s1, s2]), np.vstack([r1, r2]), banks, 0.5)
         part1 = score_utterance(s1, r1, banks, 0.5)
         part2 = score_utterance(s2, r2, banks, 0.5)
-        got = whole.scores["a"].spectral
-        want = part1.scores["a"].spectral + part2.scores["a"].spectral
+        got = whole.scores[0, SPECTRAL]
+        want = part1.scores[0, SPECTRAL] + part2.scores[0, SPECTRAL]
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_empty_stream_rejected(self):
@@ -138,8 +143,8 @@ class TestScoreUtterance:
         summed = score_utterance(spectral, residual, banks, 0.5)
         averaged = score_utterance(spectral, residual, banks, 0.5,
                                    per_frame_average=True)
-        assert averaged.scores["a"].spectral == pytest.approx(
-            summed.scores["a"].spectral / 20.0, rel=1e-12
+        assert averaged.scores[0, SPECTRAL] == pytest.approx(
+            summed.scores[0, SPECTRAL] / 20.0, rel=1e-12
         )
 
 
