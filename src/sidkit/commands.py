@@ -161,7 +161,7 @@ def _score_files(
     for path, context in files:
         try:
             features = extract_streams(load_audio(path, expected_rate=sample_rate), cfg)
-            scores = score_utterance(*features, banks, eta, cfg.fusion.per_frame_average)
+            scores = score_utterance(*features, banks, eta)
         except SidkitError as exc:
             raise _tagged(exc, context) from exc
         scored.append(scores)

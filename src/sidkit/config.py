@@ -83,6 +83,12 @@ class ModelConfig:
                 raise ValueError(f"{key} must be a power of two, got {m}")
         if self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
+        if self.variance_floor_factor < 0.0:
+            raise ValueError(
+                f"variance_floor_factor must be >= 0, got {self.variance_floor_factor}"
+            )
+        if self.lbg_split_epsilon <= 0.0:
+            raise ValueError(f"lbg_split_epsilon must be > 0, got {self.lbg_split_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,6 @@ class FusionConfig:
     """Score-level fusion parameters."""
 
     eta: float = 0.5
-    per_frame_average: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -106,6 +111,27 @@ class ToolkitConfig:
     spectral: SpectralConfig = SpectralConfig()
     model: ModelConfig = ModelConfig()
     fusion: FusionConfig = FusionConfig()
+
+    def __post_init__(self):
+        # Each frame must be longer than every predictor order it feeds, and
+        # a filterbank's frame must fit its FFT.
+        frame_len = self.preprocess.frame_len
+        if frame_len <= self.residual.lp_order:
+            raise ValueError(
+                f"[preprocess] frame_len = {frame_len} must exceed "
+                f"[residual] lp_order = {self.residual.lp_order}"
+            )
+        if self.spectral.kind == "lpcc":
+            if frame_len <= self.spectral.lpcc_lp_order:
+                raise ValueError(
+                    f"[preprocess] frame_len = {frame_len} must exceed "
+                    f"[spectral] lpcc_lp_order = {self.spectral.lpcc_lp_order}"
+                )
+        elif frame_len > self.spectral.fft_size:
+            raise ValueError(
+                f"[preprocess] frame_len = {frame_len} must not exceed "
+                f"[spectral] fft_size = {self.spectral.fft_size}"
+            )
 
 
 _SECTIONS = {
@@ -158,8 +184,6 @@ lbg_split_epsilon = 0.02
 [fusion]
 # Weight on the spectral stream; the residual stream gets 1 - eta.
 eta = 0.5
-# Average per-frame scores instead of summing before fusion.
-per_frame_average = false
 """
 
 
@@ -171,14 +195,21 @@ def parse_config(text: str) -> ToolkitConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
 
-    getters = {"int": parser.getint, "float": parser.getfloat,
-               "bool": parser.getboolean, "str": parser.get}
+    getters = {"int": parser.getint, "float": parser.getfloat, "str": parser.get}
     kwargs = {}
     for section, cls in _SECTIONS.items():
         known = {f.name: f.type for f in fields(cls)}
         values = {}
         if parser.has_section(section):
             for key in parser.options(section):
+                # Older stores and default files hold this removed key, false.
+                if (section, key) == ("fusion", "per_frame_average"):
+                    if parser.getboolean(section, key):
+                        raise ValueError(
+                            "[fusion] per_frame_average = true is no longer supported: "
+                            "stream scores are always sums over frames"
+                        )
+                    continue
                 if key not in known:
                     raise ValueError(f"unknown config key [{section}] {key}")
                 values[key] = getters[known[key]](section, key)

@@ -230,8 +230,15 @@ def generate_synthetic_corpus(
     """Write per-speaker WAV files and a manifest; bit-identical for a given seed."""
     if train_utts < 1 or test_utts < 0:
         raise ValueError("need at least one train utterance per speaker")
+    if sample_rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    num_samples = int(round(utt_seconds * sample_rate)) if np.isfinite(utt_seconds) else 0
+    if num_samples < 1:
+        raise ValueError(
+            f"utt_seconds must be finite and give at least one sample at "
+            f"{sample_rate} Hz, got {utt_seconds}"
+        )
     out_dir = Path(out_dir)
-    num_samples = int(round(utt_seconds * sample_rate))
     entries = []
     for spk_idx, spec in enumerate(specs):
         for utt_idx in range(train_utts + test_utts):

@@ -71,15 +71,14 @@ def score_utterance(
     residual_features: np.ndarray,
     banks: tuple[ModelBank, ModelBank],
     eta: float = 0.5,
-    per_frame_average: bool = False,
 ) -> UtteranceScores:
     """Score one utterance's feature streams against every speaker of the
     (spectral, residual) ``banks``.
 
     Each stream's score is the total log-likelihood of its frames under the
-    speaker's model for that stream (mean per frame when ``per_frame_average``
-    is set): a column sum of one ``gmm_log_likelihoods`` call on the stream's
-    bank.  The combined score is their eta-weighted sum.
+    speaker's model for that stream: a column sum of one
+    ``gmm_log_likelihoods`` call on the stream's bank.  The combined score is
+    their eta-weighted sum.
     """
     spectral_features = np.asarray(spectral_features, dtype=np.float64)
     residual_features = np.asarray(residual_features, dtype=np.float64)
@@ -102,8 +101,7 @@ def score_utterance(
                 f"{stream} features have {features.shape[1]} dimensions, "
                 f"but the {stream} models have {bank.dim}"
             )
-        ll = gmm_log_likelihoods(features, bank)
-        totals.append(ll.mean(axis=0) if per_frame_average else ll.sum(axis=0))
+        totals.append(gmm_log_likelihoods(features, bank).sum(axis=0))
     return UtteranceScores(
         speakers=spectral_bank.speakers,
         scores=_score_table(*totals, eta),

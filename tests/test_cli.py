@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from sidkit import commands
 from sidkit.cli import main
 from sidkit.commands import evaluate_command, identify_command
 from sidkit.corpus import CorpusManifest, read_manifest
@@ -51,6 +52,10 @@ def cli_workspace(tmp_path_factory):
     return corpus_dir, store_dir
 
 
+def no_audio(*args, **kwargs):
+    raise AssertionError("audio read before the config was checked")
+
+
 class TestSynth:
     def test_writes_manifest_and_audio(self, cli_workspace):
         """synth produces a readable manifest whose WAV files all exist."""
@@ -61,6 +66,24 @@ class TestSynth:
         assert len(manifest.test_entries) == 4 * 2
         for entry in manifest.entries:
             assert entry.path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seconds", "0"], "utt_seconds must be finite and give at least one sample"),
+            (["--seconds", "-1"], "utt_seconds must be finite and give at least one sample"),
+            (["--seconds", "inf"], "utt_seconds must be finite and give at least one sample"),
+            (["--sample-rate", "0"], "sample_rate must be positive, got 0"),
+        ],
+        ids=["zero-seconds", "negative-seconds", "infinite-seconds", "zero-rate"],
+    )
+    def test_bad_length_or_rate_fails_cleanly(self, tmp_path, capsys, argv, message):
+        """An utterance length or rate that gives no samples is an error
+        naming the argument, and no corpus directory is made."""
+        rc = main(["synth", "--speakers", "2", "--out", str(tmp_path / "c"), *argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "c").exists()
 
 
     def test_without_scipy_names_the_extra(self, tmp_path, monkeypatch, capsys):
@@ -106,6 +129,33 @@ class TestTrain:
         assert err.startswith("error: m_spectral must be a power of two, got 6")
         assert not (tmp_path / "models").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[preprocess]\nframe_len = 300\n",
+             "[preprocess] frame_len = 300 must not exceed [spectral] fft_size = 256"),
+            ("[preprocess]\nframe_len = 16\nframe_shift = 8\n",
+             "[preprocess] frame_len = 16 must exceed [residual] lp_order = 17"),
+            ("[fusion]\nper_frame_average = true\n",
+             "[fusion] per_frame_average = true is no longer supported"),
+        ],
+        ids=["frame-over-fft", "frame-under-order", "per-frame-average"],
+    )
+    def test_unusable_config_fails_before_any_audio_is_read(
+        self, cli_workspace, tmp_path, capsys, monkeypatch, text, message
+    ):
+        """A config that no utterance could be trained under exits 1 naming
+        its keys, before any WAV is read, and no store is made."""
+        corpus_dir, _ = cli_workspace
+        config = tmp_path / "bad.ini"
+        config.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(commands, "load_audio", no_audio)
+        rc = main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                   "--out", str(tmp_path / "models"), "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "models").exists()
+
 
 class TestEvaluate:
     def test_writes_report_and_records(self, cli_workspace, tmp_path, capsys):
@@ -142,6 +192,25 @@ class TestEvaluate:
         rec = json.loads(lines[0])
         assert set(rec) >= {"utterance_id", "true_id", "decided_id", "decided_scores"}
         assert set(rec["decided_scores"]) == {"spectral", "residual", "combined"}
+
+    def test_store_asking_for_per_frame_average_fails_cleanly(
+        self, cli_workspace, tmp_path, capsys, monkeypatch
+    ):
+        """A store whose config.ini sets the removed key true exits 1 from
+        evaluate and identify naming the key, before any WAV is read."""
+        corpus_dir, store_dir = cli_workspace
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        config = store / CONFIG_NAME
+        config.write_text(config.read_text(encoding="utf-8") + "per_frame_average = True\n",
+                          encoding="utf-8")
+        monkeypatch.setattr(commands, "load_audio", no_audio)
+        audio = read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path
+        for argv in (["evaluate", "--manifest", str(corpus_dir / "manifest.tsv")],
+                     ["identify", "--audio", str(audio)]):
+            assert main([*argv, "--store", str(store)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {config}: [fusion] per_frame_average = true")
 
     def test_eta_out_of_range_fails_cleanly(self, cli_workspace, capsys):
         """A bad fusion weight exits with status 1 and an error message."""

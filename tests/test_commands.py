@@ -2,6 +2,7 @@
 and later training."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from sidkit.commands import (
     evaluate_command,
     extract_streams,
     identify_command,
+    render_records,
+    render_report,
     train_command,
 )
 from sidkit.config import FusionConfig, PreprocessConfig, SpectralConfig, ToolkitConfig
@@ -74,9 +77,7 @@ def decisions_under(cfg, manifest, store):
     for entry in sorted(manifest.test_entries, key=lambda e: e.utterance_id):
         signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
         spectral, residual = extract_streams(signal, cfg)
-        scores = score_utterance(
-            spectral, residual, banks, cfg.fusion.eta, cfg.fusion.per_frame_average
-        )
+        scores = score_utterance(spectral, residual, banks, cfg.fusion.eta)
         etas = (cfg.fusion.eta, 1.0, 0.0)
         decisions.append(tuple(identify(with_eta(scores, eta)) for eta in etas))
     return decisions
@@ -84,6 +85,79 @@ def decisions_under(cfg, manifest, store):
 
 def snapshot(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+# The config.ini of a default store trained while ``[fusion] per_frame_average``
+# was still a key.
+OLD_CONFIG_INI = """\
+# sample_rate: 8000
+[preprocess]
+pre_emphasis = 0.97
+frame_len = 160
+frame_shift = 80
+silence_energy_ratio = 0.06
+
+[residual]
+lp_order = 17
+num_moments = 6
+
+[spectral]
+kind = mfcc
+num_filters = 20
+num_cepstra = 19
+fft_size = 256
+lpcc_lp_order = 19
+
+[model]
+m_spectral = 8
+m_residual = 8
+em_iterations = 10
+variance_floor_factor = 0.01
+lbg_split_epsilon = 0.02
+
+[fusion]
+eta = 0.5
+per_frame_average = False
+"""
+
+
+def test_store_written_with_per_frame_average_still_loads(corpus, tmp_path):
+    """A store whose config.ini still sets the removed key false evaluates
+    to the same bytes as a fresh store and takes more speakers under the
+    default config."""
+    fresh = train_command(corpus, ToolkitConfig(), tmp_path / "fresh")
+    fresh_text = (tmp_path / "fresh" / CONFIG_NAME).read_text(encoding="utf-8")
+    assert fresh_text == OLD_CONFIG_INI.replace("per_frame_average = False\n", "")
+    shutil.copytree(tmp_path / "fresh", tmp_path / "old")
+    (tmp_path / "old" / CONFIG_NAME).write_text(OLD_CONFIG_INI, encoding="utf-8")
+
+    old = ModelStore(tmp_path / "old")
+    assert old.config == ToolkitConfig()
+    old_run, fresh_run = evaluate_command(corpus, old), evaluate_command(corpus, fresh)
+    assert render_report(old_run) == render_report(fresh_run)
+    assert render_records(old_run) == render_records(fresh_run)
+
+    source = corpus.speakers()[0]
+    extra = [
+        ManifestEntry("zz", f"zz_{e.utterance_id}", e.path, "train")
+        for e in corpus.train_entries if e.speaker_id == source
+    ]
+    train_command(CorpusManifest(extra, corpus.sample_rate), ToolkitConfig(), tmp_path / "old")
+    assert ModelStore(tmp_path / "old").speakers() == corpus.speakers() + ["zz"]
+
+
+def test_store_with_per_frame_average_true_is_rejected(corpus, tmp_path, monkeypatch):
+    """Frame-averaged scoring is gone, so a store that asks for it fails when
+    opened, before any audio is read, naming the key."""
+    train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    config = tmp_path / "store" / CONFIG_NAME
+    config.write_text(OLD_CONFIG_INI.replace("= False", "= True"), encoding="utf-8")
+    monkeypatch.setattr(commands, "load_audio", no_audio)
+    message = r"\[fusion\] per_frame_average = true is no longer supported"
+    with pytest.raises(StoreIntegrityError, match=message):
+        ModelStore(tmp_path / "store")
+    with pytest.raises(StoreIntegrityError, match=message):
+        train_command(corpus, ToolkitConfig(), tmp_path / "store")
 
 
 @pytest.mark.parametrize("name", sorted(TRAINING_CONFIGS))

@@ -1,5 +1,7 @@
 """Configuration defaults, file parsing, and validation."""
 
+import re
+
 import pytest
 
 from sidkit.config import (
@@ -36,7 +38,6 @@ class TestDefaults:
         assert cfg.model.m_residual == 8
         assert cfg.model.em_iterations == 10
         assert cfg.fusion.eta == 0.5
-        assert cfg.fusion.per_frame_average is False
 
     def test_default_text_matches_defaults(self):
         """Parsing the shipped default file reproduces the in-code defaults."""
@@ -86,6 +87,21 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("[model]\nseed = 0\n")
 
+    @pytest.mark.parametrize("value", ["false", "False", "no", "0"])
+    def test_removed_per_frame_average_false_is_dropped(self, value):
+        """Default files and stores written before the key was removed set it
+        false; they still parse, equal to the defaults."""
+        cfg = parse_config(DEFAULT_CONFIG_TEXT + f"per_frame_average = {value}\n")
+        assert cfg == ToolkitConfig()
+        assert "per_frame_average" not in render_config(cfg)
+
+    @pytest.mark.parametrize("value", ["true", "True", "yes", "1"])
+    def test_removed_per_frame_average_true_is_rejected(self, value):
+        with pytest.raises(
+            ValueError, match=r"\[fusion\] per_frame_average = true .* always sums over frames"
+        ):
+            parse_config(f"[fusion]\neta = 0.5\nper_frame_average = {value}\n")
+
     def test_missing_section_header_is_value_error(self):
         with pytest.raises(ValueError, match="malformed config"):
             parse_config("frame_len = 240\n")
@@ -100,7 +116,7 @@ class TestParsing:
                 ),
                 spectral=SpectralConfig(kind="lpcc", num_cepstra=12),
                 model=ModelConfig(variance_floor_factor=1e-7),
-                fusion=FusionConfig(eta=0.25, per_frame_average=True),
+                fusion=FusionConfig(eta=0.25),
             ),
         ],
         ids=["default", "custom"],
@@ -144,3 +160,54 @@ class TestValidation:
         rejects any other count, naming the key, before any audio is read."""
         with pytest.raises(ValueError, match=f"{key} must be a power of two, got 6"):
             parse_config(f"[model]\n{key} = 6\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("variance_floor_factor = -1", "variance_floor_factor must be >= 0, got -1.0"),
+            ("lbg_split_epsilon = 0", "lbg_split_epsilon must be > 0, got 0.0"),
+            ("lbg_split_epsilon = -0.02", "lbg_split_epsilon must be > 0, got -0.02"),
+        ],
+        ids=["negative-floor", "zero-epsilon", "negative-epsilon"],
+    )
+    def test_model_schedule_out_of_range(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_config(f"[model]\n{text}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[preprocess]\nframe_len = 300\n",
+             "frame_len = 300 must not exceed [spectral] fft_size = 256"),
+            ("[preprocess]\nframe_len = 300\n[spectral]\nkind = lfcc\n",
+             "frame_len = 300 must not exceed [spectral] fft_size = 256"),
+            ("[preprocess]\nframe_len = 128\n[spectral]\nfft_size = 64\n",
+             "frame_len = 128 must not exceed [spectral] fft_size = 64"),
+            ("[preprocess]\nframe_len = 16\nframe_shift = 8\n",
+             "frame_len = 16 must exceed [residual] lp_order = 17"),
+            ("[preprocess]\nframe_len = 160\n[residual]\nlp_order = 160\n",
+             "frame_len = 160 must exceed [residual] lp_order = 160"),
+            ("[preprocess]\nframe_len = 19\nframe_shift = 8\n[spectral]\nkind = lpcc\n",
+             "frame_len = 19 must exceed [spectral] lpcc_lp_order = 19"),
+        ],
+        ids=["mfcc-fft", "lfcc-fft", "fft-size", "residual-order", "residual-order-equal",
+             "lpcc-order"],
+    )
+    def test_frame_len_must_fit_orders_and_fft(self, text, message):
+        """A frame that no predictor or FFT can take is rejected when the
+        config is read, naming both keys, before any audio is read."""
+        with pytest.raises(ValueError, match=re.escape(f"[preprocess] {message}")):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[preprocess]\nframe_len = 256\n",
+            "[preprocess]\nframe_len = 18\nframe_shift = 8\n",
+            "[preprocess]\nframe_len = 300\n[spectral]\nkind = lpcc\n",
+            "[model]\nvariance_floor_factor = 0\n",
+        ],
+        ids=["fft-size", "above-order", "lpcc-ignores-fft", "zero-floor"],
+    )
+    def test_values_at_the_limits_accepted(self, text):
+        parse_config(text)

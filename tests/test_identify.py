@@ -134,19 +134,6 @@ class TestScoreUtterance:
             score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 3)),
                             (spectral, residual))
 
-    def test_per_frame_average_mode(self):
-        rng = np.random.default_rng(86)
-        model_set = make_model_set(rng, ["a"])
-        spectral = rng.uniform(-1, 1, (20, 4))
-        residual = rng.uniform(-1, 1, (20, 3))
-        banks = stack_models(model_set)
-        summed = score_utterance(spectral, residual, banks, 0.5)
-        averaged = score_utterance(spectral, residual, banks, 0.5,
-                                   per_frame_average=True)
-        assert averaged.scores[0, SPECTRAL] == pytest.approx(
-            summed.scores[0, SPECTRAL] / 20.0, rel=1e-12
-        )
-
 
 class TestIdentify:
     def test_single_speaker(self):
