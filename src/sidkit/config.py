@@ -195,7 +195,20 @@ def parse_config(text: str) -> ToolkitConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
 
-    getters = {"int": parser.getint, "float": parser.getfloat, "str": parser.get}
+    getters = {
+        "int": parser.getint, "float": parser.getfloat, "str": parser.get,
+        "boolean": parser.getboolean,
+    }
+
+    def typed(section: str, key: str, kind: str):
+        try:
+            return getters[kind](section, key)
+        except ValueError:
+            article = "an" if kind == "int" else "a"
+            raise ValueError(
+                f"[{section}] {key} = {parser.get(section, key)!r} is not {article} {kind}"
+            ) from None
+
     kwargs = {}
     for section, cls in _SECTIONS.items():
         known = {f.name: f.type for f in fields(cls)}
@@ -204,7 +217,7 @@ def parse_config(text: str) -> ToolkitConfig:
             for key in parser.options(section):
                 # Older stores and default files hold this removed key, false.
                 if (section, key) == ("fusion", "per_frame_average"):
-                    if parser.getboolean(section, key):
+                    if typed(section, key, "boolean"):
                         raise ValueError(
                             "[fusion] per_frame_average = true is no longer supported: "
                             "stream scores are always sums over frames"
@@ -212,7 +225,7 @@ def parse_config(text: str) -> ToolkitConfig:
                     continue
                 if key not in known:
                     raise ValueError(f"unknown config key [{section}] {key}")
-                values[key] = getters[known[key]](section, key)
+                values[key] = typed(section, key, known[key])
         kwargs[section] = cls(**values)
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -4,10 +4,9 @@ Training is deterministic: binary-splitting vector quantization seeds the
 components, then a fixed number of EM passes refines weights, means, and
 floored diagonal variances.  All densities are evaluated in the log domain.
 
-Scoring, the EM E-step and the log-likelihood trace share one kernel.  With
-precisions ``p = 1/var`` and every vector and mean shifted by ``s``, the mean
-of the component means, the log joint density of vector ``x`` and component
-``m`` is the quadratic form
+Scoring evaluates densities through one quadratic form.  With precisions
+``p = 1/var`` and every vector and mean shifted by ``s``, the log joint
+density of vector ``x`` and component ``m`` is
 
     log w_m + log N(x | mu_m, var_m) = [y*y, y] . A_m + c_m,   y = x - s,
 
@@ -15,19 +14,32 @@ of the component means, the log joint density of vector ``x`` and component
     c_m = log w_m - (D log 2pi + sum log var_m + sum (mu_m - s)^2 p_m) / 2
 
 so a batch of ``N`` vectors costs one ``(N, 2D) x (2D, M)`` product.  Each
-model computes ``s``, ``A`` and ``c`` once.  The shift keeps the expanded
-square from cancelling away the digits of ``x - mu`` when the means sit far
-from the origin relative to their spread.  The product is an ``einsum``, not
-``@``: a BLAS matrix product may block and accumulate differently for one
-row than for many, while ``einsum`` computes every output element as one
-sequential sum over the ``2D`` terms, so a batch scores bit-identically to
-its rows one at a time.  A model keeps ``A`` as ``(M, 2D)`` rows, so the
-einsum's inner loop runs over ``2D``; at the ``M = 8`` of EM that is about
-twice as fast on the spectral stream as the transposed layout.
+model computes ``s`` (the mean of its component means), ``A`` and ``c``
+once, and stores ``A`` as ``(2D, M)`` columns.  The shift keeps the
+expanded square from cancelling away the digits of ``x - mu`` when the
+means sit far from the origin relative to their spread.  The product is an
+``einsum``, not ``@``: a BLAS matrix product may block and accumulate
+differently for one row than for many, while ``einsum`` computes every
+output element as one sequential sum over the ``2D`` terms, so a batch
+scores bit-identically to its rows one at a time.
+
+EM uses the same form in other coordinates.  Every training vector is
+shifted once by the training-data mean, and ``[y*y, y, 1]`` is built once;
+the rows ``[A_m, c_m]`` are that vector's coefficients.  Each pass is then
+two BLAS products: the E-step's ``(M, 2D+1) x (2D+1, N)`` joint, laid out
+components by vectors so every reduction over components runs over rows,
+and the M-step's ``resp x [y*y, y, 1]``, which gives every component's
+shifted second and first moments and its total responsibility at once.
+Variances come from moments about a point inside the data, which cancel
+less than moments about the origin.  EM needs no batch-equals-rows
+property, and it stays deterministic because canonical ordering fixes its
+input.  LBG refines its codebook with Lloyd passes that stop when a pass
+reassigns no vector; every distance it compares keeps the bits of the
+plain ``|x|^2 - 2 x.c + |c|^2`` evaluation.
 
 The sum over components is a max-shifted log-sum-exp in numpy.  Each
 argument of its ``exp`` (and of the EM responsibilities' ``exp(joint -
-log p(x))``) is first raised to ``_EXP_FLOOR = -700``.  numpy's ``exp``
+max joint)``) is first raised to ``_EXP_FLOOR = -700``.  numpy's ``exp``
 leaves its vector loop for a scalar path, 20-80x slower per element, on any
 element whose result underflows, below about -708; far components shifted
 by a speaker's best one land there often (up to a third of a bank's terms).
@@ -42,9 +54,9 @@ product scores a batch against every speaker.  Its ``S*M`` components are
 component-major (column ``m*S + s`` is component ``m`` of speaker ``s``),
 the ``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the log-sum-exp runs
 over its middle axis, which numpy reduces faster than a short last axis.
-The bank stores ``A`` transposed and contiguous, ``(2D, S*M)``, so the
-einsum's inner loop runs over the ``S*M`` components, hundreds long, with
-each output element still one sequential sum over ``2D``.  The bank has one
+The bank stores ``A`` as ``(2D, S*M)``, like a model, so the einsum's
+inner loop runs over the ``S*M`` components, hundreds long, with each
+output element still one sequential sum over ``2D``.  The bank has one
 shift, the mean of all ``S*M`` component means, computed by the same helper
 as a model's.  Beyond the rounding of the score itself, trading a speaker's
 own shift for the bank's costs about ``eps * sum_d delta_d**2 / var_d``
@@ -57,6 +69,7 @@ dimension constant, at the variance floor, at different values push it to
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,34 +132,42 @@ class GmmModel:
     @cached_property
     def _quadratic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shift, matrix and constant of the quadratic form; computed once per model."""
-        return _quadratic_form_of(self.weights, self.means, self.variances)
+        return _shifted_form(self.weights, self.means, self.variances)
 
 
 def _quadratic_form_of(
-    weights: np.ndarray, means: np.ndarray, variances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shift ``s`` (D,), matrix ``A`` (K, 2D) and constant ``c`` (K,) of the
-    quadratic form in the module docstring for K components, ``s`` being the
-    mean of their means."""
-    shift = means.mean(axis=0)
-    centred = means - shift
+    weights: np.ndarray, offsets: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """Rows ``[A_m, c_m]`` (K, 2D + 1) of the quadratic form in the module
+    docstring for K components whose means lie at ``offsets`` (K, D) from
+    the shift: the coefficients of ``[y*y, y, 1]``."""
     precisions = 1.0 / variances
-    form = np.hstack([-0.5 * precisions, centred * precisions])
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
     const = log_weights - 0.5 * (
-        means.shape[1] * LOG_TWO_PI
-        + np.sum(np.log(variances), axis=1)
-        + np.sum(centred * centred * precisions, axis=1)
+        offsets.shape[1] * LOG_TWO_PI
+        + np.log(variances).sum(axis=1)
+        + (offsets * offsets * precisions).sum(axis=1)
     )
-    return shift, form, const
+    return np.concatenate([-0.5 * precisions, offsets * precisions, const[:, None]], axis=1)
+
+
+def _shifted_form(
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shift ``s`` (D,), the mean of the K component means, then the
+    contiguous ``(2D, K)`` matrix ``A`` and the constant ``c`` (K,) of the
+    quadratic form about it."""
+    shift = means.mean(axis=0)
+    rows = _quadratic_form_of(weights, means - shift, variances)
+    return shift, np.ascontiguousarray(rows[:, :-1].T), rows[:, -1]
 
 
 class ModelBank:
     """The models of one stream, one per speaker, stacked for scoring.
 
     ``speakers`` is sorted; ``num_components`` counts all ``S*M`` stacked
-    Gaussians.  The quadratic form's matrix is stored ``(2D, S*M)``: column
+    Gaussians.  The quadratic form's matrix is ``(2D, S*M)``: column
     ``m*S + s`` is component ``m`` of speaker ``speakers[s]``, and one shift
     serves every speaker (see the module docstring).
 
@@ -170,41 +191,47 @@ class ModelBank:
                 )
         self.dim = first.dim
         self.num_components = len(stacked) * first.num_components
-        shift, form, const = _quadratic_form_of(
+        self._quadratic_form = _shifted_form(
             np.stack([m.weights for m in stacked], axis=1).reshape(-1),
             np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim),
             np.stack([m.variances for m in stacked], axis=1).reshape(-1, self.dim),
         )
-        self._quadratic_form = shift, np.ascontiguousarray(form.T), const
 
 
 def _canonical_order(features: np.ndarray) -> np.ndarray:
     """Rows sorted lexicographically: makes every accumulation during
     training independent of the caller's vector order, so permuting the
-    training set yields a bit-identical model."""
-    return features[np.lexsort(features.T[::-1])]
+    training set yields a bit-identical model.
+
+    A stable sort on column 0 is that order when column 0 strictly
+    increases after it; only a tie (or a NaN) there needs the full lexsort."""
+    order = np.argsort(features[:, 0], kind="stable")
+    first = features[order, 0]
+    if not np.all(first[1:] > first[:-1]):
+        order = np.lexsort(features.T[::-1])
+    return features[order]
 
 
 def variance_floor(features: np.ndarray, factor: float) -> np.ndarray:
     """Per-dimension floor: factor times the global variance of the data."""
-    features = np.asarray(features, dtype=np.float64)
-    global_var = features.var(axis=0)
-    floor = factor * global_var
+    return _floor_of(np.asarray(features, dtype=np.float64).var(axis=0), factor)
+
+
+def _floor_of(global_var: np.ndarray, factor: float) -> np.ndarray:
     # Guard constant dimensions so variances stay strictly positive.
-    return np.maximum(floor, 1e-12)
+    return np.maximum(factor * global_var, 1e-12)
 
 
 def _nearest_centroid(
-    features: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+    scaled: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
-    """Index of each vector's nearest centroid; ``sq_norms`` holds the
-    vectors' squared norms, which stay fixed while the centroids move."""
-    sq = (
-        sq_norms[:, None]
-        - 2.0 * features @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.argmin(sq, axis=1)
+    """Index of each vector's nearest centroid.  ``scaled`` is ``-2 *
+    features`` and ``sq_norms`` the vectors' squared norms as a column;
+    both stay fixed while the centroids move.  Scaling by -2 is exact, so
+    every distance has the bits of ``|x|^2 - 2 x.c + |c|^2``."""
+    sq = sq_norms + scaled @ centroids.T
+    sq += (centroids * centroids).sum(axis=1)
+    return sq.argmin(axis=1)
 
 
 def _reseed_empty_cells(features, centroids, labels, empty):
@@ -224,25 +251,40 @@ def _cell_means(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) ->
     two agree bit for bit (1-D data aside, where numpy sums pairwise).
     """
     dim = features.shape[1]
-    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(bins, weights=features.ravel(), minlength=counts.size * dim)
+    # Row j of the table holds cell j's bins; taking rows is the fast gather.
+    bins = np.arange(counts.size * dim).reshape(counts.size, dim).take(labels, axis=0)
+    sums = np.bincount(bins.ravel(), weights=features.ravel(), minlength=counts.size * dim)
     return sums.reshape(counts.size, dim) / np.maximum(counts, 1)[:, None]
 
 
-def _kmeans(features: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Lloyd passes until centroid movement < tolerance or the pass limit."""
+def _kmeans(
+    features: np.ndarray, scaled: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lloyd passes until centroid movement < tolerance or the pass limit.
+
+    Returns the centroids and, when a pass computed them, their labels.  A
+    pass whose labels equal the previous pass's stops at once: the centroids
+    were computed from those very labels, so the pass would return them bit
+    for bit, a move of 0."""
+    labels = None
     for _ in range(_KMEANS_MAX_PASSES):
-        labels = _nearest_centroid(features, sq_norms, centroids)
+        new_labels = _nearest_centroid(scaled, sq_norms, centroids)
+        if labels is not None and (new_labels == labels).all():
+            return centroids, labels
+        labels = new_labels
         counts = np.bincount(labels, minlength=centroids.shape[0])
         new_centroids = _cell_means(features, labels, counts)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
+        if counts.min() == 0:
+            empty = np.flatnonzero(counts == 0)
             new_centroids = _reseed_empty_cells(features, new_centroids, labels, empty)
-        move = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        step = new_centroids - centroids
+        step *= step
+        # The largest row norm: sqrt is monotone, so this is max(norm(step)).
+        move = math.sqrt(step.sum(axis=1).max())
         centroids = new_centroids
         if move < _KMEANS_MOVE_TOL:
             break
-    return centroids
+    return centroids, None
 
 
 def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> GmmModel:
@@ -267,22 +309,26 @@ def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> Gmm
             f"{features.shape[0]} vectors for {num_components} components"
         )
     features = _canonical_order(features)
-    sq_norms = np.sum(features**2, axis=1)
-    floor = variance_floor(features, cfg.variance_floor_factor)
-    delta = cfg.lbg_split_epsilon * np.sqrt(features.var(axis=0))
+    scaled = -2.0 * features
+    sq_norms = np.sum(features**2, axis=1)[:, None]
+    global_var = features.var(axis=0)
+    floor = _floor_of(global_var, cfg.variance_floor_factor)
+    delta = cfg.lbg_split_epsilon * np.sqrt(global_var)
     centroids = features.mean(axis=0, keepdims=True)
+    labels = None
     while centroids.shape[0] < num_components:
         centroids = np.vstack([centroids + delta, centroids - delta])
-        centroids = _kmeans(features, sq_norms, centroids)
+        centroids, labels = _kmeans(features, scaled, sq_norms, centroids)
 
-    labels = _nearest_centroid(features, sq_norms, centroids)
+    if labels is None:
+        labels = _nearest_centroid(scaled, sq_norms, centroids)
     counts = np.bincount(labels, minlength=num_components)
     for _ in range(10):
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
+        if counts.min() > 0:
             break
+        empty = np.flatnonzero(counts == 0)
         centroids = _reseed_empty_cells(features, centroids, labels, empty)
-        labels = _nearest_centroid(features, sq_norms, centroids)
+        labels = _nearest_centroid(scaled, sq_norms, centroids)
         counts = np.bincount(labels, minlength=num_components)
     else:
         raise InsufficientData("could not populate every cell; too few distinct vectors")
@@ -326,14 +372,12 @@ def _logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _log_joint(
-    features: np.ndarray, shift: np.ndarray, form: np.ndarray, const: np.ndarray,
-    form_axes: str = "mk",
+    features: np.ndarray, shift: np.ndarray, form: np.ndarray, const: np.ndarray
 ) -> np.ndarray:
     """log w_m + log N(x_n | component m) for a batch: shape (num_vectors, K),
-    from the quadratic form ``(shift, form, const)``; ``form_axes`` is
-    ``"mk"`` for a ``(K, 2D)`` form, ``"km"`` for a bank's ``(2D, K)`` one."""
+    from the quadratic form ``(shift, form, const)``, ``form`` being ``(2D, K)``."""
     y = features - shift
-    joint = np.einsum(f"nk,{form_axes}->nm", np.hstack([y * y, y]), form)
+    joint = np.einsum("nk,km->nm", np.hstack([y * y, y]), form)
     joint += const
     return joint
 
@@ -349,7 +393,7 @@ def gmm_log_likelihoods(features: np.ndarray, model: GmmModel | ModelBank) -> np
     model, (N, S) under a bank of S speakers."""
     features = np.asarray(features, dtype=np.float64)
     if isinstance(model, ModelBank):
-        joint = _log_joint(features, *model._quadratic_form, form_axes="km")
+        joint = _log_joint(features, *model._quadratic_form)
         return _logsumexp(joint.reshape(joint.shape[0], -1, len(model.speakers)), axis=1)
     return _logsumexp(_log_joint(features, *model._quadratic_form))
 
@@ -362,11 +406,14 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
     variances.  A component whose total responsibility collapses is
     re-seeded on the worst-scoring vector and training continues.
 
+    Means and moments are kept about the training-data mean (module
+    docstring).
+
     Returns the final model with the log-likelihood trace attached
     (initial value plus one per pass).
     """
     features = np.asarray(features, dtype=np.float64)
-    num = features.shape[0]
+    num, dim = features.shape
     if num < 10 * init.num_components:
         warnings.warn(
             f"only {num} vectors for {init.num_components} components; "
@@ -374,37 +421,44 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
             stacklevel=2,
         )
     features = _canonical_order(features)
-    squares = features**2
-    floor = variance_floor(features, cfg.variance_floor_factor)
-    global_var = np.maximum(features.var(axis=0), floor)
+    centre = features.mean(axis=0)
+    shifted = features - centre
+    # [y*y, y, 1]: the E-step's inputs, and the M-step's moments and totals.
+    stats = np.hstack([shifted * shifted, shifted, np.ones((num, 1))])
+    data_var = features.var(axis=0)
+    floor = _floor_of(data_var, cfg.variance_floor_factor)
+    global_var = np.maximum(data_var, floor)
 
-    weights, means, variances = init.weights, init.means, init.variances
+    weights, offsets, variances = init.weights, init.means - centre, init.variances
     trace = []
     for iteration in range(cfg.em_iterations + 1):
-        joint = _log_joint(features, *_quadratic_form_of(weights, means, variances))
-        per_vector = _logsumexp(joint)
+        # Components along axis 0, so every reduction over them runs over rows.
+        joint = _quadratic_form_of(weights, offsets, variances) @ stats.T
+        peak = joint.max(axis=0)
+        joint -= peak
+        resp = _exp_clamped(joint)
+        density = resp.sum(axis=0)
+        per_vector = np.log(density) + peak
         trace.append(float(per_vector.sum()))
         if iteration == cfg.em_iterations:
             break
-        joint -= per_vector[:, None]
-        resp = _exp_clamped(joint)
-        totals = resp.sum(axis=0)
+        resp /= density
+        moments = resp @ stats
+        totals = moments[:, -1]
+        weights = totals / num
 
         # Dividing by the clamped totals leaves live components exact and
         # keeps collapsed ones finite until they are re-seeded below.
-        clamped = np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
-        weights = totals / num
-        means = (resp.T @ features) / clamped
-        second = (resp.T @ squares) / clamped
-        variances = np.maximum(second - means**2, floor)
-        collapsed = np.flatnonzero(totals < COLLAPSE_THRESHOLD)
-        if collapsed.size:
+        moments[:, :-1] /= np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
+        offsets = moments[:, dim:-1]
+        variances = np.maximum(moments[:, :dim] - offsets * offsets, floor)
+        if totals.min() < COLLAPSE_THRESHOLD:
             worst = np.argsort(per_vector, kind="stable")
-            for slot, j in enumerate(collapsed):
-                means[j] = features[worst[slot % num]]
+            for slot, j in enumerate(np.flatnonzero(totals < COLLAPSE_THRESHOLD)):
+                offsets[j] = shifted[worst[slot % num]]
                 variances[j] = global_var
                 weights[j] = 1.0 / num
             weights = weights / weights.sum()
 
-    return GmmModel(weights=weights, means=means, variances=variances,
+    return GmmModel(weights=weights, means=offsets + centre, variances=variances,
                     em_log_likelihoods=tuple(trace))

@@ -120,6 +120,9 @@ class ModelStore:
         self._config: ToolkitConfig | None = None
         self._models: dict[str, tuple[GmmModel, GmmModel]] | None = None
         self._banks: tuple[ModelBank, ModelBank] | None = None
+        # Whether the store holds no record yet, so that the next save must
+        # (re)write config.ini first; None until bind or the first save asks.
+        self._empty: bool | None = None
         config = self.path / CONFIG_NAME
         if config.exists():
             try:
@@ -149,7 +152,8 @@ class ModelStore:
             ConfigMismatch, SampleRateMismatch: its models were trained
                 under another config or at another rate.
         """
-        if self._record_names():
+        self._empty = not self._record_names()
+        if not self._empty:
             if self.config != cfg:
                 pairs = zip(*(render_config(c).splitlines() for c in (self.config, cfg)))
                 changed = "; ".join(f"{a} (not {b.split(' = ')[1]})" for a, b in pairs if a != b)
@@ -203,11 +207,14 @@ class ModelStore:
         the config left by a train that failed before writing any record is
         never taken for the records' own."""
         kind = self.kind(stream)
-        if not self._record_names():
+        if self._empty is None:
+            self._empty = not self._record_names()
+        if self._empty:
             self.path.mkdir(parents=True, exist_ok=True)
             text = f"{RATE_PREFIX} {self.sample_rate}\n" + render_config(self.config)
             _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
         _write_atomic(self.path / self._filename(speaker, stream), model_to_bytes(model, kind))
+        self._empty = False
         self._models = self._banks = None
 
     def load(self, speaker: str, stream: str) -> GmmModel:

@@ -102,6 +102,21 @@ class TestParsing:
         ):
             parse_config(f"[fusion]\neta = 0.5\nper_frame_average = {value}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[preprocess]\nframe_len = twenty\n", "[preprocess] frame_len = 'twenty' is not an int"),
+            ("[model]\nvariance_floor_factor = lots\n",
+             "[model] variance_floor_factor = 'lots' is not a float"),
+            ("[fusion]\nper_frame_average = maybe\n",
+             "[fusion] per_frame_average = 'maybe' is not a boolean"),
+        ],
+        ids=["int", "float", "retired-boolean"],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
     def test_missing_section_header_is_value_error(self):
         with pytest.raises(ValueError, match="malformed config"):
             parse_config("frame_len = 240\n")

@@ -9,10 +9,14 @@ from sidkit.config import ModelConfig
 from sidkit.errors import InsufficientData, SidkitError
 from sidkit.gmm import (
     _EXP_FLOOR,
+    COLLAPSE_THRESHOLD,
+    LOG_TWO_PI,
     GmmModel,
     ModelBank,
+    _canonical_order,
     _cell_means,
     _logsumexp,
+    _reseed_empty_cells,
     component_log_density,
     em_train,
     gmm_log_likelihood,
@@ -20,6 +24,110 @@ from sidkit.gmm import (
     lbg_init,
     variance_floor,
 )
+
+
+# The training loops in their plain form, before the Lloyd fast paths and
+# the one-product EM step: lbg_init must equal the first bit for bit, and
+# em_train the second within EM_RTOL.
+
+
+def _plain_nearest(features, sq_norms, centroids):
+    sq = sq_norms[:, None] - 2.0 * features @ centroids.T + np.sum(centroids**2, axis=1)[None, :]
+    return np.argmin(sq, axis=1)
+
+
+def _plain_kmeans(features, sq_norms, centroids, reseeds):
+    for _ in range(50):
+        labels = _plain_nearest(features, sq_norms, centroids)
+        counts = np.bincount(labels, minlength=centroids.shape[0])
+        new_centroids = _cell_means(features, labels, counts)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            reseeds.append(empty.size)
+            new_centroids = _reseed_empty_cells(features, new_centroids, labels, empty)
+        move = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if move < 1e-6:
+            break
+    return centroids
+
+
+def plain_lbg_init(features, num_components, cfg, reseeds):
+    """(weights, means, variances); appends each empty-cell reseed's size to
+    ``reseeds``."""
+    features = np.asarray(features, dtype=np.float64)
+    features = features[np.lexsort(features.T[::-1])]
+    sq_norms = np.sum(features**2, axis=1)
+    floor = variance_floor(features, cfg.variance_floor_factor)
+    delta = cfg.lbg_split_epsilon * np.sqrt(features.var(axis=0))
+    centroids = features.mean(axis=0, keepdims=True)
+    while centroids.shape[0] < num_components:
+        centroids = np.vstack([centroids + delta, centroids - delta])
+        centroids = _plain_kmeans(features, sq_norms, centroids, reseeds)
+    labels = _plain_nearest(features, sq_norms, centroids)
+    counts = np.bincount(labels, minlength=num_components)
+    for _ in range(10):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size == 0:
+            break
+        reseeds.append(empty.size)
+        centroids = _reseed_empty_cells(features, centroids, labels, empty)
+        labels = _plain_nearest(features, sq_norms, centroids)
+        counts = np.bincount(labels, minlength=num_components)
+    else:
+        raise InsufficientData("could not populate every cell")
+    means = _cell_means(features, labels, counts)
+    scatter = features - means[labels]
+    variances = np.maximum(_cell_means(scatter * scatter, labels, counts), floor)
+    return counts / counts.sum(), means, variances
+
+
+def _plain_log_joint(features, weights, means, variances):
+    """The (N, M) log joint, shifted by the mean of the component means."""
+    shift = means.mean(axis=0)
+    centred = means - shift
+    precisions = 1.0 / variances
+    form = np.hstack([-0.5 * precisions, centred * precisions])
+    const = np.log(weights) - 0.5 * (
+        means.shape[1] * LOG_TWO_PI
+        + np.sum(np.log(variances), axis=1)
+        + np.sum(centred * centred * precisions, axis=1)
+    )
+    y = features - shift
+    return np.einsum("nk,mk->nm", np.hstack([y * y, y]), form) + const
+
+
+def plain_em_train(features, init, cfg):
+    """(weights, means, variances, trace), from unshifted moments."""
+    features = np.asarray(features, dtype=np.float64)
+    num = features.shape[0]
+    features = features[np.lexsort(features.T[::-1])]
+    squares = features**2
+    floor = variance_floor(features, cfg.variance_floor_factor)
+    global_var = np.maximum(features.var(axis=0), floor)
+    weights, means, variances = init.weights, init.means, init.variances
+    trace = []
+    for iteration in range(cfg.em_iterations + 1):
+        joint = _plain_log_joint(features, weights, means, variances)
+        per_vector = _logsumexp(joint)
+        trace.append(float(per_vector.sum()))
+        if iteration == cfg.em_iterations:
+            break
+        resp = np.exp(np.maximum(joint - per_vector[:, None], _EXP_FLOOR))
+        totals = resp.sum(axis=0)
+        clamped = np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
+        weights = totals / num
+        means = (resp.T @ features) / clamped
+        variances = np.maximum((resp.T @ squares) / clamped - means**2, floor)
+        collapsed = np.flatnonzero(totals < COLLAPSE_THRESHOLD)
+        if collapsed.size:
+            worst = np.argsort(per_vector, kind="stable")
+            for slot, j in enumerate(collapsed):
+                means[j] = features[worst[slot % num]]
+                variances[j] = global_var
+                weights[j] = 1.0 / num
+            weights = weights / weights.sum()
+    return weights, means, variances, trace
 
 
 def two_clouds(rng, n_per=500, dim=3, separation=10.0, std=1.0):
@@ -627,3 +735,123 @@ class TestEmTrain:
                 model = em_train(x, lbg_init(x, m, cfg), cfg)
                 trace = np.asarray(model.em_log_likelihoods)
                 assert np.all(np.diff(trace) >= -1e-8)
+
+
+# Parameters of em_train and plain_em_train differ by rounding only: means
+# relative to the data's spread, variances and weights relative to themselves.
+EM_RTOL = 1e-9
+
+
+def assert_em_close(model, weights, means, variances, spread):
+    np.testing.assert_allclose(model.weights, weights, rtol=EM_RTOL, atol=0)
+    assert np.all(np.abs(model.means - means) <= EM_RTOL * spread)
+    np.testing.assert_allclose(model.variances, variances, rtol=EM_RTOL, atol=0)
+
+
+def clumped(seed):
+    """Duplicated rows with ties in column 0, plus a few outliers; splitting
+    these leaves cells empty for k-means to reseed."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((20, 3))
+    base[:, 0] = np.round(base[:, 0], 1)
+    return np.vstack([base[rng.integers(0, 20, 60)], rng.standard_normal((4, 3)) * 6])
+
+
+class TestTrainingAgainstPlainLoops:
+    """The rewritten LBG and EM loops against their plain forms above."""
+
+    def test_canonical_order_is_the_full_lexsort(self):
+        """Bit for bit, with and without ties in column 0 (a -0.0 and 0.0
+        pair among them), with duplicated rows and with one row."""
+        rng = np.random.default_rng(90)
+        cases = [rng.standard_normal((1, 4)), rng.standard_normal((50, 3)), clumped(91)]
+        ties = rng.standard_normal((40, 2))
+        ties[:, 0] = rng.integers(-3, 3, 40)
+        cases.append(ties)
+        signed_zero = np.array([[0.0, 2.0], [-0.0, 1.0], [1.0, 0.0], [-1.0, 5.0]])
+        cases.append(signed_zero)
+        for x in cases:
+            want = x[np.lexsort(x.T[::-1])]
+            assert _canonical_order(x).tobytes() == want.tobytes()
+        assert _canonical_order(signed_zero)[1:3, 1].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    def test_lbg_init_is_bit_identical(self, m):
+        """Clouds, and clumped data whose k-means passes reseed empty cells."""
+        rng = np.random.default_rng(92)
+        cfg = ModelConfig()
+        datasets = [two_clouds(rng, n_per=100, dim=5)[0], rng.standard_normal((300, 19))]
+        datasets += [clumped(seed) for seed in range(8)]
+        reseeds = []
+        for x in datasets:
+            model = lbg_init(x, m, cfg)
+            weights, means, variances = plain_lbg_init(x, m, cfg, reseeds)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.means.tobytes() == means.tobytes()
+            assert model.variances.tobytes() == variances.tobytes()
+        if m >= 8:
+            assert reseeds
+
+    def test_lbg_init_fails_like_the_plain_loop(self):
+        """Fewer distinct vectors than cells: both reseed, then give up."""
+        rng = np.random.default_rng(93)
+        x = rng.standard_normal((6, 2))[rng.integers(0, 6, 40)]
+        reseeds = []
+        with pytest.raises(InsufficientData, match="could not populate every cell"):
+            plain_lbg_init(x, 8, ModelConfig(), reseeds)
+        assert reseeds
+        with pytest.raises(InsufficientData, match="could not populate every cell"):
+            lbg_init(x, 8, ModelConfig())
+
+    def test_em_train_matches_the_plain_em(self):
+        rng = np.random.default_rng(94)
+        cfg = ModelConfig()
+        for m in (1, 2, 4, 8, 16):
+            for d in (1, 6, 19):
+                x = rng.standard_normal((40 * m, d)) * rng.uniform(0.1, 3.0, d)
+                x += rng.uniform(-3.0, 3.0, d)
+                init = lbg_init(x, m, cfg)
+                model = em_train(x, init, cfg)
+                weights, means, variances, trace = plain_em_train(x, init, cfg)
+                assert_em_close(model, weights, means, variances, x.std(axis=0))
+                np.testing.assert_allclose(model.em_log_likelihoods, trace, rtol=EM_RTOL)
+
+    def test_collapse_matches_the_plain_em(self):
+        """The far component collapses and both loops reseed it alike.  The
+        initial log-likelihood is held to a direct per-component sum instead:
+        the plain loop shifts by the mean of the means, 5e5 here, and loses
+        its digits to cancellation (it is off by 2e-3 nats)."""
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((200, 2))
+        init = GmmModel(weights=np.array([0.5, 0.5]),
+                        means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                        variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        cfg = ModelConfig(em_iterations=10)
+        model = em_train(x, init, cfg)
+        weights, means, variances, trace = plain_em_train(x, init, cfg)
+        assert np.all(np.abs(means) < 10.0)
+        assert_em_close(model, weights, means, variances, x.std(axis=0))
+        np.testing.assert_allclose(model.em_log_likelihoods[1:], trace[1:], rtol=EM_RTOL)
+        direct = sum(
+            np.logaddexp.reduce([np.log(0.5) + component_log_density(v, i, init) for i in (0, 1)])
+            for v in x
+        )
+        assert model.em_log_likelihoods[0] == pytest.approx(direct, rel=1e-14)
+
+    def test_far_off_data_keeps_its_digits(self):
+        """Data at 1e4 with unit spread.  em_train takes its moments about
+        the data's mean, so it matches the plain loop run on centred data;
+        the plain loop's own moments about the origin lose ~eps * 1e8 of
+        every variance and miss that reference by far more than EM_RTOL."""
+        rng = np.random.default_rng(95)
+        cfg = ModelConfig()
+        x = 1e4 + rng.standard_normal((600, 6)) * rng.uniform(0.5, 2.0, 6)
+        init = lbg_init(x, 8, cfg)
+        centre = x.mean(axis=0)
+        centred_init = GmmModel(weights=init.weights, means=init.means - centre,
+                                variances=init.variances)
+        weights, means, variances, _ = plain_em_train(x - centre, centred_init, cfg)
+        model = em_train(x, init, cfg)
+        assert_em_close(model, weights, means + centre, variances, x.std(axis=0))
+        _, _, uncentred, _ = plain_em_train(x, init, cfg)
+        assert np.max(np.abs(uncentred - variances) / variances) > 100 * EM_RTOL

@@ -1,5 +1,6 @@
 """Binary model records and the directory-backed model store."""
 
+import os
 import re
 from pathlib import Path
 
@@ -322,6 +323,25 @@ class TestModelStore:
             "alice__spectral.gmm": "lfcc", "alice__residual.gmm": "residual_moments",
             "bob__spectral.gmm": "lfcc",
         }
+
+    def test_saves_do_not_list_the_store(self, tmp_path, monkeypatch):
+        """Whether config.ini must be written is decided once, by bind or by
+        a reopened store's first save, not by listing the store per record."""
+        rng = np.random.default_rng(76)
+        listed = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or real_listdir(path))
+        path = tmp_path / "store"
+        path.mkdir()
+        store = bound_store(path)
+        for i in range(10):
+            store.save(f"spk{i}", "spectral", random_model(rng))
+        assert len(listed) == 1
+        reopened = ModelStore(path)
+        for i in range(10):
+            reopened.save(f"spk{i}", "residual", random_model(rng))
+        assert len(listed) == 2
+        assert reopened.speakers() == [f"spk{i}" for i in range(10)]
 
     def test_torn_record_write_keeps_previous_store(self, tmp_path, monkeypatch):
         """A save whose record write fails halfway, of a new speaker or over an
