@@ -189,7 +189,8 @@ eta = 0.5
 
 def parse_config(text: str) -> ToolkitConfig:
     """Parse INI-style configuration text, falling back to defaults per key."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a "%" in a value is the value, not a substitution.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:

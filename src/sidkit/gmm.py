@@ -4,38 +4,34 @@ Training is deterministic: binary-splitting vector quantization seeds the
 components, then a fixed number of EM passes refines weights, means, and
 floored diagonal variances.  All densities are evaluated in the log domain.
 
-Scoring evaluates densities through one quadratic form.  With precisions
-``p = 1/var`` and every vector and mean shifted by ``s``, the log joint
-density of vector ``x`` and component ``m`` is
+EM and scoring evaluate densities through one quadratic form.  With
+precisions ``p = 1/var`` and every vector and mean shifted by ``s``, the log
+joint density of vector ``x`` and component ``m`` is
 
-    log w_m + log N(x | mu_m, var_m) = [y*y, y] . A_m + c_m,   y = x - s,
+    log w_m + log N(x | mu_m, var_m) = [y*y, y, 1] . [A_m, c_m],   y = x - s,
 
     A_m = [-p_m / 2,  (mu_m - s) * p_m]                        (2D,)
     c_m = log w_m - (D log 2pi + sum log var_m + sum (mu_m - s)^2 p_m) / 2
 
-so a batch of ``N`` vectors costs one ``(N, 2D) x (2D, M)`` product.  Each
-model computes ``s`` (the mean of its component means), ``A`` and ``c``
-once, and stores ``A`` as ``(2D, M)`` columns.  The shift keeps the
-expanded square from cancelling away the digits of ``x - mu`` when the
-means sit far from the origin relative to their spread.  The product is an
-``einsum``, not ``@``: a BLAS matrix product may block and accumulate
-differently for one row than for many, while ``einsum`` computes every
-output element as one sequential sum over the ``2D`` terms, so a batch
-scores bit-identically to its rows one at a time.
+so once ``_stats`` has built ``[y*y, y, 1]`` for a batch of ``N`` vectors,
+one BLAS product with the rows ``[A_m, c_m]`` gives every log joint.  The
+shift keeps the expanded square from cancelling away the digits of ``x -
+mu`` when the means sit far from the origin relative to their spread.  A
+BLAS product may block and accumulate differently for one row than for
+many, so a batch scores within a few ulps of its rows one at a time, not
+bit for bit; the same inputs in the same shapes always give the same bits.
 
-EM uses the same form in other coordinates.  Every training vector is
-shifted once by the training-data mean, and ``[y*y, y, 1]`` is built once;
-the rows ``[A_m, c_m]`` are that vector's coefficients.  Each pass is then
-two BLAS products: the E-step's ``(M, 2D+1) x (2D+1, N)`` joint, laid out
-components by vectors so every reduction over components runs over rows,
-and the M-step's ``resp x [y*y, y, 1]``, which gives every component's
-shifted second and first moments and its total responsibility at once.
-Variances come from moments about a point inside the data, which cancel
-less than moments about the origin.  EM needs no batch-equals-rows
-property, and it stays deterministic because canonical ordering fixes its
-input.  LBG refines its codebook with Lloyd passes that stop when a pass
-reassigns no vector; every distance it compares keeps the bits of the
-plain ``|x|^2 - 2 x.c + |c|^2`` evaluation.
+EM shifts every training vector once by the training-data mean and builds
+``[y*y, y, 1]`` once.  Each pass is then two products: the E-step's ``(M,
+2D+1) x (2D+1, N)`` joint, laid out components by vectors so every
+reduction over components runs over rows, and the M-step's ``resp x [y*y,
+y, 1]``, which gives every component's shifted second and first moments
+and its total responsibility at once.  Variances come from moments about a
+point inside the data, which cancel less than moments about the origin.
+EM stays deterministic because canonical ordering fixes its input.  LBG
+refines its codebook with Lloyd passes that stop when a pass reassigns no
+vector; every distance it compares keeps the bits of the plain ``|x|^2 -
+2 x.c + |c|^2`` evaluation.
 
 The sum over components is a max-shifted log-sum-exp in numpy.  Each
 argument of its ``exp`` (and of the EM responsibilities' ``exp(joint -
@@ -50,21 +46,19 @@ below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
 ``-inf`` is set to ``-inf`` explicitly.
 
 A ``ModelBank`` stacks the S same-shaped models of one stream, so that one
-product scores a batch against every speaker.  Its ``S*M`` components are
-component-major (column ``m*S + s`` is component ``m`` of speaker ``s``),
-the ``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the log-sum-exp runs
-over its middle axis, which numpy reduces faster than a short last axis.
-The bank stores ``A`` as ``(2D, S*M)``, like a model, so the einsum's
-inner loop runs over the ``S*M`` components, hundreds long, with each
-output element still one sequential sum over ``2D``.  The bank has one
-shift, the mean of all ``S*M`` component means, computed by the same helper
-as a model's.  Beyond the rounding of the score itself, trading a speaker's
-own shift for the bank's costs about ``eps * sum_d delta_d**2 / var_d``
-nats per vector, ``delta`` being the gap between the two shifts.  On
-trained stores of the synthetic corpora that kept every utterance total
-within 5e-13 of the per-model kernel, relatively; speakers that hold one
-dimension constant, at the variance floor, at different values push it to
-~1e-7 nats, which the tests pin against this bound.
+product scores a batch against every speaker; a lone ``GmmModel`` is scored
+as a bank of one.  The bank's ``S*M`` components are component-major
+(column ``m*S + s`` is component ``m`` of speaker ``s``) in one contiguous
+``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is viewed as ``(N, M, S)``,
+and the log-sum-exp runs over its middle axis, which numpy reduces faster
+than a short last axis.  The bank has one shift, the mean of all ``S*M``
+component means.  Beyond the rounding of the score itself, trading a
+speaker's own shift for the bank's costs about ``eps * sum_d delta_d**2 /
+var_d`` nats per vector, ``delta`` being the gap between the two shifts.
+On trained stores of the synthetic corpora that kept every utterance total
+within 5e-13 of scoring each model alone, relatively; speakers that hold
+one dimension constant, at the variance floor, at different values push it
+to ~1e-7 nats, which the tests pin against this bound.
 """
 
 from __future__ import annotations
@@ -72,7 +66,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -129,11 +122,6 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @cached_property
-    def _quadratic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shift, matrix and constant of the quadratic form; computed once per model."""
-        return _shifted_form(self.weights, self.means, self.variances)
-
 
 def _quadratic_form_of(
     weights: np.ndarray, offsets: np.ndarray, variances: np.ndarray
@@ -152,24 +140,19 @@ def _quadratic_form_of(
     return np.concatenate([-0.5 * precisions, offsets * precisions, const[:, None]], axis=1)
 
 
-def _shifted_form(
-    weights: np.ndarray, means: np.ndarray, variances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shift ``s`` (D,), the mean of the K component means, then the
-    contiguous ``(2D, K)`` matrix ``A`` and the constant ``c`` (K,) of the
-    quadratic form about it."""
-    shift = means.mean(axis=0)
-    rows = _quadratic_form_of(weights, means - shift, variances)
-    return shift, np.ascontiguousarray(rows[:, :-1].T), rows[:, -1]
+def _stats(shifted: np.ndarray) -> np.ndarray:
+    """``[y*y, y, 1]`` (N, 2D + 1) for shifted vectors ``y`` (N, D): the
+    terms whose coefficients are the rows ``[A_m, c_m]``."""
+    return np.hstack([shifted * shifted, shifted, np.ones((shifted.shape[0], 1))])
 
 
 class ModelBank:
     """The models of one stream, one per speaker, stacked for scoring.
 
     ``speakers`` is sorted; ``num_components`` counts all ``S*M`` stacked
-    Gaussians.  The quadratic form's matrix is ``(2D, S*M)``: column
-    ``m*S + s`` is component ``m`` of speaker ``speakers[s]``, and one shift
-    serves every speaker (see the module docstring).
+    Gaussians.  The quadratic form is ``(2D+1, S*M)``: column ``m*S + s``
+    holds ``[A_m, c_m]`` of speaker ``speakers[s]``, and one shift serves
+    every speaker (see the module docstring).
 
     Raises:
         ValueError: no models.
@@ -191,11 +174,13 @@ class ModelBank:
                 )
         self.dim = first.dim
         self.num_components = len(stacked) * first.num_components
-        self._quadratic_form = _shifted_form(
+        means = np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim)
+        self._shift = means.mean(axis=0)
+        self._form = np.ascontiguousarray(_quadratic_form_of(
             np.stack([m.weights for m in stacked], axis=1).reshape(-1),
-            np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim),
+            means - self._shift,
             np.stack([m.variances for m in stacked], axis=1).reshape(-1, self.dim),
-        )
+        ).T)
 
 
 def _canonical_order(features: np.ndarray) -> np.ndarray:
@@ -371,31 +356,19 @@ def _logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(empty, -np.inf, np.log(total) + np.squeeze(peak, axis=axis))
 
 
-def _log_joint(
-    features: np.ndarray, shift: np.ndarray, form: np.ndarray, const: np.ndarray
-) -> np.ndarray:
-    """log w_m + log N(x_n | component m) for a batch: shape (num_vectors, K),
-    from the quadratic form ``(shift, form, const)``, ``form`` being ``(2D, K)``."""
-    y = features - shift
-    joint = np.einsum("nk,km->nm", np.hstack([y * y, y]), form)
-    joint += const
-    return joint
-
-
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
     """log p(x | model) for one vector: the one-row case of the batch kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(_logsumexp(_log_joint(x[None, :], *model._quadratic_form))[0])
+    return float(gmm_log_likelihoods(np.asarray(x, dtype=np.float64)[None, :], model)[0])
 
 
 def gmm_log_likelihoods(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
-    """Per-vector log-likelihoods for a feature matrix: shape (N,) under a
-    model, (N, S) under a bank of S speakers."""
-    features = np.asarray(features, dtype=np.float64)
-    if isinstance(model, ModelBank):
-        joint = _log_joint(features, *model._quadratic_form)
-        return _logsumexp(joint.reshape(joint.shape[0], -1, len(model.speakers)), axis=1)
-    return _logsumexp(_log_joint(features, *model._quadratic_form))
+    """Per-vector log-likelihoods for a feature matrix: shape (N, S) under a
+    bank of S speakers, (N,) under a model, which is scored as a bank of one."""
+    if isinstance(model, GmmModel):
+        return gmm_log_likelihoods(features, ModelBank({"": model}))[:, 0]
+    speakers = len(model.speakers)
+    joint = _stats(np.asarray(features, dtype=np.float64) - model._shift) @ model._form
+    return _logsumexp(joint.reshape(-1, model.num_components // speakers, speakers), axis=1)
 
 
 def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:
@@ -424,7 +397,7 @@ def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel
     centre = features.mean(axis=0)
     shifted = features - centre
     # [y*y, y, 1]: the E-step's inputs, and the M-step's moments and totals.
-    stats = np.hstack([shifted * shifted, shifted, np.ones((num, 1))])
+    stats = _stats(shifted)
     data_var = features.var(axis=0)
     floor = _floor_of(data_var, cfg.variance_floor_factor)
     global_var = np.maximum(data_var, floor)

@@ -34,6 +34,7 @@ from sidkit.errors import (
     UnsupportedFormat,
 )
 from sidkit.frontend import AudioSignal
+from sidkit.gmm import _logsumexp
 from sidkit.identify import (
     COMBINED,
     RESIDUAL,
@@ -394,3 +395,29 @@ def test_identify_and_evaluate_give_the_same_scores(synthetic_corpus, trained_st
             assert record[f"{key}_scores"] == {
                 "spectral": s[SPECTRAL], "residual": s[RESIDUAL], "combined": s[COMBINED]
             }
+
+
+def _term_by_term_totals(features, bank):
+    """Each speaker's log-likelihood total from ``bank``'s quadratic form,
+    every log joint summed term by term (``einsum``), not by BLAS blocks."""
+    y = features - bank._shift
+    joint = np.einsum("nk,km->nm", np.hstack([y * y, y, np.ones((len(y), 1))]), bank._form)
+    return _logsumexp(joint.reshape(len(y), -1, len(bank.speakers)), axis=1).sum(axis=0)
+
+
+def test_record_scores_match_a_term_by_term_sum(synthetic_corpus, trained_store, evaluation):
+    """Every record's scores agree within 1e-12 relative with the same
+    quadratic form summed term by term: the BLAS product moves only the
+    last bits of a score."""
+    run, _, _ = evaluation
+    by_utt = {r["utterance_id"]: r for r in run.records}
+    banks = trained_store.banks()
+    for entry in synthetic_corpus.test_entries:
+        features = extract_streams(load_audio(entry.path), trained_store.config)
+        totals = np.column_stack([_term_by_term_totals(f, b) for f, b in zip(features, banks)])
+        record = by_utt[entry.utterance_id]
+        for key in ("decided", "true"):
+            spectral, residual = totals[banks[0].speakers.index(record[f"{key}_id"])]
+            want = [spectral, residual, run.eta * spectral + (1.0 - run.eta) * residual]
+            got = [record[f"{key}_scores"][c] for c in ("spectral", "residual", "combined")]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -106,16 +106,22 @@ class TestParsing:
         "text, message",
         [
             ("[preprocess]\nframe_len = twenty\n", "[preprocess] frame_len = 'twenty' is not an int"),
+            ("[preprocess]\nframe_len = 1%\n", "[preprocess] frame_len = '1%' is not an int"),
             ("[model]\nvariance_floor_factor = lots\n",
              "[model] variance_floor_factor = 'lots' is not a float"),
             ("[fusion]\nper_frame_average = maybe\n",
              "[fusion] per_frame_average = 'maybe' is not a boolean"),
         ],
-        ids=["int", "float", "retired-boolean"],
+        ids=["int", "percent-int", "float", "retired-boolean"],
     )
     def test_value_of_the_wrong_type_names_its_key(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(text)
+
+    def test_percent_is_read_literally(self):
+        """No interpolation: ``%(x)s`` is part of the value, not a reference."""
+        with pytest.raises(ValueError, match=re.escape("got 'mf%(x)s'")):
+            parse_config("[spectral]\nkind = mf%(x)s\n")
 
     def test_missing_section_header_is_value_error(self):
         with pytest.raises(ValueError, match="malformed config"):

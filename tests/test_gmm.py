@@ -320,6 +320,8 @@ class TestGmmLogLikelihood:
         assert checked > 1000
 
     def test_batch_equals_per_vector(self):
+        """A batch scores within a few ulps of its rows one at a time: the
+        BLAS product may accumulate one row differently from many."""
         rng = np.random.default_rng(50)
         model = GmmModel(weights=np.array([0.4, 0.6]),
                          means=rng.uniform(-1, 1, (2, 5)),
@@ -327,7 +329,7 @@ class TestGmmLogLikelihood:
         xs = rng.uniform(-2, 2, (50, 5))
         batch = gmm_log_likelihoods(xs, model)
         singles = np.array([gmm_log_likelihood(x, model) for x in xs])
-        np.testing.assert_array_equal(batch, singles)
+        np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
 
 
 class TestLogDensityKernel:
@@ -404,8 +406,8 @@ class TestLogDensityKernel:
             warnings.simplefilter("error")
             got = gmm_log_likelihoods(xs, with_dead)
             single = gmm_log_likelihood(xs[0], with_dead)
-        np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, live))
-        assert single == got[0]
+        np.testing.assert_allclose(got, gmm_log_likelihoods(xs, live), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(single, got[0], rtol=1e-14, atol=0)
 
     @staticmethod
     def _unclamped_logsumexp(values, axis=-1):
@@ -503,19 +505,25 @@ class TestModelBank:
                     self._check_columns(rng.uniform(-5.0, 5.0, (12, d)), models)
 
     def test_columns_are_component_major(self):
-        """The form is stored transposed, (2D, S*M) and contiguous: column
-        m*S + s holds component m of the s-th speaker in id order."""
+        """The form is stored transposed, (2D+1, S*M) and contiguous: column
+        m*S + s holds [A_m, c_m] of the s-th speaker in id order, and c_m
+        is the component's log joint at the shift itself (y = 0)."""
         rng = np.random.default_rng(65)
         models = {name: self._random_model(rng, 4, 3) for name in ("c", "a", "b")}
         bank = ModelBank(models)
         assert bank.speakers == ("a", "b", "c")
         assert (bank.num_components, bank.dim) == (12, 3)
-        _, form, _ = bank._quadratic_form
-        assert form.shape == (6, 12) and form.flags.c_contiguous
+        form = bank._form
+        assert form.shape == (7, 12) and form.flags.c_contiguous
         for s, speaker in enumerate(bank.speakers):
+            model = models[speaker]
             for m in range(4):
-                np.testing.assert_array_equal(
-                    form[:3, m * 3 + s], -0.5 / models[speaker].variances[m]
+                column = form[:, m * 3 + s]
+                np.testing.assert_array_equal(column[:3], -0.5 / model.variances[m])
+                np.testing.assert_allclose(
+                    column[6],
+                    np.log(model.weights[m]) + component_log_density(bank._shift, m, model),
+                    rtol=1e-13, atol=0,
                 )
 
     def test_far_off_means_keep_their_digits(self):
@@ -560,12 +568,12 @@ class TestModelBank:
         xs[:, 2] = rng.choice(constants, 60)
         xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 30)
         got = gmm_log_likelihoods(xs, bank)
-        bank_shift = bank._quadratic_form[0]
+        bank_shift = bank._shift
         worst = 0.0
         for column, speaker in zip(got.T, bank.speakers):
             model = models[speaker]
             own = gmm_log_likelihoods(xs, model)
-            delta = model._quadratic_form[0] - bank_shift
+            delta = model.means.mean(axis=0) - bank_shift
             bound = np.finfo(float).eps * (
                 np.abs(own) + np.sum(delta**2 / model.variances.min(axis=0))
             )
@@ -590,12 +598,21 @@ class TestModelBank:
         np.testing.assert_allclose(got[:, 0], gmm_log_likelihoods(xs, live), rtol=0, atol=1e-12)
 
     def test_batch_equals_per_vector(self):
-        """einsum scores a batch bit-identically to its rows one at a time."""
+        """A batch scores within a few ulps of its rows one at a time."""
         rng = np.random.default_rng(70)
         bank = ModelBank({f"spk{i}": self._random_model(rng, 8, 19) for i in range(5)})
         xs = rng.uniform(-5.0, 5.0, (33, 19))
         rows = np.vstack([gmm_log_likelihoods(x[None, :], bank) for x in xs])
-        np.testing.assert_array_equal(gmm_log_likelihoods(xs, bank), rows)
+        np.testing.assert_allclose(gmm_log_likelihoods(xs, bank), rows, rtol=1e-14, atol=0)
+
+    def test_model_scores_as_its_bank_of_one(self):
+        """A lone model is scored bit for bit as a one-speaker bank."""
+        rng = np.random.default_rng(96)
+        model = self._random_model(rng, 8, 19)
+        xs = rng.uniform(-5.0, 5.0, (33, 19))
+        got = gmm_log_likelihoods(xs, model)
+        assert got.shape == (33,)
+        np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, ModelBank({"a": model}))[:, 0])
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="no speakers to score against"):
