@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 
@@ -30,8 +31,10 @@ class PreprocessConfig:
             raise ValueError(
                 f"need 0 < frame_shift <= frame_len, got {self.frame_shift}/{self.frame_len}"
             )
-        if self.silence_energy_ratio < 0.0:
-            raise ValueError("silence_energy_ratio must be non-negative")
+        if not math.isfinite(self.silence_energy_ratio) or self.silence_energy_ratio < 0.0:
+            raise ValueError(
+                f"silence_energy_ratio must be finite and >= 0, got {self.silence_energy_ratio}"
+            )
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class SpectralConfig:
     def __post_init__(self):
         if self.kind not in ("mfcc", "lfcc", "lpcc"):
             raise ValueError(f"spectral kind must be mfcc, lfcc, or lpcc, got {self.kind!r}")
+        if self.num_cepstra < 1:
+            raise ValueError(f"num_cepstra must be >= 1, got {self.num_cepstra}")
         if self.num_cepstra >= self.num_filters:
             raise ValueError("num_cepstra must be < num_filters (dc term is discarded)")
 
@@ -83,6 +88,9 @@ class ModelConfig:
                 raise ValueError(f"{key} must be a power of two, got {m}")
         if self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
+        for key in ("variance_floor_factor", "lbg_split_epsilon"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.variance_floor_factor < 0.0:
             raise ValueError(
                 f"variance_floor_factor must be >= 0, got {self.variance_floor_factor}"

@@ -13,10 +13,6 @@ class SignalTooShort(SidkitError):
     """Signal has fewer samples than one analysis frame."""
 
 
-class DegenerateFrame(SidkitError):
-    """Frame content does not support the requested analysis (e.g. all zero)."""
-
-
 class NoUsableFrames(SidkitError):
     """Every frame of an utterance was skipped as degenerate."""
 

@@ -37,13 +37,6 @@ class AudioSignal:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    def __len__(self):
-        return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def hamming_window(length: int) -> np.ndarray:
     """Raised-cosine taper w(n) = 0.54 - 0.46 cos(2 pi n / (length - 1))."""

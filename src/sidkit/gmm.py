@@ -46,8 +46,8 @@ below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
 ``-inf`` is set to ``-inf`` explicitly.
 
 A ``ModelBank`` stacks the S same-shaped models of one stream, so that one
-product scores a batch against every speaker; a lone ``GmmModel`` is scored
-as a bank of one.  The bank's ``S*M`` components are component-major
+product scores a batch against every speaker, one column per speaker in
+id order.  The bank's ``S*M`` components are component-major
 (column ``m*S + s`` is component ``m`` of speaker ``s``) in one contiguous
 ``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is viewed as ``(N, M, S)``,
 and the log-sum-exp runs over its middle axis, which numpy reduces faster
@@ -197,11 +197,6 @@ def _canonical_order(features: np.ndarray) -> np.ndarray:
     return features[order]
 
 
-def variance_floor(features: np.ndarray, factor: float) -> np.ndarray:
-    """Per-dimension floor: factor times the global variance of the data."""
-    return _floor_of(np.asarray(features, dtype=np.float64).var(axis=0), factor)
-
-
 def _floor_of(global_var: np.ndarray, factor: float) -> np.ndarray:
     # Guard constant dimensions so variances stay strictly positive.
     return np.maximum(factor * global_var, 1e-12)
@@ -325,20 +320,6 @@ def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> Gmm
     return GmmModel(weights=weights, means=means, variances=variances)
 
 
-def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
-    """Log of the i-th component's Gaussian density at one vector."""
-    x = np.asarray(x, dtype=np.float64)
-    diff = x - model.means[i]
-    return float(
-        -0.5
-        * (
-            model.dim * LOG_TWO_PI
-            + np.sum(np.log(model.variances[i]))
-            + np.sum(diff * diff / model.variances[i])
-        )
-    )
-
-
 def _exp_clamped(shifted: np.ndarray) -> np.ndarray:
     """``exp`` of ``shifted``, in place, its arguments raised to ``_EXP_FLOOR``
     first; the module docstring says why the cut changes no sum it feeds."""
@@ -356,19 +337,12 @@ def _logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(empty, -np.inf, np.log(total) + np.squeeze(peak, axis=axis))
 
 
-def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
-    """log p(x | model) for one vector: the one-row case of the batch kernel."""
-    return float(gmm_log_likelihoods(np.asarray(x, dtype=np.float64)[None, :], model)[0])
-
-
-def gmm_log_likelihoods(features: np.ndarray, model: GmmModel | ModelBank) -> np.ndarray:
-    """Per-vector log-likelihoods for a feature matrix: shape (N, S) under a
-    bank of S speakers, (N,) under a model, which is scored as a bank of one."""
-    if isinstance(model, GmmModel):
-        return gmm_log_likelihoods(features, ModelBank({"": model}))[:, 0]
-    speakers = len(model.speakers)
-    joint = _stats(np.asarray(features, dtype=np.float64) - model._shift) @ model._form
-    return _logsumexp(joint.reshape(-1, model.num_components // speakers, speakers), axis=1)
+def gmm_log_likelihoods(features: np.ndarray, bank: ModelBank) -> np.ndarray:
+    """Per-vector log-likelihoods (N, S) of a feature matrix under each of
+    the bank's S speakers, one column per speaker in id order."""
+    speakers = len(bank.speakers)
+    joint = _stats(np.asarray(features, dtype=np.float64) - bank._shift) @ bank._form
+    return _logsumexp(joint.reshape(-1, bank.num_components // speakers, speakers), axis=1)
 
 
 def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:

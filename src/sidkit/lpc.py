@@ -116,10 +116,3 @@ def inverse_filter(frames: np.ndarray, lp: LpFrames) -> np.ndarray:
     taps = np.concatenate((lp.a[..., ::-1], np.ones(lp.a.shape[:-1] + (1,))), axis=-1)
     return np.einsum("...nk,...k->...n", windows, taps)
 
-
-def predict(frame: np.ndarray, lp: LpFrames) -> np.ndarray:
-    """Predictor output -sum_k a(k) s(n-k) of one frame, zero history before it."""
-    frame = np.asarray(frame, dtype=np.float64)
-    conv = np.convolve(frame, lp.a)[: frame.size]
-    shifted = np.concatenate(([0.0], conv[:-1]))
-    return -shifted

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame, NoUsableFrames
+from .errors import NoUsableFrames
 from .frontend import frame_matrix
 from .lpc import compute_lp, inverse_filter
 
@@ -36,21 +36,6 @@ def _peak_normalize(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = np.max(np.abs(residuals), axis=-1, keepdims=True)
     nonzero = peak[..., 0] > 0.0
     return residuals / np.where(peak > 0.0, peak, 1.0), nonzero
-
-
-def normalize_residual(residual: np.ndarray) -> np.ndarray:
-    """Scale a residual frame (or each row of a matrix) so its peak is exactly 1.
-
-    Raises:
-        DegenerateFrame: a residual is identically zero.
-    """
-    residual = np.asarray(residual, dtype=np.float64)
-    if residual.size == 0:
-        raise ValueError("residual must be non-empty")
-    normalized, nonzero = _peak_normalize(residual)
-    if not np.all(nonzero):
-        raise DegenerateFrame("all-zero residual cannot be normalized")
-    return normalized
 
 
 def central_moments(residual: np.ndarray, num_moments: int) -> np.ndarray:

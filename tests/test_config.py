@@ -171,6 +171,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectralConfig(num_filters=20, num_cepstra=20)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_cepstra_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"^num_cepstra must be >= 1, got {value}$"):
+            parse_config(f"[spectral]\nnum_cepstra = {value}\n")
+
     def test_nonpositive_iterations(self):
         with pytest.raises(ValueError):
             ModelConfig(em_iterations=0)
@@ -194,6 +199,16 @@ class TestValidation:
     def test_model_schedule_out_of_range(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_config(f"[model]\n{text}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("preprocess", "silence_energy_ratio"), ("model", "variance_floor_factor"),
+         ("model", "lbg_split_epsilon")],
+    )
+    def test_non_finite_float_names_its_key(self, section, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite.*, got {value}$"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     @pytest.mark.parametrize(
         "text, message",

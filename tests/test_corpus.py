@@ -43,8 +43,8 @@ class TestAudioIo:
         path = tmp_path / "one_second.wav"
         save_audio(path, AudioSignal(samples=np.zeros(8000), sample_rate=8000))
         sig = load_audio(path)
-        assert len(sig) == 8000
-        assert sig.duration == pytest.approx(1.0)
+        assert sig.samples.size == 8000
+        assert sig.samples.size / sig.sample_rate == pytest.approx(1.0)
 
     def test_full_scale_sample_value(self, tmp_path):
         """Integer 32767 decodes to 32767/32768."""

@@ -18,6 +18,8 @@ from sidkit.identify import (
     with_eta,
 )
 
+from oracles import model_log_likelihoods
+
 
 def make_model(rng, d):
     return GmmModel(
@@ -80,8 +82,8 @@ class TestScoreUtterance:
             assert scores.scores[i, SPECTRAL] == s_expect
             assert scores.scores[i, RESIDUAL] == r_expect
             assert scores.scores[i, COMBINED] == 0.5 * s_expect + 0.5 * r_expect
-            s_model = float(np.sum(gmm_log_likelihoods(spectral, model_set[spk][0])))
-            r_model = float(np.sum(gmm_log_likelihoods(residual, model_set[spk][1])))
+            s_model = float(np.sum(model_log_likelihoods(spectral, model_set[spk][0])))
+            r_model = float(np.sum(model_log_likelihoods(residual, model_set[spk][1])))
             assert s_expect == pytest.approx(s_model, rel=1e-12)
             assert r_expect == pytest.approx(r_model, rel=1e-12)
 

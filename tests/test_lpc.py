@@ -13,8 +13,9 @@ from sidkit.lpc import (
     autocorrelation,
     compute_lp,
     inverse_filter,
-    predict,
 )
+
+from oracles import predict
 
 
 def speech_like_frame(rng, n=160):

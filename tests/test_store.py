@@ -2,6 +2,8 @@
 
 import os
 import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,8 @@ from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.identify import stack_models
 from sidkit.store import (
     CONFIG_NAME,
+    FORMAT_VERSION,
+    MAGIC,
     STREAMS,
     ModelStore,
     model_from_bytes,
@@ -97,6 +101,24 @@ class TestRecordFormat:
         data = model_to_bytes(random_model(rng), "mfcc")
         with pytest.raises(StoreIntegrityError):
             model_from_bytes(data + b"\x00")
+
+    @staticmethod
+    def _sealed(payload):
+        """A record around ``payload`` whose checksum is valid."""
+        return MAGIC + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+    def test_kind_running_past_the_record_rejected(self):
+        """A checksummed header whose feature-kind length overruns the record."""
+        data = self._sealed(struct.pack("<HH", FORMAT_VERSION, 200) + b"mfcc")
+        with pytest.raises(StoreIntegrityError, match="feature-kind length 200 runs past"):
+            model_from_bytes(data)
+
+    def test_kind_that_is_not_utf8_rejected(self):
+        rng = np.random.default_rng(67)
+        payload = model_to_bytes(random_model(rng), "mfcc")[4:-4]
+        data = self._sealed(payload[:4] + b"\xff\xfe\xfd\xfc" + payload[8:])
+        with pytest.raises(StoreIntegrityError, match="feature kind is not UTF-8"):
+            model_from_bytes(data)
 
 
 class TestModelStore:
