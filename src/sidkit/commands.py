@@ -3,8 +3,10 @@
 Speakers are trained and test utterances scored one after another, in
 sorted order, so reruns are deterministic.  Each utterance's features are
 computed on its whole frame matrix at once (see ``residual_moments`` and
-``spectral``).  ``evaluate_command`` stacks the utterances' score arrays
-and takes all three systems' decisions from one argmax over speakers.
+``spectral``).  Evaluate and identify both score against every enrolled
+speaker, through ``ModelStore.banks()``; ``evaluate_command`` stacks the
+utterances' score arrays and takes all three systems' decisions from one
+argmax over speakers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .identify import (
     UtteranceScores,
     evaluate,
     score_utterance,
-    stack_models,
 )
 from .residual_moments import extract_residual_moments
 from .spectral import extract_filterbank_cepstra, extract_lpcc, make_filterbank
@@ -175,7 +176,7 @@ def evaluate_command(
     report_path=None,
     records_path=None,
 ) -> EvaluationRun:
-    """Score every test utterance against every speaker and summarize accuracy.
+    """Score every test utterance against every enrolled speaker and summarize.
 
     Reports identification accuracy three ways: spectral stream alone,
     residual stream alone, and the eta-weighted fusion.  ``eta`` defaults
@@ -190,11 +191,10 @@ def evaluate_command(
     entries = sorted(manifest.test_entries, key=lambda e: e.utterance_id)
     if not entries:
         raise ManifestError("manifest has no test utterances")
-    enrolled = store.models()
+    banks = store.banks()
     for speaker in manifest.speakers():
-        if speaker not in enrolled:
+        if speaker not in banks[0].speakers:
             raise MissingModel(f"no models for speaker {speaker!r} in store {store.path}")
-    banks = stack_models({speaker: enrolled[speaker] for speaker in manifest.speakers()})
     eta = _fusion_eta(store, eta)
     # Open the outputs before scoring, so an unwritable path fails first;
     # append mode keeps an existing file whole if scoring then fails.
@@ -273,11 +273,10 @@ def identify_command(
 
     ``eta`` defaults to the store's training config.
     """
-    if not store.models():
-        raise MissingModel(f"model store at {store.path} is empty")
+    banks = store.banks()
     eta = _fusion_eta(store, eta)
     [scores] = _score_files(
-        store, store.banks(), eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
+        store, banks, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
     )
     # A stable sort keeps tied speakers in id order: the head is ``identify``'s pick.
     order = np.argsort(-scores.scores[:, COMBINED], kind="stable").tolist()

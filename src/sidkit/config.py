@@ -66,6 +66,8 @@ class SpectralConfig:
             raise ValueError(f"spectral kind must be mfcc, lfcc, or lpcc, got {self.kind!r}")
         if self.num_cepstra < 1:
             raise ValueError(f"num_cepstra must be >= 1, got {self.num_cepstra}")
+        if self.kind == "lpcc" and self.lpcc_lp_order < 1:
+            raise ValueError(f"lpcc_lp_order must be >= 1, got {self.lpcc_lp_order}")
         if self.num_cepstra >= self.num_filters:
             raise ValueError("num_cepstra must be < num_filters (dc term is discarded)")
 

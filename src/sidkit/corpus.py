@@ -205,11 +205,13 @@ def synthesize_utterance(
         raise SidkitError(f"synthesis needs scipy: pip install sidkit[synth] ({exc})") from exc
 
     excitation = rng.standard_normal(num_samples) * spec.noise_floor
-    pos = int(rng.integers(0, spec.pitch_period))
-    while pos < num_samples:
-        excitation[pos] += 1.0
-        spacing = spec.pitch_period * (1.0 + spec.jitter * rng.uniform(-1.0, 1.0))
-        pos += max(int(round(spacing)), 2)
+    first = int(rng.integers(0, spec.pitch_period))
+    # Pulses are at least 2 samples apart, so (num_samples + 1) // 2 spacings
+    # carry the train past the end; pulse k draws the k-th jitter uniform.
+    jitter = rng.uniform(-1.0, 1.0, size=(num_samples + 1) // 2)
+    spacings = np.maximum(np.rint(spec.pitch_period * (1.0 + spec.jitter * jitter)), 2)
+    positions = np.cumsum(np.concatenate(([first], spacings.astype(np.int64))))
+    excitation[positions[positions < num_samples]] += 1.0
     denom = np.concatenate(([1.0], spec.filter_coeffs))
     samples = lfilter([1.0], denom, excitation)
     peak = np.max(np.abs(samples))

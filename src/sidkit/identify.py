@@ -2,11 +2,11 @@
 
 An utterance is scored against the enrolled speakers through two
 ``ModelBank``s, one per stream, so each stream costs one kernel call
-whatever the number of speakers; ``stack_models`` builds them.  The
-result is one ``(S, 3)`` array with a row per speaker, in sorted id
-order.  Every decision takes the highest score and, on a tie, the lowest
-id: the first maximum of a column, or the head of a stable descending
-sort of it.
+whatever the number of speakers; ``ModelStore.banks()`` gives the pair
+for every speaker a store holds.  The result is one ``(S, 3)`` array
+with a row per speaker, in sorted id order.  Every decision takes the
+highest score and, on a tie, the lowest id: the first maximum of a
+column, or the head of a stable descending sort of it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
-from .gmm import GmmModel, ModelBank, gmm_log_likelihoods
+from .errors import EmptyFeatureStream, FeatureDimensionMismatch
+from .gmm import ModelBank, gmm_log_likelihoods
 
 # The columns of ``UtteranceScores.scores``.
 COLUMNS = ("spectral", "residual", "combined")
@@ -45,18 +45,6 @@ def combine_scores(spectral: float, residual: float, eta: float) -> float:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     return eta * spectral + (1.0 - eta) * residual
-
-
-def stack_models(models: dict[str, tuple[GmmModel, GmmModel]]) -> tuple[ModelBank, ModelBank]:
-    """The (spectral, residual) banks of speaker -> (spectral model, residual model);
-    a ``ConfigMismatch`` from stacking names its stream."""
-    banks = []
-    for i, stream in enumerate(("spectral", "residual")):
-        try:
-            banks.append(ModelBank({speaker: pair[i] for speaker, pair in models.items()}))
-        except ConfigMismatch as exc:
-            raise ConfigMismatch(f"{stream} models: {exc}") from exc
-    return tuple(banks)
 
 
 def _score_table(spectral: np.ndarray, residual: np.ndarray, eta: float) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A store directory is ``config.ini`` and one ``<speaker>__<stream>.gmm``
 record per model; other files are ignored.  The enrolled speakers are the
-ids the record names decode to.  ``models()`` reads every speaker's
-(spectral, residual) pair once per store, and ``banks()`` stacks them into
-one scoring bank per stream once, both until the next ``save``.
+ids the record names decode to.  ``banks()`` is the one way to read all
+their models: it loads every record once and stacks one scoring bank per
+stream, kept until the next ``save``.
 
 ``config.ini`` starts with ``# sample_rate: <Hz>`` and then holds the
 ``ToolkitConfig`` (as ``render_config`` writes it) that every model was
@@ -36,7 +36,6 @@ import numpy as np
 from .config import ToolkitConfig, parse_config, render_config
 from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError
 from .gmm import GmmModel, ModelBank
-from .identify import stack_models
 
 MAGIC = b"SIDM"
 FORMAT_VERSION = 1
@@ -124,7 +123,6 @@ class ModelStore:
         self.path = Path(path)
         self.sample_rate: int | None = None
         self._config: ToolkitConfig | None = None
-        self._models: dict[str, tuple[GmmModel, GmmModel]] | None = None
         self._banks: tuple[ModelBank, ModelBank] | None = None
         # Whether the store holds no record yet, so that the next save must
         # (re)write config.ini first; None until bind or the first save asks.
@@ -221,7 +219,7 @@ class ModelStore:
             _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
         _write_atomic(self.path / self._filename(speaker, stream), model_to_bytes(model, kind))
         self._empty = False
-        self._models = self._banks = None
+        self._banks = None
 
     def load(self, speaker: str, stream: str) -> GmmModel:
         """Read one model back; ``ConfigMismatch`` if its record holds another
@@ -250,20 +248,21 @@ class ModelStore:
             )
         return model
 
-    def models(self) -> dict[str, tuple[GmmModel, GmmModel]]:
-        """Every enrolled speaker's (spectral, residual) models, in speaker
-        order, read through ``load`` once until the next ``save``."""
-        if self._models is None:
-            self._models = {
-                speaker: tuple(self.load(speaker, stream) for stream in STREAMS)
-                for speaker in self.speakers()
-            }
-        return self._models
-
     def banks(self) -> tuple[ModelBank, ModelBank]:
-        """The (spectral, residual) banks of every enrolled speaker, stacked
-        from ``models()`` once until the next ``save``; ``ValueError`` if the
-        store holds no models."""
+        """The (spectral, residual) banks of every enrolled speaker, each
+        record read through ``load`` once, speaker by speaker, and kept until
+        the next ``save``.  ``MissingModel`` if the store holds no record; a
+        ``ConfigMismatch`` from stacking names its stream."""
         if self._banks is None:
-            self._banks = stack_models(self.models())
+            speakers = self.speakers()
+            if not speakers:
+                raise MissingModel(f"model store at {self.path} is empty")
+            pairs = [[self.load(speaker, stream) for stream in STREAMS] for speaker in speakers]
+            banks = []
+            for stream, models in zip(STREAMS, zip(*pairs)):
+                try:
+                    banks.append(ModelBank(dict(zip(speakers, models))))
+                except ConfigMismatch as exc:
+                    raise ConfigMismatch(f"{stream} models: {exc}") from exc
+            self._banks = tuple(banks)
         return self._banks

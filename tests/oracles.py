@@ -1,13 +1,15 @@
 """Reference forms the tests hold the library to.
 
-Each is the plain, one-frame or one-model statement of something the
-pipeline computes in batch; ``sidkit`` itself calls none of them.  The
-mixture oracles follow Reynolds & Rose 1995 (IEEE TSAP 3(1)): a model's
-score is the log of its weighted sum of diagonal Gaussian densities.
+Each is the plain, one-frame, one-model or one-pulse statement of
+something the pipeline computes in batch; ``sidkit`` itself calls none of
+them.  The mixture oracles follow Reynolds & Rose 1995 (IEEE TSAP 3(1)):
+a model's score is the log of its weighted sum of diagonal Gaussian
+densities.
 """
 
 import numpy as np
 
+from sidkit.corpus import SyntheticSpeakerSpec
 from sidkit.gmm import LOG_TWO_PI, GmmModel, ModelBank, gmm_log_likelihoods
 from sidkit.lpc import LpFrames
 from sidkit.residual_moments import _peak_normalize
@@ -64,3 +66,23 @@ def model_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
     """log p(x | model) for one vector: the one-row case of the batch kernel."""
     return float(model_log_likelihoods(np.asarray(x, dtype=np.float64)[None, :], model)[0])
+
+
+def synthesize_utterance(
+    spec: SyntheticSpeakerSpec, num_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One synthetic utterance, its pulse train placed one pulse at a time."""
+    from scipy.signal import lfilter
+
+    excitation = rng.standard_normal(num_samples) * spec.noise_floor
+    pos = int(rng.integers(0, spec.pitch_period))
+    while pos < num_samples:
+        excitation[pos] += 1.0
+        spacing = spec.pitch_period * (1.0 + spec.jitter * rng.uniform(-1.0, 1.0))
+        pos += max(int(round(spacing)), 2)
+    denom = np.concatenate(([1.0], spec.filter_coeffs))
+    samples = lfilter([1.0], denom, excitation)
+    peak = np.max(np.abs(samples))
+    if peak > 0.0:
+        samples = samples * (0.7 / peak)
+    return samples

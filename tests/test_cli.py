@@ -104,7 +104,7 @@ class TestTrain:
         _, store_dir = cli_workspace
         store = ModelStore(store_dir)
         assert len(store.speakers()) == 4
-        assert list(store.models()) == store.speakers()
+        assert [bank.speakers for bank in store.banks()] == [tuple(store.speakers())] * 2
         assert len(list(store_dir.glob("*.gmm"))) == 8
 
     def test_header_only_manifest_fails_cleanly(self, tmp_path, capsys):

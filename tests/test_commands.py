@@ -2,6 +2,7 @@
 and later training."""
 
 import dataclasses
+import re
 import shutil
 
 import numpy as np
@@ -248,6 +249,39 @@ def test_manifest_speaker_missing_from_the_store_is_missing_model(corpus, tmp_pa
                           tmp_path / "store")
     with pytest.raises(MissingModel, match=f"no models for speaker {speakers[-1]!r}"):
         evaluate_command(corpus, store)
+
+
+def test_evaluate_decides_over_every_enrolled_speaker(corpus, tmp_path):
+    """A store enrolling a speaker the manifest does not name: ``zz``, trained
+    on the first speaker's test audio.  ``evaluate_command`` scores it like
+    ``identify_command`` does, so every record decides as identify does."""
+    store_dir = tmp_path / "store"
+    train_command(corpus, ToolkitConfig(), store_dir)
+    source = corpus.speakers()[0]
+    extra = [
+        ManifestEntry("zz", f"zz_{e.utterance_id}", e.path, "train")
+        for e in corpus.test_entries if e.speaker_id == source
+    ]
+    train_command(CorpusManifest(extra, corpus.sample_rate), ToolkitConfig(), store_dir)
+    store = ModelStore(store_dir)
+    assert store.speakers() == corpus.speakers() + ["zz"]
+
+    run = evaluate_command(corpus, store)
+    decided = {r["utterance_id"]: r["decided_id"] for r in run.records}
+    assert decided == {
+        e.utterance_id: identify_command(e.path, store).decided_id for e in corpus.test_entries
+    }
+    assert "zz" in decided.values()
+
+
+def test_empty_store_is_missing_model(corpus, tmp_path):
+    """Evaluate and identify both refuse a store with no record, naming it."""
+    path = tmp_path / "store"
+    empty = f"^model store at {re.escape(str(path))} is empty$"
+    with pytest.raises(MissingModel, match=empty):
+        evaluate_command(corpus, ModelStore(path))
+    with pytest.raises(MissingModel, match=empty):
+        identify_command(corpus.test_entries[0].path, ModelStore(path))
 
 
 def test_manifest_without_test_split_is_manifest_error(corpus, tmp_path):

@@ -176,6 +176,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^num_cepstra must be >= 1, got {value}$"):
             parse_config(f"[spectral]\nnum_cepstra = {value}\n")
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_lpcc_order_must_be_positive(self, value):
+        """An LPCC predictor needs at least one coefficient; the config names
+        the key before any audio is read."""
+        with pytest.raises(ValueError, match=f"^lpcc_lp_order must be >= 1, got {value}$"):
+            parse_config(f"[spectral]\nkind = lpcc\nlpcc_lp_order = {value}\n")
+
     def test_nonpositive_iterations(self):
         with pytest.raises(ValueError):
             ModelConfig(em_iterations=0)
@@ -242,8 +249,11 @@ class TestValidation:
             "[preprocess]\nframe_len = 18\nframe_shift = 8\n",
             "[preprocess]\nframe_len = 300\n[spectral]\nkind = lpcc\n",
             "[model]\nvariance_floor_factor = 0\n",
+            "[spectral]\nkind = lpcc\nlpcc_lp_order = 1\n",
+            "[spectral]\nlpcc_lp_order = 0\n",
         ],
-        ids=["fft-size", "above-order", "lpcc-ignores-fft", "zero-floor"],
+        ids=["fft-size", "above-order", "lpcc-ignores-fft", "zero-floor", "lpcc-order-1",
+             "mfcc-ignores-lpcc-order"],
     )
     def test_values_at_the_limits_accepted(self, text):
         parse_config(text)

@@ -1,5 +1,6 @@
 """WAV I/O, manifests, and the synthetic speaker corpus."""
 
+import dataclasses
 import re
 import warnings
 import wave
@@ -27,6 +28,8 @@ from sidkit.errors import (
 )
 from sidkit.frontend import AudioSignal
 from sidkit.lpc import compute_lp, inverse_filter
+
+import oracles
 
 
 class TestAudioIo:
@@ -213,6 +216,34 @@ class TestSyntheticSpeakers:
         spec = default_speaker_specs(3, seed=1)[0]
         samples = synthesize_utterance(spec, 16000, np.random.default_rng(5))
         assert np.max(np.abs(samples)) == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.02, 0.999])
+    @pytest.mark.parametrize("period", [20, 21, 40, 57, 100])
+    def test_utterance_equals_the_pulse_by_pulse_loop(self, period, jitter):
+        """The array-built pulse train gives the same bytes as placing one
+        pulse per jitter draw, down to lengths shorter than one period."""
+        base = default_speaker_specs(1, seed=7)[0]
+        spec = dataclasses.replace(base, pitch_period=period, jitter=jitter)
+        for num_samples in (1, period - 1, period + 1, 4001, 16000):
+            got = synthesize_utterance(spec, num_samples, np.random.default_rng([period, 1]))
+            want = oracles.synthesize_utterance(
+                spec, num_samples, np.random.default_rng([period, 1])
+            )
+            assert got.tobytes() == want.tobytes()
+
+    def test_near_unit_jitter_clamps_spacing_to_two(self):
+        """With jitter 0.999 at period 20 some draws round to a spacing under
+        2; both forms clamp it, so the pulses (no filter, no noise) match."""
+        spec = SyntheticSpeakerSpec("s", np.zeros(0), pitch_period=20, jitter=0.999,
+                                    noise_floor=0.0)
+        got = synthesize_utterance(spec, 16000, np.random.default_rng(11))
+        want = oracles.synthesize_utterance(spec, 16000, np.random.default_rng(11))
+        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(11)
+        rng.standard_normal(16000)
+        rng.integers(0, 20)
+        assert np.any(np.rint(20 * (1.0 + 0.999 * rng.uniform(-1.0, 1.0, 100))) < 2)
+        assert np.diff(np.flatnonzero(got)).min() == 2
 
     def test_residual_pulse_spacing_matches_pitch(self):
         """Inverse filtering a synthetic utterance at the matching order

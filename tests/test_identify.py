@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sidkit.errors import ConfigMismatch, EmptyFeatureStream, FeatureDimensionMismatch
-from sidkit.gmm import GmmModel, gmm_log_likelihoods
+from sidkit.errors import EmptyFeatureStream, FeatureDimensionMismatch
+from sidkit.gmm import GmmModel, ModelBank, gmm_log_likelihoods
 from sidkit.identify import (
     COMBINED,
     RESIDUAL,
@@ -14,7 +14,6 @@ from sidkit.identify import (
     evaluate,
     identify,
     score_utterance,
-    stack_models,
     with_eta,
 )
 
@@ -34,6 +33,11 @@ def make_model_set(rng, speakers, d_spectral=4, d_residual=3):
     spectral = [make_model(rng, d_spectral) for _ in speakers]
     residual = [make_model(rng, d_residual) for _ in speakers]
     return dict(zip(speakers, zip(spectral, residual)))
+
+
+def banks_of(model_set):
+    """The (spectral, residual) banks of speaker -> (spectral, residual) models."""
+    return tuple(ModelBank({spk: pair[i] for spk, pair in model_set.items()}) for i in range(2))
 
 
 def fake_scores(table, eta=0.5):
@@ -70,7 +74,7 @@ class TestScoreUtterance:
         shift per stream may move the last bits."""
         rng = np.random.default_rng(83)
         model_set = make_model_set(rng, ["a", "b"])
-        banks = stack_models(model_set)
+        banks = banks_of(model_set)
         spectral = rng.uniform(-1, 1, (20, 4))
         residual = rng.uniform(-1, 1, (20, 3))
         scores = score_utterance(spectral, residual, banks, eta=0.5)
@@ -93,7 +97,7 @@ class TestScoreUtterance:
         model_set = make_model_set(rng, ["a"])
         s1, s2 = rng.uniform(-1, 1, (10, 4)), rng.uniform(-1, 1, (15, 4))
         r1, r2 = rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, (15, 3))
-        banks = stack_models(model_set)
+        banks = banks_of(model_set)
         whole = score_utterance(np.vstack([s1, s2]), np.vstack([r1, r2]), banks, 0.5)
         part1 = score_utterance(s1, r1, banks, 0.5)
         part2 = score_utterance(s2, r2, banks, 0.5)
@@ -103,7 +107,7 @@ class TestScoreUtterance:
 
     def test_empty_stream_rejected(self):
         rng = np.random.default_rng(85)
-        banks = stack_models(make_model_set(rng, ["a"]))
+        banks = banks_of(make_model_set(rng, ["a"]))
         with pytest.raises(EmptyFeatureStream):
             score_utterance(np.empty((0, 4)), rng.uniform(-1, 1, (5, 3)), banks, 0.5)
         with pytest.raises(EmptyFeatureStream):
@@ -111,7 +115,7 @@ class TestScoreUtterance:
 
     def test_width_mismatch_names_stream_and_widths(self):
         rng = np.random.default_rng(87)
-        banks = stack_models(make_model_set(rng, ["a", "b"]))
+        banks = banks_of(make_model_set(rng, ["a", "b"]))
         with pytest.raises(FeatureDimensionMismatch, match="spectral .* 5 .* 4"):
             score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), banks)
         with pytest.raises(FeatureDimensionMismatch, match="residual .* 2 .* 3"):
@@ -119,19 +123,12 @@ class TestScoreUtterance:
 
     def test_no_speakers_rejected(self):
         with pytest.raises(ValueError, match="no speakers to score against"):
-            stack_models({})
-
-    def test_unequal_shapes_name_the_stream(self):
-        rng = np.random.default_rng(89)
-        model_set = make_model_set(rng, ["a", "b"])
-        model_set["b"] = (model_set["b"][0], make_model(rng, 5))
-        with pytest.raises(ConfigMismatch, match="^residual models: cannot stack"):
-            stack_models(model_set)
+            ModelBank({})
 
     def test_banks_of_other_speakers_rejected(self):
         rng = np.random.default_rng(88)
-        spectral, _ = stack_models(make_model_set(rng, ["a", "b"]))
-        _, residual = stack_models(make_model_set(rng, ["a", "c"]))
+        spectral, _ = banks_of(make_model_set(rng, ["a", "b"]))
+        _, residual = banks_of(make_model_set(rng, ["a", "c"]))
         with pytest.raises(ValueError, match="different speakers"):
             score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 3)),
                             (spectral, residual))

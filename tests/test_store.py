@@ -17,8 +17,7 @@ from sidkit.config import (
     render_config,
 )
 from sidkit.errors import ConfigMismatch, MissingModel, StoreIntegrityError
-from sidkit.gmm import GmmModel, gmm_log_likelihoods
-from sidkit.identify import stack_models
+from sidkit.gmm import GmmModel, ModelBank, gmm_log_likelihoods
 from sidkit.store import (
     CONFIG_NAME,
     FORMAT_VERSION,
@@ -142,7 +141,7 @@ class TestModelStore:
             store.save(speaker, "spectral", random_model(rng))
             store.save(speaker, "residual", random_model(rng, d=6))
         assert store.speakers() == ["alice", "bob", "carol"]
-        assert list(store.models()) == ["alice", "bob", "carol"]
+        assert [bank.speakers for bank in store.banks()] == [("alice", "bob", "carol")] * 2
 
     def test_reopen_reads_index(self, tmp_path):
         rng = np.random.default_rng(69)
@@ -163,9 +162,12 @@ class TestModelStore:
         for speaker in ("alice", "bob"):
             store.save(speaker, "spectral", random_model(rng))
             store.save(speaker, "residual", random_model(rng))
-            assert list(store.models()) == sorted({"alice", speaker})
+            enrolled = tuple(sorted({"alice", speaker}))
+            assert [bank.speakers for bank in store.banks()] == [enrolled] * 2
+        loaded = ModelBank({spk: store.load(spk, "residual") for spk in ("alice", "bob")})
+        xs = rng.uniform(-2, 2, (10, 6))
         np.testing.assert_array_equal(
-            store.models()["bob"][1].means, store.load("bob", "residual").means
+            gmm_log_likelihoods(xs, store.banks()[1]), gmm_log_likelihoods(xs, loaded)
         )
 
     def test_banks_are_stacked_once_until_save(self, tmp_path):
@@ -183,7 +185,7 @@ class TestModelStore:
         rebuilt = store.banks()
         assert [bank.speakers for bank in rebuilt] == [("alice", "bob", "carol")] * 2
         xs = rng.uniform(-2, 2, (10, 6))
-        for bank, fresh in zip(rebuilt, stack_models(ModelStore(store.path).models())):
+        for bank, fresh in zip(rebuilt, ModelStore(store.path).banks()):
             np.testing.assert_array_equal(
                 gmm_log_likelihoods(xs, bank), gmm_log_likelihoods(xs, fresh)
             )
@@ -216,7 +218,33 @@ class TestModelStore:
         store.save("alice", "residual", random_model(rng))
         store.save("bob", "spectral", random_model(rng))
         with pytest.raises(MissingModel, match="no residual model for speaker 'bob'"):
-            ModelStore(path).models()
+            ModelStore(path).banks()
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_unequal_shapes_name_the_stream(self, tmp_path, stream):
+        """Records of one stream that agree with the config but not with each
+        other in dimension cannot be stacked; the error names the stream."""
+        rng = np.random.default_rng(89)
+        path = tmp_path / "store"
+        store = bound_store(path)
+        for speaker in ("alice", "bob"):
+            for s in STREAMS:
+                dim = 5 if (speaker, s) == ("bob", stream) else 6
+                store.save(speaker, s, random_model(rng, d=dim))
+        with pytest.raises(ConfigMismatch, match=f"^{stream} models: cannot stack"):
+            ModelStore(path).banks()
+
+    def test_store_without_records_is_missing_model(self, tmp_path):
+        """A store with no record, missing or holding only config.ini, has no
+        banks to score against; the error names the store."""
+        path = tmp_path / "store"
+        empty = f"^model store at {re.escape(str(path))} is empty$"
+        with pytest.raises(MissingModel, match=empty):
+            ModelStore(path).banks()
+        bound_store(path).save("alice", "spectral", random_model(np.random.default_rng(90)))
+        (path / "alice__spectral.gmm").unlink()
+        with pytest.raises(MissingModel, match=empty):
+            ModelStore(path).banks()
 
     def test_corrupt_file_detected_on_load(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -292,7 +320,7 @@ class TestModelStore:
             (path / stray).write_text("alice\tspectral\n", encoding="utf-8")
         reopened = ModelStore(path)
         assert reopened.speakers() == ["alice"]
-        assert list(reopened.models()) == ["alice"]
+        assert [bank.speakers for bank in reopened.banks()] == [("alice",)] * 2
 
     def test_stale_config_without_records_is_replaced(self, tmp_path):
         """A store holding only the config.ini of a train that failed before
@@ -376,7 +404,7 @@ class TestModelStore:
             for stream in ("spectral", "residual"):
                 store.save(speaker, stream, random_model(rng))
         files = {p.name: p.read_bytes() for p in path.iterdir()}
-        models = store.models()
+        models = {spk: [store.load(spk, s) for s in STREAMS] for spk in store.speakers()}
 
         def torn_write(self, data):
             with open(self, "wb") as fh:
@@ -392,8 +420,8 @@ class TestModelStore:
         reopened = ModelStore(path)
         assert reopened.speakers() == ["alice", "bob"]
         for speaker, pair in models.items():
-            for before, after in zip(pair, reopened.models()[speaker]):
-                np.testing.assert_array_equal(after.means, before.means)
+            for stream, before in zip(STREAMS, pair):
+                np.testing.assert_array_equal(reopened.load(speaker, stream).means, before.means)
         for name, data in files.items():
             assert (path / name).read_bytes() == data
         assert not list(path.glob("*.tmp"))
