@@ -17,8 +17,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file into a float signal in [-1, 1).
 
     Raises:
-        UnsupportedFormat: the file cannot be read, is not a WAV file, or is
-            not mono 16-bit PCM.
+        UnsupportedFormat: the file cannot be read, is not a WAV file, is
+            not mono 16-bit PCM, or its data ends mid-sample.
         SampleRateMismatch: the file's rate differs from ``expected_rate``.
     """
     path = Path(path)
@@ -44,6 +44,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
         raise UnsupportedFormat(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if expected_rate is not None and rate != expected_rate:
         raise SampleRateMismatch(f"{path}: sample rate {rate}, expected {expected_rate}")
+    if len(raw) % 2:
+        raise UnsupportedFormat(f"{path}: data chunk ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM16_SCALE
     return AudioSignal(samples=samples, sample_rate=rate)
 

@@ -1,5 +1,12 @@
 """Batch commands: train speaker models, evaluate a corpus, identify one file.
 
+Each command calls the pipeline directly: ``load_audio``, then
+``extract_streams``, then ``lbg_init``/``em_train`` or ``score_utterance``.
+A ``SidkitError`` on the way is re-raised through ``errors.named`` with
+where it came from, once: ``speaker S utterance U: `` for an utterance in
+train and evaluate, ``speaker S: `` for training a speaker, and the audio
+path in identify, whose ``load_audio`` errors already start with it.
+
 Speakers are trained and test utterances scored one after another, in
 sorted order, so reruns are deterministic.  Each utterance's features are
 computed on its whole frame matrix at once (see ``residual_moments`` and
@@ -20,7 +27,7 @@ import numpy as np
 from .audio_io import load_audio
 from .config import ToolkitConfig
 from .corpus import CorpusManifest, ManifestEntry
-from .errors import ManifestError, MissingModel, SampleRateMismatch, SidkitError
+from .errors import ManifestError, MissingModel, SampleRateMismatch, named
 from .frontend import AudioSignal, preprocess
 from .gmm import GmmModel, em_train, lbg_init
 from .identify import (
@@ -36,11 +43,6 @@ from .spectral import extract_filterbank_cepstra, extract_lpcc, make_filterbank
 from .store import STREAMS, ModelStore
 
 logger = logging.getLogger(__name__)
-
-
-def _tagged(exc: SidkitError, context: str) -> SidkitError:
-    """Same error class, prefixed with the speaker/utterance it came from."""
-    return type(exc)(f"{context}: {exc}")
 
 
 def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -64,24 +66,6 @@ def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray
     return spectral, residual
 
 
-def _speaker_features(
-    entries: list[ManifestEntry], manifest: CorpusManifest, cfg: ToolkitConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated feature streams over a speaker's utterances, in manifest order."""
-    spectral_parts, residual_parts = [], []
-    for entry in entries:
-        try:
-            signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
-            spectral, residual = extract_streams(signal, cfg)
-        except SidkitError as exc:
-            raise _tagged(
-                exc, f"speaker {entry.speaker_id} utterance {entry.utterance_id}"
-            ) from exc
-        spectral_parts.append(spectral)
-        residual_parts.append(residual)
-    return np.concatenate(spectral_parts), np.concatenate(residual_parts)
-
-
 def _train_stream(features: np.ndarray, num_components: int, cfg: ToolkitConfig) -> GmmModel:
     return em_train(features, lbg_init(features, num_components, cfg.model), cfg.model)
 
@@ -102,15 +86,17 @@ def train_command(
     # store as it was.
     trained: dict[str, tuple[GmmModel, GmmModel]] = {}
     for speaker in sorted(by_speaker):
-        entries = sorted(by_speaker[speaker], key=lambda e: e.utterance_id)
-        spectral_feats, residual_feats = _speaker_features(entries, manifest, cfg)
-        try:
+        streams = []
+        for entry in sorted(by_speaker[speaker], key=lambda e: e.utterance_id):
+            with named(f"speaker {speaker} utterance {entry.utterance_id}"):
+                signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
+                streams.append(extract_streams(signal, cfg))
+        spectral_feats, residual_feats = map(np.concatenate, zip(*streams))
+        with named(f"speaker {speaker}"):
             trained[speaker] = (
                 _train_stream(spectral_feats, cfg.model.m_spectral, cfg),
                 _train_stream(residual_feats, cfg.model.m_residual, cfg),
             )
-        except SidkitError as exc:
-            raise _tagged(exc, f"speaker {speaker}") from exc
     for speaker, models in trained.items():
         for stream, model in zip(STREAMS, models):
             store.save(speaker, stream, model)
@@ -124,9 +110,11 @@ def train_command(
 
 @dataclass(frozen=True)
 class EvaluationRun:
-    """Evaluation of one test split: fused plus both single-stream systems."""
+    """Evaluation of one test split: fused plus both single-stream systems,
+    deciding over the sorted enrolled ``speakers``."""
 
     eta: float
+    speakers: tuple[str, ...]
     fused: EvaluationReport
     spectral_only: EvaluationReport
     residual_only: EvaluationReport
@@ -149,24 +137,6 @@ def _fusion_eta(store: ModelStore, eta: float | None) -> float:
     """``eta``, checked by ``FusionConfig``, or the store's own when None."""
     fusion = store.config.fusion
     return fusion.eta if eta is None else replace(fusion, eta=eta).eta
-
-
-def _score_files(
-    store: ModelStore, banks: tuple, eta: float, sample_rate, files
-) -> list[UtteranceScores]:
-    """Score (path, context) ``files`` against the (spectral, residual)
-    ``banks`` under the store's training config; an error is prefixed with
-    the context of the file it came from."""
-    cfg = store.config
-    scored = []
-    for path, context in files:
-        try:
-            features = extract_streams(load_audio(path, expected_rate=sample_rate), cfg)
-            scores = score_utterance(*features, banks, eta)
-        except SidkitError as exc:
-            raise _tagged(exc, context) from exc
-        scored.append(scores)
-    return scored
 
 
 def evaluate_command(
@@ -201,20 +171,24 @@ def evaluate_command(
     for path in (report_path, records_path):
         if path is not None:
             open(path, "a", encoding="utf-8").close()
-    files = [(e.path, f"speaker {e.speaker_id} utterance {e.utterance_id}") for e in entries]
-    scored = _score_files(store, banks, eta, manifest.sample_rate, files)
+    scored = []
+    for entry in entries:
+        with named(f"speaker {entry.speaker_id} utterance {entry.utterance_id}"):
+            signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
+            scored.append(score_utterance(*extract_streams(signal, store.config), banks, eta))
 
     # ``picks[c][u]`` is utterance u's best speaker in column c: the first
     # maximum, so the lowest id on ties.  eta = 1 (0) recombines exactly to
     # the spectral (residual) column, so those systems decide on it directly.
     picks = np.stack([scores.scores for scores in scored]).argmax(axis=1).T.tolist()
-    speakers = scored[0].speakers
+    speakers = banks[0].speakers
     spectral_only, residual_only, fused = (
         evaluate((e.utterance_id, e.speaker_id, speakers[i]) for e, i in zip(entries, column))
         for column in picks
     )
     run = EvaluationRun(
         eta=scored[0].eta,
+        speakers=speakers,
         fused=fused,
         spectral_only=spectral_only,
         residual_only=residual_only,
@@ -231,11 +205,10 @@ def evaluate_command(
 
 def render_report(run: EvaluationRun) -> str:
     """Line-oriented text table for an evaluation run; stable across reruns."""
-    speakers = sorted({true_id for _, true_id, _ in run.fused.decisions})
     lines = [
         "# speaker identification evaluation",
         f"# test utterances: {run.fused.num_trials}",
-        f"# speakers: {len(speakers)}",
+        f"# speakers: {len(run.speakers)}",
         f"# eta: {run.eta:.4f}",
         f"# PIA spectral-only: {run.spectral_only.pia:.4f}",
         f"# PIA residual-only: {run.residual_only.pia:.4f}",
@@ -275,9 +248,10 @@ def identify_command(
     """
     banks = store.banks()
     eta = _fusion_eta(store, eta)
-    [scores] = _score_files(
-        store, banks, eta, store.sample_rate, [(audio_path, f"audio {audio_path}")]
-    )
+    # load_audio's own errors already name the file.
+    signal = load_audio(audio_path, expected_rate=store.sample_rate)
+    with named(audio_path):
+        scores = score_utterance(*extract_streams(signal, store.config), banks, eta)
     # A stable sort keeps tied speakers in id order: the head is ``identify``'s pick.
     order = np.argsort(-scores.scores[:, COMBINED], kind="stable").tolist()
     ranking = tuple(scores.speakers[i] for i in order)

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class SidkitError(Exception):
     """Base class for all toolkit errors."""
@@ -55,3 +57,14 @@ class StoreIntegrityError(SidkitError):
 
 class ConfigMismatch(SidkitError):
     """Models trained under another configuration than the store's own."""
+
+
+@contextmanager
+def named(context):
+    """Re-raise a ``SidkitError`` from the block as the same class, its
+    message prefixed with ``context: ``: the file, record, speaker or
+    utterance it came from."""
+    try:
+        yield
+    except SidkitError as exc:
+        raise type(exc)(f"{context}: {exc}") from exc

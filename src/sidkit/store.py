@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ToolkitConfig, parse_config, render_config
-from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError
+from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError, named
 from .gmm import GmmModel, ModelBank
 
 MAGIC = b"SIDM"
@@ -229,10 +229,8 @@ class ModelStore:
             data = record.read_bytes()
         except FileNotFoundError:
             raise MissingModel(f"no {stream} model for speaker {speaker!r}") from None
-        try:
+        with named(record):
             kind, model = model_from_bytes(data)
-        except StoreIntegrityError as exc:
-            raise StoreIntegrityError(f"{record}: {exc}") from None
         expected = self.kind(stream)
         if kind != expected:
             raise ConfigMismatch(
@@ -260,9 +258,7 @@ class ModelStore:
             pairs = [[self.load(speaker, stream) for stream in STREAMS] for speaker in speakers]
             banks = []
             for stream, models in zip(STREAMS, zip(*pairs)):
-                try:
+                with named(f"{stream} models"):
                     banks.append(ModelBank(dict(zip(speakers, models))))
-                except ConfigMismatch as exc:
-                    raise ConfigMismatch(f"{stream} models: {exc}") from exc
             self._banks = tuple(banks)
         return self._banks

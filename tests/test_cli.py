@@ -6,6 +6,7 @@ import re
 import shutil
 import struct
 import sys
+import wave
 import zlib
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 
 from sidkit import commands
 from sidkit.cli import main
-from sidkit.commands import evaluate_command, identify_command
+from sidkit.commands import evaluate_command, identify_command, train_command
+from sidkit.config import ToolkitConfig
 from sidkit.corpus import CorpusManifest, read_manifest
 from sidkit.errors import (
     ConfigMismatch,
     FeatureDimensionMismatch,
     ManifestError,
+    SidkitError,
     UnsupportedFormat,
 )
 from sidkit.gmm import GmmModel
@@ -441,8 +444,9 @@ class TestUnreadableAudio:
     def test_identify_names_the_file(self, cli_workspace, tmp_path):
         _, store_dir = cli_workspace
         missing = tmp_path / "missing.wav"
-        with pytest.raises(UnsupportedFormat, match=re.escape(f"audio {missing}: ") + ".*cannot read"):
+        with pytest.raises(UnsupportedFormat, match=re.escape(f"{missing}: ") + ".*cannot read") as exc:
             identify_command(missing, ModelStore(store_dir))
+        assert str(exc.value).count(str(missing)) == 1
 
     def test_evaluate_names_the_utterance(self, cli_workspace, tmp_path):
         corpus_dir, store_dir = cli_workspace
@@ -462,6 +466,70 @@ class TestUnreadableAudio:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
+
+
+def write_wav(path, channels=1, width=2, frames=b""):
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(width)
+        wf.setframerate(8000)
+        wf.writeframes(frames)
+
+
+def odd_length(path, valid):
+    data = valid.read_bytes()
+    assert len(data) % 2 == 0
+    path.write_bytes(data[:-1])
+
+
+def rate_zero(path, valid):
+    data = bytearray(valid.read_bytes())
+    struct.pack_into("<I", data, 24, 0)  # the fmt chunk's sample rate
+    path.write_bytes(data)
+
+
+# Each writes a malformed WAV at ``path``, some from the ``valid`` one.
+MALFORMED_WAVS = {
+    "odd-length": odd_length,
+    "rate-0": rate_zero,
+    "header-only": lambda path, valid: write_wav(path),
+    "all-zero-samples": lambda path, valid: write_wav(path, frames=bytes(16000)),
+    "stereo": lambda path, valid: write_wav(path, channels=2, frames=bytes(400)),
+    "8-bit": lambda path, valid: write_wav(path, width=1, frames=bytes(200)),
+    "not-riff": lambda path, valid: path.write_bytes(b"this is not audio"),
+    "missing": lambda path, valid: None,
+}
+
+
+class TestMalformedAudio:
+    """A malformed WAV is a typed error in every command: identify names the
+    file once, train and evaluate name the speaker and utterance once."""
+
+    @pytest.mark.parametrize("make", MALFORMED_WAVS.values(), ids=MALFORMED_WAVS.keys())
+    def test_every_command_names_its_source_once(self, cli_workspace, tmp_path, make):
+        corpus_dir, store_dir = cli_workspace
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        bad = tmp_path / "bad.wav"
+        make(bad, manifest.test_entries[0].path)
+
+        with pytest.raises(SidkitError) as exc:
+            identify_command(bad, ModelStore(store_dir))
+        message = str(exc.value)
+        assert message.startswith(f"{bad}: ") and message.count(str(bad)) == 1, message
+
+        for entries, run in (
+            (manifest.train_entries,
+             lambda m: train_command(m, ToolkitConfig(), tmp_path / "store")),
+            (manifest.test_entries, lambda m: evaluate_command(m, ModelStore(store_dir))),
+        ):
+            gone = min(entries, key=lambda e: (e.speaker_id, e.utterance_id))
+            broken = [dataclasses.replace(e, path=bad) if e is gone else e for e in manifest.entries]
+            with pytest.raises(SidkitError) as exc:
+                run(CorpusManifest(broken, manifest.sample_rate))
+            message = str(exc.value)
+            context = f"speaker {gone.speaker_id} utterance {gone.utterance_id}"
+            assert message.startswith(f"{context}: ") and message.count(context) == 1, message
+            assert message.count(str(bad)) <= 1, message
 
 
 class TestMissingInputFiles:

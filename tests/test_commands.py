@@ -274,6 +274,19 @@ def test_evaluate_decides_over_every_enrolled_speaker(corpus, tmp_path):
     assert "zz" in decided.values()
 
 
+def test_report_counts_every_enrolled_speaker(corpus, tmp_path):
+    """``# speakers:`` is the S every utterance was scored against, also
+    when the store enrols speakers the manifest does not name."""
+    store = train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    named = corpus.speakers()[:2]
+    subset = CorpusManifest(
+        [e for e in corpus.entries if e.speaker_id in named], corpus.sample_rate
+    )
+    run = evaluate_command(subset, store)
+    assert run.speakers == tuple(corpus.speakers())
+    assert "\n# speakers: 4\n" in render_report(run)
+
+
 def test_empty_store_is_missing_model(corpus, tmp_path):
     """Evaluate and identify both refuse a store with no record, naming it."""
     path = tmp_path / "store"
