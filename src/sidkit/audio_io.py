@@ -18,7 +18,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
 
     Raises:
         UnsupportedFormat: the file cannot be read, is not a WAV file, is
-            not mono 16-bit PCM, or its data ends mid-sample.
+            not mono 16-bit PCM, or its data ends mid-sample or holds fewer
+            samples than its header announces.
         SampleRateMismatch: the file's rate differs from ``expected_rate``.
     """
     path = Path(path)
@@ -35,7 +36,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
                     f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit"
                 )
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            num_frames = wf.getnframes()
+            raw = wf.readframes(num_frames)
     except wave.Error as exc:
         raise UnsupportedFormat(f"{path}: {exc}") from exc
     except EOFError as exc:
@@ -46,6 +48,11 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
         raise SampleRateMismatch(f"{path}: sample rate {rate}, expected {expected_rate}")
     if len(raw) % 2:
         raise UnsupportedFormat(f"{path}: data chunk ends mid-sample ({len(raw)} bytes)")
+    if len(raw) < 2 * num_frames:
+        raise UnsupportedFormat(
+            f"{path}: truncated data chunk: header announces {num_frames} samples, "
+            f"file holds {len(raw) // 2}"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM16_SCALE
     return AudioSignal(samples=samples, sample_rate=rate)
 

@@ -9,6 +9,9 @@ frame of shape ``(frame_len,)`` or an utterance's ``(num_frames, frame_len)``
 frame matrix: autocorrelation is one shifted multiply-and-sum per lag, the
 Levinson-Durbin order loop runs over all frames at once, and inverse
 filtering is one multiply-and-sum over a sliding window of lagged samples.
+The recursion holds its lags and predictors frames-last, ``(order,
+num_frames)``, so each order step reads and writes whole contiguous rows;
+its result is transposed back to one C-ordered row per frame.
 A single frame is solved as a one-row matrix, so its result is bit-identical
 to that frame's row in a matrix solve, and a degenerate frame is marked
 unusable in either case rather than raised.
@@ -56,23 +59,30 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
 def _levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Order-recursive solve of the Toeplitz normal equations, one row per frame.
 
-    Returns the forward predictor weights alpha(1..order) with
-    ``s_hat(n) = sum_k alpha(k) s(n-k)``, and a mask of the rows whose
+    Returns the forward predictor weights alpha(1..order) (num_frames, order)
+    with ``s_hat(n) = sum_k alpha(k) s(n-k)``, and a mask of the rows whose
     prediction error stayed positive and finite through every order.
     Rows outside the mask hold garbage.
+
+    ``r`` and ``alpha`` are held frames-last (module docstring).  An
+    ``einsum`` sums a one-frame matrix as it sums that frame among many;
+    ``sum(axis=0)`` would not.
     """
-    alpha = np.zeros((r.shape[0], order))
-    err = r[:, 0].copy()
+    r = np.ascontiguousarray(r.T)
+    alpha = np.zeros((order, r.shape[1]))
+    err = r[0].copy()
     ok = err > 0.0
     for i in range(order):
-        acc = r[:, i + 1] - np.einsum("ij,ij->i", alpha[:, :i], r[:, i:0:-1])
+        acc = r[i + 1] - np.einsum("ij,ij->j", alpha[:i], r[i:0:-1])
         k = acc / err
-        prev = alpha[:, :i]
-        alpha[:, :i] = prev - k[:, None] * prev[:, ::-1]
-        alpha[:, i] = k
+        prev = alpha[:i]
+        alpha[:i] = prev - k * prev[::-1]
+        alpha[i] = k
         err *= 1.0 - k * k
         ok &= (err > 0.0) & np.isfinite(err)
-    return alpha, ok & np.all(np.isfinite(alpha), axis=1)
+    # C order for the callers: inverse_filter's einsum rounds differently
+    # on a transposed view.
+    return np.ascontiguousarray(alpha.T), ok & np.all(np.isfinite(alpha), axis=0)
 
 
 def compute_lp(frames: np.ndarray, order: int) -> LpFrames:

@@ -23,6 +23,24 @@ def predict(frame: np.ndarray, lp: LpFrames) -> np.ndarray:
     return -shifted
 
 
+def levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin frames-first, ``alpha`` held as (frames, order): the
+    layout the recursion had before it ran frames-last.  Returns alpha and
+    the mask of rows whose prediction error stayed positive and finite."""
+    alpha = np.zeros((r.shape[0], order))
+    err = r[:, 0].copy()
+    ok = err > 0.0
+    for i in range(order):
+        acc = r[:, i + 1] - np.einsum("ij,ij->i", alpha[:, :i], r[:, i:0:-1])
+        k = acc / err
+        prev = alpha[:, :i]
+        alpha[:, :i] = prev - k[:, None] * prev[:, ::-1]
+        alpha[:, i] = k
+        err *= 1.0 - k * k
+        ok &= (err > 0.0) & np.isfinite(err)
+    return alpha, ok & np.all(np.isfinite(alpha), axis=1)
+
+
 def normalize_residual(residual: np.ndarray) -> np.ndarray:
     """Scale a residual frame (or each row of a matrix) so its peak is exactly 1.
 

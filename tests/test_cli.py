@@ -482,6 +482,11 @@ def odd_length(path, valid):
     path.write_bytes(data[:-1])
 
 
+def truncated(path, valid):
+    data = valid.read_bytes()
+    path.write_bytes(data[: len(data) // 2 & ~1])
+
+
 def rate_zero(path, valid):
     data = bytearray(valid.read_bytes())
     struct.pack_into("<I", data, 24, 0)  # the fmt chunk's sample rate
@@ -491,6 +496,7 @@ def rate_zero(path, valid):
 # Each writes a malformed WAV at ``path``, some from the ``valid`` one.
 MALFORMED_WAVS = {
     "odd-length": odd_length,
+    "truncated": truncated,
     "rate-0": rate_zero,
     "header-only": lambda path, valid: write_wav(path),
     "all-zero-samples": lambda path, valid: write_wav(path, frames=bytes(16000)),

@@ -98,6 +98,25 @@ class TestAudioIo:
             with pytest.raises(UnsupportedFormat, match=re.escape(f"{path}: {reason}")):
                 load_audio(path)
 
+    def test_truncated_data_rejected(self, tmp_path):
+        """A file cut short at an even byte count names the file once and
+        both sample counts; the odd cut keeps its own message."""
+        whole = tmp_path / "whole.wav"
+        save_audio(whole, AudioSignal(samples=np.zeros(16000), sample_rate=8000))
+        data = whole.read_bytes()
+        assert len(data) == 32044
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(data[:8044])
+        with pytest.raises(UnsupportedFormat) as exc:
+            load_audio(cut)
+        assert str(exc.value) == (
+            f"{cut}: truncated data chunk: header announces 16000 samples, file holds 4000"
+        )
+        cut.write_bytes(data[:8043])
+        odd = re.escape(f"{cut}: data chunk ends mid-sample (7999 bytes)")
+        with pytest.raises(UnsupportedFormat, match=odd):
+            load_audio(cut)
+
     def test_rate_mismatch(self, tmp_path):
         path = tmp_path / "x.wav"
         save_audio(path, AudioSignal(samples=np.zeros(100), sample_rate=16000))

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from sidkit import gmm
 from sidkit.config import ModelConfig
 from sidkit.errors import InsufficientData, SidkitError
 from sidkit.gmm import (
     _EXP_FLOOR,
+    _KMEANS_MAX_PASSES,
     COLLAPSE_THRESHOLD,
     LOG_TWO_PI,
     GmmModel,
@@ -41,18 +43,14 @@ def _plain_nearest(features, sq_norms, centroids):
 
 
 def _plain_kmeans(features, sq_norms, centroids, reseeds):
-    for _ in range(50):
+    for _ in range(_KMEANS_MAX_PASSES):
         labels = _plain_nearest(features, sq_norms, centroids)
         counts = np.bincount(labels, minlength=centroids.shape[0])
-        new_centroids = _cell_means(features, labels, counts)
+        centroids = _cell_means(features, labels, counts)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             reseeds.append(empty.size)
-            new_centroids = _reseed_empty_cells(features, new_centroids, labels, empty)
-        move = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if move < 1e-6:
-            break
+            centroids = _reseed_empty_cells(features, centroids, labels, empty)
     return centroids
 
 
@@ -217,6 +215,23 @@ class TestLbgInit:
         model = lbg_init(x, 4, cfg)
         floor = variance_floor(x, cfg.variance_floor_factor)
         assert np.all(model.variances >= floor)
+
+    @pytest.mark.parametrize("m", [2, 8, 16])
+    def test_lloyd_passes_are_capped_per_split(self, m, monkeypatch):
+        """At most 5 distance passes per split (the cap CHANGES.md's sweep
+        chose), plus one for the final labels, on data whose Lloyd passes
+        run on far longer uncapped."""
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return nearest(*args)
+
+        nearest = gmm._nearest_centroid
+        monkeypatch.setattr(gmm, "_nearest_centroid", counting)
+        x = np.random.default_rng(47).standard_normal((1600, 19))
+        lbg_init(x, m, ModelConfig())
+        assert len(calls) <= int(np.log2(m)) * 5 + 1
 
     def test_cell_stats_equal_loop_form(self):
         """The bincount cell means and variances equal, bit for bit, the

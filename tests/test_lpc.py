@@ -10,12 +10,13 @@ from scipy.signal import lfilter
 from sidkit.lpc import (
     AUTOCORR_RIDGE,
     LpFrames,
+    _levinson_durbin,
     autocorrelation,
     compute_lp,
     inverse_filter,
 )
 
-from oracles import predict
+from oracles import levinson_durbin, predict
 
 
 def speech_like_frame(rng, n=160):
@@ -219,3 +220,26 @@ class TestBatchedLp:
             compute_lp(np.ones((3, 10)), 10)
         with pytest.raises(ValueError):
             compute_lp(np.ones((2, 3, 40)), 4)
+
+    @pytest.mark.parametrize("order", [1, 17, 19])
+    @pytest.mark.parametrize("case", ["random", "zero-rows", "single-row"])
+    def test_levinson_durbin_equals_the_frames_first_loop(self, order, case):
+        """Bit for bit, coefficients and mask, on usable and degenerate rows."""
+        frames = self._matrix_with_zero_rows(23)
+        if case == "random":
+            frames = np.random.default_rng(24).standard_normal((37, 160))
+        elif case == "single-row":
+            frames = frames[1:2]
+        r = autocorrelation(frames, order)
+        r[:, 0] *= 1.0 + AUTOCORR_RIDGE
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha, ok = _levinson_durbin(r, order)
+            want_alpha, want_ok = levinson_durbin(r, order)
+        np.testing.assert_array_equal(ok, want_ok)
+        assert alpha[ok].tobytes() == want_alpha[want_ok].tobytes()
+        assert alpha.flags.c_contiguous
+
+    def test_coefficients_are_c_contiguous(self):
+        frames = self._matrix_with_zero_rows(25)
+        assert compute_lp(frames, 17).a.flags.c_contiguous
+        assert compute_lp(frames[1], 17).a.flags.c_contiguous
