@@ -37,7 +37,9 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
                 )
             rate = wf.getframerate()
             num_frames = wf.getnframes()
-            raw = wf.readframes(num_frames)
+            # ``wave`` rounds an odd-sized data chunk down to whole frames;
+            # asking for one frame more reads the chunk's stray last byte.
+            raw = wf.readframes(num_frames + 1)
     except wave.Error as exc:
         raise UnsupportedFormat(f"{path}: {exc}") from exc
     except EOFError as exc:

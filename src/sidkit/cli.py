@@ -82,8 +82,9 @@ def _run_synth(args) -> int:
 def _run_train(args) -> int:
     cfg = load_config(args.config) if args.config else ToolkitConfig()
     manifest = read_manifest(args.manifest)
-    store = train_command(manifest, cfg, args.out)
-    print(f"trained {2 * len(store.speakers())} models into {args.out}")
+    train_command(manifest, cfg, args.out)
+    trained = {entry.speaker_id for entry in manifest.train_entries}
+    print(f"trained {2 * len(trained)} models into {args.out}")
     return 0
 
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import wave
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from sidkit import commands
 from sidkit.cli import main
 from sidkit.commands import evaluate_command, identify_command, train_command
 from sidkit.config import ToolkitConfig
-from sidkit.corpus import CorpusManifest, read_manifest
+from sidkit.corpus import CorpusManifest, ManifestEntry, read_manifest, write_manifest
 from sidkit.errors import (
     ConfigMismatch,
     FeatureDimensionMismatch,
@@ -59,6 +62,18 @@ def cli_workspace(tmp_path_factory):
 
 def no_audio(*args, **kwargs):
     raise AssertionError("audio read before the config was checked")
+
+
+def speaker_manifest(corpus_dir, path, speaker_id):
+    """Write a manifest at ``path`` of spk00's train utterances, enrolled as
+    ``speaker_id``."""
+    manifest = read_manifest(corpus_dir / "manifest.tsv")
+    entries = [
+        ManifestEntry(speaker_id, f"{speaker_id}_{e.utterance_id}", e.path, "train")
+        for e in manifest.train_entries if e.speaker_id == "spk00"
+    ]
+    write_manifest(CorpusManifest(entries, manifest.sample_rate), path)
+    return str(path)
 
 
 class TestSynth:
@@ -108,7 +123,43 @@ class TestTrain:
         store = ModelStore(store_dir)
         assert len(store.speakers()) == 4
         assert [bank.speakers for bank in store.banks()] == [tuple(store.speakers())] * 2
-        assert len(list(store_dir.glob("*.gmm"))) == 8
+        assert sorted(p.name for p in store_dir.iterdir()) == [CONFIG_NAME] + [
+            f"{speaker}__{stream}.gmm"
+            for speaker in store.speakers() for stream in ("residual", "spectral")
+        ]
+        text = (store_dir / CONFIG_NAME).read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "# sample_rate: 8000"
+
+    def test_reports_the_models_it_trained(self, cli_workspace, tmp_path, capsys):
+        """Training one speaker into an existing store reports its 2 models,
+        not the store's total."""
+        corpus_dir, store_dir = cli_workspace
+        store = tmp_path / "store"
+        shutil.copytree(store_dir, store)
+        manifest = speaker_manifest(corpus_dir, tmp_path / "zz.tsv", "zz")
+        assert main(["train", "--manifest", manifest, "--out", str(store)]) == 0
+        assert capsys.readouterr().out == f"trained 2 models into {store}\n"
+        assert ModelStore(store).speakers() == [*ModelStore(store_dir).speakers(), "zz"]
+
+    @pytest.mark.parametrize(
+        "extra", ["", "per_frame_average = false\n"],
+        ids=["default-config", "per-frame-average-false"],
+    )
+    def test_default_config_file_trains_like_no_config(self, cli_workspace, tmp_path, extra):
+        """A config written by default-config, also with the removed [fusion]
+        key appended false, trains the bytes that no config trains."""
+        corpus_dir, store_dir = cli_workspace
+        config = tmp_path / "sidkit.ini"
+        assert main(["default-config", "--out", str(config)]) == 0
+        config.write_text(config.read_text(encoding="utf-8") + extra, encoding="utf-8")
+        manifest = speaker_manifest(corpus_dir, tmp_path / "spk00.tsv", "spk00")
+        store = tmp_path / "store"
+        assert main(["train", "--manifest", manifest, "--out", str(store),
+                     "--config", str(config)]) == 0
+        names = sorted(p.name for p in store.iterdir())
+        assert names == [CONFIG_NAME, "spk00__residual.gmm", "spk00__spectral.gmm"]
+        for name in names:
+            assert (store / name).read_bytes() == (store_dir / name).read_bytes(), name
 
     def test_header_only_manifest_fails_cleanly(self, tmp_path, capsys):
         """A manifest without train utterances is an error, and no store is made."""
@@ -142,15 +193,25 @@ class TestTrain:
             ("[preprocess]\nframe_len = 16\nframe_shift = 8\n",
              "[preprocess] frame_len = 16 must exceed [residual] lp_order = 17"),
             ("[fusion]\nper_frame_average = true\n",
-             "[fusion] per_frame_average = true is no longer supported"),
+             "[fusion] per_frame_average = true is no longer supported: "
+             "stream scores are always sums over frames"),
+            ("[preprocess]\nframe_len = twenty\n",
+             "[preprocess] frame_len = 'twenty' is not an int"),
+            ("[preprocess]\nframe_len = 1%\n", "[preprocess] frame_len = '1%' is not an int"),
+            ("[spectral]\nnum_cepstra = 0\n", "num_cepstra must be >= 1, got 0"),
+            ("[model]\nvariance_floor_factor = inf\n",
+             "variance_floor_factor must be finite, got inf"),
+            ("[spectral]\nkind = lpcc\nlpcc_lp_order = 0\n", "lpcc_lp_order must be >= 1, got 0"),
         ],
-        ids=["frame-over-fft", "frame-under-order", "per-frame-average"],
+        ids=["frame-over-fft", "frame-under-order", "per-frame-average", "frame-len-text",
+             "frame-len-percent", "no-cepstra", "infinite-variance-floor", "lpcc-order-0"],
     )
     def test_unusable_config_fails_before_any_audio_is_read(
         self, cli_workspace, tmp_path, capsys, monkeypatch, text, message
     ):
-        """A config that no utterance could be trained under exits 1 naming
-        its keys, before any WAV is read, and no store is made."""
+        """A config that no utterance could be trained under exits 1 with one
+        error line naming its keys, before any WAV is read, and no store is
+        made."""
         corpus_dir, _ = cli_workspace
         config = tmp_path / "bad.ini"
         config.write_text(text, encoding="utf-8")
@@ -158,13 +219,14 @@ class TestTrain:
         rc = main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                    "--out", str(tmp_path / "models"), "--config", str(config)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "models").exists()
 
 
 class TestEvaluate:
     def test_writes_report_and_records(self, cli_workspace, tmp_path, capsys):
-        """evaluate prints accuracies and writes the report and record files."""
+        """evaluate prints accuracies and writes the report and record files,
+        the same bytes on every run."""
         corpus_dir, store_dir = cli_workspace
         report = tmp_path / "report.txt"
         records = tmp_path / "records.jsonl"
@@ -197,6 +259,11 @@ class TestEvaluate:
         rec = json.loads(lines[0])
         assert set(rec) >= {"utterance_id", "true_id", "decided_id", "decided_scores"}
         assert set(rec["decided_scores"]) == {"spectral", "residual", "combined"}
+
+        again = tmp_path / "records-again.jsonl"
+        assert main(["evaluate", "--manifest", str(corpus_dir / "manifest.tsv"),
+                     "--store", str(store_dir), "--records", str(again)]) == 0
+        assert again.read_bytes() == records.read_bytes()
 
     def test_store_asking_for_per_frame_average_fails_cleanly(
         self, cli_workspace, tmp_path, capsys, monkeypatch
@@ -422,6 +489,14 @@ class TestComponentMismatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "m_spectral = 8" in err and "Traceback" not in err
 
+    def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        corpus_dir, store_dir = cli_workspace
+        self.resaved_store(store_dir, tmp_path / "store")
+        manifest = str(corpus_dir / "manifest.tsv")
+        assert main(["evaluate", "--manifest", manifest, "--store", str(tmp_path / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "m_spectral = 8" in err and "Traceback" not in err
+
 
 class TestMalformedRecord:
     def test_cli_identify_fails_cleanly(self, cli_workspace, tmp_path, capsys):
@@ -467,6 +542,22 @@ class TestUnreadableAudio:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
 
+    def test_console_entry_exits_1_with_one_error_line(self, cli_workspace, tmp_path):
+        """``python -m sidkit.cli`` turns a user error into exit status 1 and
+        one stderr line, with no traceback."""
+        _, store_dir = cli_workspace
+        proc = subprocess.run(
+            [sys.executable, "-m", "sidkit.cli", "identify", "--audio", "missing.wav",
+             "--store", str(store_dir)],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: missing.wav: cannot read")
+        assert "Traceback" not in proc.stderr
+
 
 def write_wav(path, channels=1, width=2, frames=b""):
     with wave.open(str(path), "wb") as wf:
@@ -487,6 +578,16 @@ def truncated(path, valid):
     path.write_bytes(data[: len(data) // 2 & ~1])
 
 
+def odd_chunk(path, valid):
+    """The header declares a data chunk one byte short of its last sample;
+    that sample's second byte is left as the chunk's pad byte."""
+    data = bytearray(valid.read_bytes())
+    assert data[36:40] == b"data"
+    size = struct.unpack_from("<I", data, 40)[0]
+    struct.pack_into("<I", data, 40, size - 1)
+    path.write_bytes(data)
+
+
 def rate_zero(path, valid):
     data = bytearray(valid.read_bytes())
     struct.pack_into("<I", data, 24, 0)  # the fmt chunk's sample rate
@@ -497,6 +598,7 @@ def rate_zero(path, valid):
 MALFORMED_WAVS = {
     "odd-length": odd_length,
     "truncated": truncated,
+    "odd-chunk": odd_chunk,
     "rate-0": rate_zero,
     "header-only": lambda path, valid: write_wav(path),
     "all-zero-samples": lambda path, valid: write_wav(path, frames=bytes(16000)),
