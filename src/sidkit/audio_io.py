@@ -24,7 +24,7 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
     """
     path = Path(path)
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open(path, "rb") as fh, wave.open(fh) as wf:
             if wf.getcomptype() != "NONE":
                 raise UnsupportedFormat(f"{path}: compressed WAV is not supported")
             if wf.getnchannels() != 1:
@@ -37,9 +37,13 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
                 )
             rate = wf.getframerate()
             num_frames = wf.getnframes()
-            # ``wave`` rounds an odd-sized data chunk down to whole frames;
-            # asking for one frame more reads the chunk's stray last byte.
-            raw = wf.readframes(num_frames + 1)
+            # ``wave`` rounds the data size down to whole frames and reads no
+            # further than the RIFF size, so a stray odd byte can vanish.  It
+            # stops just past the data chunk's header: read the declared size
+            # back from there.
+            fh.seek(-4, 1)
+            declared = int.from_bytes(fh.read(4), "little")
+            raw = wf.readframes(num_frames)
     except wave.Error as exc:
         raise UnsupportedFormat(f"{path}: {exc}") from exc
     except EOFError as exc:
@@ -48,8 +52,9 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
         raise UnsupportedFormat(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if expected_rate is not None and rate != expected_rate:
         raise SampleRateMismatch(f"{path}: sample rate {rate}, expected {expected_rate}")
-    if len(raw) % 2:
-        raise UnsupportedFormat(f"{path}: data chunk ends mid-sample ({len(raw)} bytes)")
+    if declared % 2 or len(raw) % 2:
+        size = declared if declared % 2 else len(raw)
+        raise UnsupportedFormat(f"{path}: data chunk ends mid-sample ({size} bytes)")
     if len(raw) < 2 * num_frames:
         raise UnsupportedFormat(
             f"{path}: truncated data chunk: header announces {num_frames} samples, "

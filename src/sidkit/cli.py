@@ -7,7 +7,7 @@ import logging
 import sys
 
 from .commands import evaluate_command, identify_command, train_command
-from .config import DEFAULT_CONFIG_TEXT, ToolkitConfig, load_config, write_default_config
+from .config import DEFAULT_CONFIG_TEXT, ToolkitConfig, load_config
 from .corpus import (
     DEFAULT_SAMPLE_RATE,
     default_speaker_specs,
@@ -115,7 +115,8 @@ def _run_identify(args) -> int:
 
 def _run_default_config(args) -> int:
     if args.out:
-        write_default_config(args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(DEFAULT_CONFIG_TEXT)
         print(f"wrote default configuration to {args.out}")
     else:
         sys.stdout.write(DEFAULT_CONFIG_TEXT)

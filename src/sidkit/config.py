@@ -152,49 +152,12 @@ _SECTIONS = {
     "fusion": FusionConfig,
 }
 
-DEFAULT_CONFIG_TEXT = """\
-# sidkit configuration. Omitted keys keep their defaults.
-
-[preprocess]
-# First-order pre-emphasis factor applied after silence removal.
-pre_emphasis = 0.97
-# Frame length and shift in samples: 20 ms frames, 50% overlap at 8 kHz.
-frame_len = 160
-frame_shift = 80
-# A block is kept when its mean-square energy exceeds this fraction of the
-# utterance-average block energy.
-silence_energy_ratio = 0.06
-
-[residual]
-# Predictor order for the residual stream.
-lp_order = 17
-# Central moments per frame, orders 2 .. num_moments+1.
-num_moments = 6
-
-[spectral]
-# Spectral stream: mfcc, lfcc, or lpcc.
-kind = mfcc
-num_filters = 20
-# Cepstra retained after discarding the dc coefficient.
-num_cepstra = 19
-fft_size = 256
-# Predictor order when the spectral stream is lpcc.
-lpcc_lp_order = 19
-
-[model]
-# Mixture components per stream.
-m_spectral = 8
-m_residual = 8
-em_iterations = 10
-# Variance floor as a fraction of the global per-dimension variance.
-variance_floor_factor = 0.01
-# Relative centroid perturbation used by binary-splitting initialization.
-lbg_split_epsilon = 0.02
-
-[fusion]
-# Weight on the spectral stream; the residual stream gets 1 - eta.
-eta = 0.5
-"""
+# What each configparser syntax error means for the line it names.
+_SYNTAX_ERRORS = {
+    configparser.MissingSectionHeaderError: "comes before any [section] header",
+    configparser.DuplicateSectionError: "repeats a section",
+    configparser.DuplicateOptionError: "repeats a key of its section",
+}
 
 
 def parse_config(text: str) -> ToolkitConfig:
@@ -204,7 +167,11 @@ def parse_config(text: str) -> ToolkitConfig:
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
-        raise ValueError(f"malformed config: {exc}") from exc
+        # ParsingError lists the lines it could not read; the others carry one.
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        reason = _SYNTAX_ERRORS.get(type(exc), "is not 'key = value'")
+        raise ValueError(f"malformed config: line {lineno}: {line!r} {reason}") from exc
 
     getters = {
         "int": parser.getint, "float": parser.getfloat, "str": parser.get,
@@ -256,21 +223,48 @@ def render_config(cfg: ToolkitConfig) -> str:
 
 
 def load_config(path) -> ToolkitConfig:
-    """Load a configuration file from disk.
+    """Load a configuration file from disk; a leading UTF-8 BOM is skipped.
 
     Raises:
-        ValueError: the file cannot be read or is not a valid config.
+        ValueError: the file cannot be read or is not a valid config; the
+            message starts with the path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"cannot read config {path}: {reason}") from exc
-    return parse_config(text)
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_config(fh.read())
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_default_config(path) -> None:
-    """Write the fully commented default configuration file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DEFAULT_CONFIG_TEXT)
+# The comment lines the default file puts above each key.
+_NOTES = {
+    "pre_emphasis": "First-order pre-emphasis factor applied after silence removal.",
+    "frame_len": "Frame length and shift in samples: 20 ms frames, 50% overlap at 8 kHz.",
+    "silence_energy_ratio": "A block is kept when its mean-square energy exceeds this "
+    "fraction of the\nutterance-average block energy.",
+    "lp_order": "Predictor order for the residual stream.",
+    "num_moments": "Central moments per frame, orders 2 .. num_moments+1.",
+    "kind": "Spectral stream: mfcc, lfcc, or lpcc.",
+    "num_cepstra": "Cepstra retained after discarding the dc coefficient.",
+    "lpcc_lp_order": "Predictor order when the spectral stream is lpcc.",
+    "m_spectral": "Mixture components per stream.",
+    "variance_floor_factor": "Variance floor as a fraction of the global per-dimension variance.",
+    "lbg_split_epsilon": "Relative centroid perturbation used by binary-splitting initialization.",
+    "eta": "Weight on the spectral stream; the residual stream gets 1 - eta.",
+}
+
+
+def _default_config_text() -> str:
+    """``render_config`` of the defaults, with each key's notes above it."""
+    lines = ["# sidkit configuration. Omitted keys keep their defaults.", ""]
+    for line in render_config(ToolkitConfig()).splitlines():
+        note = _NOTES.get(line.split(" = ")[0])
+        if note:
+            lines += [f"# {text}" for text in note.splitlines()]
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+DEFAULT_CONFIG_TEXT = _default_config_text()

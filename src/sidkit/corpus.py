@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import save_audio
-from .errors import ManifestError, SidkitError, UnstableFilter
+from .errors import ManifestError, SidkitError, UnstableFilter, named
 from .frontend import AudioSignal
 
 DEFAULT_SAMPLE_RATE = 8000
@@ -77,15 +77,18 @@ class CorpusManifest:
 def read_manifest(path) -> CorpusManifest:
     """Parse a manifest file; relative audio paths resolve against its directory.
 
+    A leading UTF-8 byte-order mark is skipped.
+
     Raises:
-        ManifestError: the file cannot be read as UTF-8 text, or a line is
-            malformed.
+        ManifestError: the file cannot be read as UTF-8 text, a line is
+            malformed (named with its line number), or the entries break a
+            manifest rule (named with the file).
     """
     path = Path(path)
     root = path.parent
     sample_rate = DEFAULT_SAMPLE_RATE
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ManifestError(f"cannot read manifest {path}: {reason}") from exc
@@ -110,15 +113,10 @@ def read_manifest(path) -> CorpusManifest:
         audio = Path(audio_path)
         if not audio.is_absolute():
             audio = root / audio
-        entries.append(
-            ManifestEntry(
-                speaker_id=speaker_id,
-                utterance_id=utterance_id,
-                path=audio,
-                split=split,
-            )
-        )
-    return CorpusManifest(entries=tuple(entries), sample_rate=sample_rate)
+        with named(f"{path}:{lineno}"):
+            entries.append(ManifestEntry(speaker_id, utterance_id, audio, split))
+    with named(path):
+        return CorpusManifest(entries=tuple(entries), sample_rate=sample_rate)
 
 
 def write_manifest(manifest: CorpusManifest, path) -> None:

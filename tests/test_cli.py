@@ -142,16 +142,19 @@ class TestTrain:
         assert ModelStore(store).speakers() == [*ModelStore(store_dir).speakers(), "zz"]
 
     @pytest.mark.parametrize(
-        "extra", ["", "per_frame_average = false\n"],
-        ids=["default-config", "per-frame-average-false"],
+        "bom, extra", [("", ""), ("", "per_frame_average = false\n"), ("\ufeff", "")],
+        ids=["default-config", "per-frame-average-false", "bom"],
     )
-    def test_default_config_file_trains_like_no_config(self, cli_workspace, tmp_path, extra):
+    def test_default_config_file_trains_like_no_config(
+        self, cli_workspace, tmp_path, bom, extra
+    ):
         """A config written by default-config, also with the removed [fusion]
-        key appended false, trains the bytes that no config trains."""
+        key appended false or saved with a UTF-8 byte-order mark, trains the
+        bytes that no config trains."""
         corpus_dir, store_dir = cli_workspace
         config = tmp_path / "sidkit.ini"
         assert main(["default-config", "--out", str(config)]) == 0
-        config.write_text(config.read_text(encoding="utf-8") + extra, encoding="utf-8")
+        config.write_text(bom + config.read_text(encoding="utf-8") + extra, encoding="utf-8")
         manifest = speaker_manifest(corpus_dir, tmp_path / "spk00.tsv", "spk00")
         store = tmp_path / "store"
         assert main(["train", "--manifest", manifest, "--out", str(store),
@@ -182,7 +185,7 @@ class TestTrain:
                    "--out", str(tmp_path / "models"), "--config", str(config)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: m_spectral must be a power of two, got 6")
+        assert err.startswith(f"error: {config}: m_spectral must be a power of two, got 6")
         assert not (tmp_path / "models").exists()
 
     @pytest.mark.parametrize(
@@ -202,16 +205,21 @@ class TestTrain:
             ("[model]\nvariance_floor_factor = inf\n",
              "variance_floor_factor must be finite, got inf"),
             ("[spectral]\nkind = lpcc\nlpcc_lp_order = 0\n", "lpcc_lp_order must be >= 1, got 0"),
+            ("frame_len = 200\n",
+             "malformed config: line 1: 'frame_len = 200' comes before any [section] header"),
+            ("[preprocess]\nframe_len = 160\nframe_len = 240\n",
+             "malformed config: line 3: 'frame_len = 240' repeats a key of its section"),
         ],
         ids=["frame-over-fft", "frame-under-order", "per-frame-average", "frame-len-text",
-             "frame-len-percent", "no-cepstra", "infinite-variance-floor", "lpcc-order-0"],
+             "frame-len-percent", "no-cepstra", "infinite-variance-floor", "lpcc-order-0",
+             "no-section", "duplicate-key"],
     )
     def test_unusable_config_fails_before_any_audio_is_read(
         self, cli_workspace, tmp_path, capsys, monkeypatch, text, message
     ):
         """A config that no utterance could be trained under exits 1 with one
-        error line naming its keys, before any WAV is read, and no store is
-        made."""
+        error line naming the file and its keys or line, before any WAV is
+        read, and no store is made."""
         corpus_dir, _ = cli_workspace
         config = tmp_path / "bad.ini"
         config.write_text(text, encoding="utf-8")
@@ -219,7 +227,7 @@ class TestTrain:
         rc = main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                    "--out", str(tmp_path / "models"), "--config", str(config)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (tmp_path / "models").exists()
 
 
@@ -588,6 +596,16 @@ def odd_chunk(path, valid):
     path.write_bytes(data)
 
 
+def riff_undercount(path, valid):
+    """The data chunk declares and holds one byte past its last sample, but
+    the RIFF size still counts the chunk without it."""
+    data = bytearray(valid.read_bytes())
+    assert data[36:40] == b"data"
+    size = struct.unpack_from("<I", data, 40)[0]
+    struct.pack_into("<I", data, 40, size + 1)
+    path.write_bytes(data + b"\0")
+
+
 def rate_zero(path, valid):
     data = bytearray(valid.read_bytes())
     struct.pack_into("<I", data, 24, 0)  # the fmt chunk's sample rate
@@ -599,6 +617,7 @@ MALFORMED_WAVS = {
     "odd-length": odd_length,
     "truncated": truncated,
     "odd-chunk": odd_chunk,
+    "riff-undercount": riff_undercount,
     "rate-0": rate_zero,
     "header-only": lambda path, valid: write_wav(path),
     "all-zero-samples": lambda path, valid: write_wav(path, frames=bytes(16000)),
@@ -697,13 +716,17 @@ class TestUnwritableOutput:
 
 class TestDefaultConfig:
     def test_written_file_round_trips(self, tmp_path, capsys):
-        """default-config --out writes a file that parses back to the defaults."""
+        """default-config --out writes the text it prints, which parses back
+        to the defaults."""
         from sidkit.config import ToolkitConfig, load_config
 
         path = tmp_path / "sidkit.ini"
         rc = main(["default-config", "--out", str(path)])
         assert rc == 0
         assert load_config(path) == ToolkitConfig()
+        assert capsys.readouterr().out == f"wrote default configuration to {path}\n"
+        assert main(["default-config"]) == 0
+        assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
     def test_prints_to_stdout(self, capsys):
         """Without --out the default configuration goes to stdout."""

@@ -1,20 +1,21 @@
 """Configuration defaults, file parsing, and validation."""
 
 import re
+from dataclasses import fields
 
 import pytest
 
 from sidkit.config import (
+    _NOTES,
+    _SECTIONS,
     DEFAULT_CONFIG_TEXT,
     FusionConfig,
     ModelConfig,
     PreprocessConfig,
     SpectralConfig,
     ToolkitConfig,
-    load_config,
     parse_config,
     render_config,
-    write_default_config,
 )
 
 
@@ -43,10 +44,17 @@ class TestDefaults:
         """Parsing the shipped default file reproduces the in-code defaults."""
         assert parse_config(DEFAULT_CONFIG_TEXT) == ToolkitConfig()
 
-    def test_write_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "sidkit.ini"
-        write_default_config(path)
-        assert load_config(path) == ToolkitConfig()
+    def test_default_text_lists_every_key_once_in_render_order(self):
+        """The shipped file is ``render_config`` of the defaults plus comment
+        lines, so every field of every section is listed once, in order."""
+        listed = [ln for ln in DEFAULT_CONFIG_TEXT.splitlines() if ln and not ln.startswith("#")]
+        assert listed == [ln for ln in render_config(ToolkitConfig()).splitlines() if ln]
+        keys = [ln.split(" = ")[0] for ln in listed if not ln.startswith("[")]
+        assert keys == [f.name for cls in _SECTIONS.values() for f in fields(cls)]
+
+    def test_every_note_names_a_field(self):
+        names = {f.name for cls in _SECTIONS.values() for f in fields(cls)}
+        assert set(_NOTES) <= names
 
 
 class TestParsing:
@@ -124,8 +132,22 @@ class TestParsing:
             parse_config("[spectral]\nkind = mf%(x)s\n")
 
     def test_missing_section_header_is_value_error(self):
-        with pytest.raises(ValueError, match="malformed config"):
+        message = "malformed config: line 1: 'frame_len = 240' comes before any [section] header"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config("frame_len = 240\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[model]\n[fusion]\n[model]\n", "line 3: '[model]' repeats a section"),
+            ("[fusion]\neta = 0.5\neta = 0.25\n", "line 3: 'eta = 0.25' repeats a key of its section"),
+            ("[fusion]\n\neta\n", "line 3: 'eta' is not 'key = value'"),
+        ],
+        ids=["duplicate-section", "duplicate-key", "no-value"],
+    )
+    def test_syntax_error_is_one_line_naming_its_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^malformed config: {re.escape(message)}$"):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "cfg",

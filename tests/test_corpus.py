@@ -168,11 +168,13 @@ class TestManifest:
             read_manifest(path)
 
     def test_duplicate_utterance_ids_rejected(self, tmp_path):
+        """A rule broken across lines names the file."""
         path = tmp_path / "m.tsv"
         path.write_text(
             "a\tu0\tx.wav\ttrain\nb\tu0\ty.wav\ttrain\n", encoding="utf-8"
         )
-        with pytest.raises(ManifestError):
+        message = f"{path}: duplicate utterance id 'u0'"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             read_manifest(path)
 
     def test_open_set_rejected(self, tmp_path):
@@ -186,10 +188,29 @@ class TestManifest:
             read_manifest(path)
 
     def test_unknown_split_rejected(self, tmp_path):
+        """A bad entry is named with its file and line number."""
         path = tmp_path / "m.tsv"
-        path.write_text("a\tu0\tx.wav\tdev\n", encoding="utf-8")
-        with pytest.raises(ManifestError):
+        path.write_text("a\tu0\tx.wav\ttrain\na\tu1\ty.wav\tdev\n", encoding="utf-8")
+        message = f"{path}:2: unknown split 'dev' (expected train or test)"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             read_manifest(path)
+
+    def test_zero_sample_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("# sample_rate: 0\na\tu0\tx.wav\ttrain\n", encoding="utf-8")
+        message = f"{path}: sample_rate must be positive, got 0"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            read_manifest(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """A manifest saved with a UTF-8 byte-order mark keeps its first line
+        a comment."""
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            "\ufeff# speaker_id\tutterance_id\tpath\tsplit\na\tu0\tx.wav\ttrain\n",
+            encoding="utf-8",
+        )
+        assert [e.utterance_id for e in read_manifest(path).entries] == ["u0"]
 
 
 class TestSyntheticSpeakers:
