@@ -18,8 +18,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
 
     Raises:
         UnsupportedFormat: the file cannot be read, is not a WAV file, is
-            not mono 16-bit PCM, or its data ends mid-sample or holds fewer
-            samples than its header announces.
+            not mono 16-bit PCM, declares a zero sample rate, or its data
+            ends mid-sample or holds fewer samples than its header announces.
         SampleRateMismatch: the file's rate differs from ``expected_rate``.
     """
     path = Path(path)
@@ -50,6 +50,8 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
         raise UnsupportedFormat(f"{path}: truncated WAV header") from exc
     except OSError as exc:
         raise UnsupportedFormat(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    if rate == 0:
+        raise UnsupportedFormat(f"{path}: header declares a sample rate of 0 Hz")
     if expected_rate is not None and rate != expected_rate:
         raise SampleRateMismatch(f"{path}: sample rate {rate}, expected {expected_rate}")
     if declared % 2 or len(raw) % 2:

@@ -1,11 +1,12 @@
 """Batch commands: train speaker models, evaluate a corpus, identify one file.
 
 Each command calls the pipeline directly: ``load_audio``, then
-``extract_streams``, then ``lbg_init``/``em_train`` or ``score_utterance``.
-A ``SidkitError`` on the way is re-raised through ``errors.named`` with
-where it came from, once: ``speaker S utterance U: `` for an utterance in
-train and evaluate, ``speaker S: `` for training a speaker, and the audio
-path in identify, whose ``load_audio`` errors already start with it.
+``extract_streams``, then ``lbg_init``/``em_train`` or ``score_utterance``,
+each stage given its own ``ToolkitConfig`` section.  A ``SidkitError`` on
+the way is re-raised through ``errors.named`` with where it came from,
+once: ``speaker S utterance U: `` for an utterance in train and evaluate,
+``speaker S: `` for training a speaker, and the audio path in identify,
+whose ``load_audio`` errors already start with it.
 
 Speakers are trained and test utterances scored one after another, in
 sorted order, so reruns are deterministic.  Each utterance's features are
@@ -39,7 +40,7 @@ from .identify import (
     score_utterance,
 )
 from .residual_moments import extract_residual_moments
-from .spectral import extract_filterbank_cepstra, extract_lpcc, make_filterbank
+from .spectral import extract_filterbank_cepstra, extract_lpcc
 from .store import STREAMS, ModelStore
 
 logger = logging.getLogger(__name__)
@@ -47,23 +48,13 @@ logger = logging.getLogger(__name__)
 
 def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray, np.ndarray]:
     """Preprocess one utterance into its frame matrix and extract the
-    (spectral, residual) feature matrices from it."""
-    spec = cfg.spectral
+    (spectral, residual) feature matrices from it, each under its config section."""
     frames = preprocess(signal, cfg.preprocess)
-    if spec.kind == "lpcc":
-        spectral = extract_lpcc(frames, spec.lpcc_lp_order, spec.num_cepstra)
+    if cfg.spectral.kind == "lpcc":
+        spectral = extract_lpcc(frames, cfg.spectral)
     else:
-        bank = make_filterbank(
-            num_filters=spec.num_filters,
-            fft_size=spec.fft_size,
-            sample_rate=signal.sample_rate,
-            scale="mel" if spec.kind == "mfcc" else "linear",
-        )
-        spectral = extract_filterbank_cepstra(frames, bank, spec.fft_size, spec.num_cepstra)
-    residual = extract_residual_moments(
-        frames, cfg.residual.lp_order, cfg.residual.num_moments
-    ).vectors
-    return spectral, residual
+        spectral = extract_filterbank_cepstra(frames, cfg.spectral, signal.sample_rate)
+    return spectral, extract_residual_moments(frames, cfg.residual).vectors
 
 
 def _train_stream(features: np.ndarray, num_components: int, cfg: ToolkitConfig) -> GmmModel:

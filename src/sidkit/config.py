@@ -144,13 +144,8 @@ class ToolkitConfig:
             )
 
 
-_SECTIONS = {
-    "preprocess": PreprocessConfig,
-    "residual": ResidualConfig,
-    "spectral": SpectralConfig,
-    "model": ModelConfig,
-    "fusion": FusionConfig,
-}
+# Each section's name and class, in file order.
+_SECTIONS = {f.name: type(f.default) for f in fields(ToolkitConfig)}
 
 # What each configparser syntax error means for the line it names.
 _SYNTAX_ERRORS = {

@@ -159,6 +159,10 @@ class SyntheticSpeakerSpec:
             raise ValueError(f"noise floor must be >= 0, got {self.noise_floor}")
 
 
+# Order of the all-pole vocal-tract filter of each default speaker.
+SPEAKER_FILTER_ORDER = 17
+
+
 def _coeffs_from_reflection(reflection: np.ndarray) -> np.ndarray:
     """Step-up recursion: reflection coefficients with |k| < 1 give a stable filter."""
     a = np.zeros(0)
@@ -167,9 +171,7 @@ def _coeffs_from_reflection(reflection: np.ndarray) -> np.ndarray:
     return a
 
 
-def default_speaker_specs(
-    num_speakers: int, seed: int = 0, order: int = 17
-) -> list[SyntheticSpeakerSpec]:
+def default_speaker_specs(num_speakers: int, seed: int = 0) -> list[SyntheticSpeakerSpec]:
     """Build well-separated synthetic speakers: random stable filters, spread pitch."""
     if num_speakers < 1:
         raise ValueError("need at least one speaker")
@@ -177,7 +179,7 @@ def default_speaker_specs(
     specs = []
     for i in range(num_speakers):
         rng = np.random.default_rng([seed, i])
-        reflection = rng.uniform(-0.75, 0.75, size=order)
+        reflection = rng.uniform(-0.75, 0.75, size=SPEAKER_FILTER_ORDER)
         coeffs = _coeffs_from_reflection(reflection)
         specs.append(
             SyntheticSpeakerSpec(

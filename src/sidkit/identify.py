@@ -58,7 +58,7 @@ def score_utterance(
     spectral_features: np.ndarray,
     residual_features: np.ndarray,
     banks: tuple[ModelBank, ModelBank],
-    eta: float = 0.5,
+    eta: float,
 ) -> UtteranceScores:
     """Score one utterance's feature streams against every speaker of the
     (spectral, residual) ``banks``.

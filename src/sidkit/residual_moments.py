@@ -4,12 +4,12 @@ Each frame is inverse-filtered, scaled so the residual peaks at +/-1, and
 summarized by its central moments of orders 2 through K+1.  The first-order
 moment is zero by construction and therefore not emitted.
 
-Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix (:func:`~sidkit.frontend.preprocess`), with one :func:`~sidkit.lpc.compute_lp` solve whose
-``usable`` mask, together with the all-zero residuals, picks the frames
-that are skipped and counted.  The per-frame helpers are the one-row case
-of the same kernels along the last axis, so a frame's features do not
-depend on its neighbours.
+Features are computed on an utterance's ``(num_frames, frame_len)`` frame
+matrix (:func:`~sidkit.frontend.preprocess`) under the ``[residual]`` config
+section, with one :func:`~sidkit.lpc.compute_lp` solve whose ``usable``
+mask, with the all-zero residuals, picks the frames skipped and counted.
+The per-frame helpers are the one-row case of the same kernels along the
+last axis, so a frame's features do not depend on its neighbours.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ResidualConfig
 from .errors import NoUsableFrames
 from .frontend import frame_matrix
 from .lpc import compute_lp, inverse_filter
@@ -55,10 +56,9 @@ def central_moments(residual: np.ndarray, num_moments: int) -> np.ndarray:
     return np.stack(moments, axis=-1)
 
 
-def extract_residual_moments(
-    frames: np.ndarray, lp_order: int = 17, num_moments: int = 6
-) -> ResidualMomentFeatures:
-    """Run the residual-moment pipeline over an utterance's frame matrix.
+def extract_residual_moments(frames: np.ndarray, cfg: ResidualConfig) -> ResidualMomentFeatures:
+    """Run the residual-moment pipeline over an utterance's frame matrix:
+    order ``cfg.lp_order`` prediction, ``cfg.num_moments`` moments per frame.
 
     One batched predictor solve, inverse filter, peak normalization and
     moment pass cover every frame.  Degenerate frames are skipped and
@@ -71,11 +71,11 @@ def extract_residual_moments(
     frames = frame_matrix(frames)
     if len(frames) == 0:
         raise ValueError("frame matrix must have at least one row")
-    lp = compute_lp(frames, lp_order)
+    lp = compute_lp(frames, cfg.lp_order)
     normalized, nonzero = _peak_normalize(inverse_filter(frames, lp))
     usable = lp.usable & nonzero
     skipped = len(frames) - int(np.count_nonzero(usable))
     if skipped == len(frames):
         raise NoUsableFrames(f"all {skipped} frames degenerate")
-    vectors = central_moments(normalized[usable], num_moments)
+    vectors = central_moments(normalized[usable], cfg.num_moments)
     return ResidualMomentFeatures(vectors, skipped_frames=skipped)

@@ -4,13 +4,13 @@ MFCC and LFCC share one path: power spectrum, triangular filterbank,
 log energies, type-II DCT with the dc coefficient discarded.  LPCC comes
 from the cepstral recursion on the all-pole model coefficients.
 
-Features are computed on an utterance's whole ``(num_frames, frame_len)``
-frame matrix (:func:`~sidkit.frontend.preprocess`): one ``rfft``, one
-matmul with the filterbank weight matrix and one matmul with the DCT
-matrix for MFCC/LFCC, both built once per shape and cached, and for LPCC one
-:func:`~sidkit.lpc.compute_lp` solve followed by the cepstral recursion on
-its coefficients across all frames.  Each helper also takes a single frame
-(the one-row case along the last axis).
+Both extractors take an utterance's ``(num_frames, frame_len)`` frame matrix
+(:func:`~sidkit.frontend.preprocess`) and the ``[spectral]`` config section.
+MFCC/LFCC is one ``rfft``, one matmul with the mel or linear filterbank and
+one with the DCT matrix, both built once per shape and cached; LPCC is one
+:func:`~sidkit.lpc.compute_lp` solve and the cepstral recursion across all
+frames.  Each helper also takes a single frame (the one-row case along the
+last axis).
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import SpectralConfig
 from .errors import NoUsableFrames
 from .frontend import frame_matrix
 from .lpc import compute_lp
 
 # Filterbank outputs below this value are clamped before the log.
 LOG_ENERGY_FLOOR = 1e-10
+
+_SCALES = {"mfcc": "mel", "lfcc": "linear"}  # the filterbank of each kind
 
 
 def mel_from_hz(freq):
@@ -37,12 +40,7 @@ def hz_from_mel(mels):
 
 
 @lru_cache(maxsize=None)
-def make_filterbank(
-    num_filters: int = 20,
-    fft_size: int = 256,
-    sample_rate: int = 8000,
-    scale: str = "mel",
-) -> np.ndarray:
+def make_filterbank(num_filters: int, fft_size: int, sample_rate: int, scale: str) -> np.ndarray:
     """Read-only ``(num_filters, fft_size // 2 + 1)`` weight matrix of a
     peak-normalized triangular filterbank over [0, sample_rate/2].
 
@@ -67,7 +65,7 @@ def make_filterbank(
     return weights
 
 
-def power_spectrum(frame: np.ndarray, fft_size: int = 256) -> np.ndarray:
+def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
     """Magnitude-squared spectrum over fft_size/2 + 1 bins, zero-padded, per row."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
@@ -97,7 +95,7 @@ def _dct_matrix(num_filters: int, num_cepstra: int) -> np.ndarray:
     return matrix
 
 
-def cepstra_from_energies(energies: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
+def cepstra_from_energies(energies: np.ndarray, num_cepstra: int) -> np.ndarray:
     """Orthonormal type-II DCT of the log energies per row, dc coefficient dropped."""
     energies = np.asarray(energies, dtype=np.float64)
     if num_cepstra >= energies.shape[-1]:
@@ -105,7 +103,7 @@ def cepstra_from_energies(energies: np.ndarray, num_cepstra: int = 19) -> np.nda
     return energies @ _dct_matrix(energies.shape[-1], num_cepstra)
 
 
-def lpcc_from_lp(lp_a: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
+def lpcc_from_lp(lp_a: np.ndarray, num_cepstra: int) -> np.ndarray:
     """Cepstrum of the all-pole model 1/A(z) by the standard recursion, per
     row of the predictor coefficients ``lp_a`` (``LpFrames.a``).
 
@@ -126,29 +124,34 @@ def lpcc_from_lp(lp_a: np.ndarray, num_cepstra: int = 19) -> np.ndarray:
 
 
 def extract_filterbank_cepstra(
-    frames: np.ndarray, bank: np.ndarray, fft_size: int, num_cepstra: int = 19
+    frames: np.ndarray, cfg: SpectralConfig, sample_rate: int
 ) -> np.ndarray:
-    """Cepstral matrix (num_frames, num_cepstra) for MFCC or LFCC from a
-    frame matrix, with the ``make_filterbank`` weights ``bank`` built for
-    ``fft_size``.
+    """Cepstral matrix (num_frames, num_cepstra) for MFCC or LFCC, as
+    ``cfg.kind`` says, from a frame matrix of audio at ``sample_rate``.
 
     Raises:
-        ValueError: ``frames`` is not a 2-D frame matrix.
+        ValueError: ``cfg.kind`` is not a filterbank kind, or ``frames`` is
+            not a 2-D frame matrix.
     """
-    spectra = power_spectrum(frame_matrix(frames), fft_size)
-    return cepstra_from_energies(filterbank_energies(spectra, bank), num_cepstra)
+    if cfg.kind not in _SCALES:
+        raise ValueError(f"filterbank cepstra need kind mfcc or lfcc, got {cfg.kind!r}")
+    bank = make_filterbank(cfg.num_filters, cfg.fft_size, sample_rate, _SCALES[cfg.kind])
+    spectra = power_spectrum(frame_matrix(frames), cfg.fft_size)
+    return cepstra_from_energies(filterbank_energies(spectra, bank), cfg.num_cepstra)
 
 
-def extract_lpcc(
-    frames: np.ndarray, lp_order: int = 19, num_cepstra: int = 19
-) -> np.ndarray:
-    """LPCC matrix for an utterance's frame matrix; degenerate frames are skipped.
+def extract_lpcc(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """LPCC matrix for an utterance's frame matrix, from an order
+    ``cfg.lpcc_lp_order`` solve; degenerate frames are skipped.
 
     Raises:
-        ValueError: ``frames`` is not a 2-D frame matrix.
+        ValueError: ``cfg.kind`` is not lpcc, or ``frames`` is not a 2-D
+            frame matrix.
         NoUsableFrames: every frame was degenerate.
     """
-    lp = compute_lp(frame_matrix(frames), lp_order)
+    if cfg.kind != "lpcc":
+        raise ValueError(f"LPCC needs kind lpcc, got {cfg.kind!r}")
+    lp = compute_lp(frame_matrix(frames), cfg.lpcc_lp_order)
     if not np.any(lp.usable):
         raise NoUsableFrames("all frames degenerate for LPCC extraction")
-    return lpcc_from_lp(lp.a, num_cepstra)[lp.usable]
+    return lpcc_from_lp(lp.a, cfg.num_cepstra)[lp.usable]

@@ -249,9 +249,12 @@ class ModelStore:
     def banks(self) -> tuple[ModelBank, ModelBank]:
         """The (spectral, residual) banks of every enrolled speaker, each
         record read through ``load`` once, speaker by speaker, and kept until
-        the next ``save``.  ``MissingModel`` if the store holds no record; a
-        ``ConfigMismatch`` from stacking names its stream."""
+        the next ``save``.  ``MissingModel`` if the store's directory does not
+        exist or holds no record; a ``ConfigMismatch`` from stacking names
+        its stream."""
         if self._banks is None:
+            if not self.path.is_dir():
+                raise MissingModel(f"model store at {self.path} does not exist")
             speakers = self.speakers()
             if not speakers:
                 raise MissingModel(f"model store at {self.path} is empty")

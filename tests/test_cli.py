@@ -358,7 +358,8 @@ class TestIdentify:
             assert combined == sorted(combined, reverse=True)
 
     def test_missing_store_fails_cleanly(self, cli_workspace, tmp_path, capsys):
-        """Pointing identify at an empty store directory exits with status 1."""
+        """Pointing identify at a store directory that does not exist exits
+        with status 1 and says so, not that the store is empty."""
         corpus_dir, _ = cli_workspace
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         rc = main(
@@ -371,7 +372,9 @@ class TestIdentify:
             ]
         )
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: model store at {tmp_path / 'nothing'} does not exist\n"
+        )
 
 
 # config.ini edits that make the recorded widths differ from the ones the

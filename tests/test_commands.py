@@ -288,13 +288,16 @@ def test_report_counts_every_enrolled_speaker(corpus, tmp_path):
 
 
 def test_empty_store_is_missing_model(corpus, tmp_path):
-    """Evaluate and identify both refuse a store with no record, naming it."""
+    """Evaluate and identify both refuse a store with no record, naming it
+    and saying whether its directory is missing or empty."""
     path = tmp_path / "store"
-    empty = f"^model store at {re.escape(str(path))} is empty$"
-    with pytest.raises(MissingModel, match=empty):
-        evaluate_command(corpus, ModelStore(path))
-    with pytest.raises(MissingModel, match=empty):
-        identify_command(corpus.test_entries[0].path, ModelStore(path))
+    for reason in ("does not exist", "is empty"):
+        message = f"^model store at {re.escape(str(path))} {reason}$"
+        with pytest.raises(MissingModel, match=message):
+            evaluate_command(corpus, ModelStore(path))
+        with pytest.raises(MissingModel, match=message):
+            identify_command(corpus.test_entries[0].path, ModelStore(path))
+        path.mkdir(exist_ok=True)
 
 
 def test_manifest_without_test_split_is_manifest_error(corpus, tmp_path):

@@ -117,6 +117,23 @@ class TestAudioIo:
         with pytest.raises(UnsupportedFormat, match=odd):
             load_audio(cut)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        """A header declaring 0 Hz is an UnsupportedFormat naming the file,
+        whether or not the caller expects a rate."""
+        path = tmp_path / "rate0.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(bytes(200))
+        data = bytearray(path.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(data)
+        message = f"^{re.escape(str(path))}: header declares a sample rate of 0 Hz$"
+        for expected_rate in (None, 8000):
+            with pytest.raises(UnsupportedFormat, match=message):
+                load_audio(path, expected_rate=expected_rate)
+
     def test_rate_mismatch(self, tmp_path):
         path = tmp_path / "x.wav"
         save_audio(path, AudioSignal(samples=np.zeros(100), sample_rate=16000))

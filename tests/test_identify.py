@@ -117,9 +117,9 @@ class TestScoreUtterance:
         rng = np.random.default_rng(87)
         banks = banks_of(make_model_set(rng, ["a", "b"]))
         with pytest.raises(FeatureDimensionMismatch, match="spectral .* 5 .* 4"):
-            score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), banks)
+            score_utterance(rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 3)), banks, 0.5)
         with pytest.raises(FeatureDimensionMismatch, match="residual .* 2 .* 3"):
-            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2)), banks)
+            score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 2)), banks, 0.5)
 
     def test_no_speakers_rejected(self):
         with pytest.raises(ValueError, match="no speakers to score against"):
@@ -131,7 +131,7 @@ class TestScoreUtterance:
         _, residual = banks_of(make_model_set(rng, ["a", "c"]))
         with pytest.raises(ValueError, match="different speakers"):
             score_utterance(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 3)),
-                            (spectral, residual))
+                            (spectral, residual), 0.5)
 
 
 class TestIdentify:

@@ -1,9 +1,13 @@
 """The package root: its exported names and what importing it loads."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sidkit
 
@@ -14,6 +18,29 @@ def test_every_exported_name_resolves():
     assert sidkit.__all__
     for name in sidkit.__all__:
         assert getattr(sidkit, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "module", ["frontend", "lpc", "residual_moments", "spectral", "gmm", "identify", "commands"]
+)
+def test_pipeline_functions_hold_no_operating_point(module):
+    """The config dataclasses are the one copy of the operating point: a
+    pipeline stage takes its config section, and a public function's
+    parameter defaults, if any, are None."""
+    mod = importlib.import_module(f"sidkit.{module}")
+    functions = {
+        name: inspect.unwrap(obj) for name, obj in vars(mod).items()
+        if not name.startswith("_") and inspect.isfunction(inspect.unwrap(obj))
+        and obj.__module__ == mod.__name__
+    }
+    assert functions
+    defaults = [
+        f"{name}({p.name}={p.default!r})"
+        for name, fn in functions.items()
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty and p.default is not None
+    ]
+    assert defaults == []
 
 
 def _run_fresh(code: str) -> str:

@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from sidkit.config import PreprocessConfig
+from sidkit.config import PreprocessConfig, ResidualConfig
 from sidkit.errors import NoUsableFrames
 from sidkit.frontend import AudioSignal, preprocess
 from sidkit.lpc import compute_lp, inverse_filter
 from sidkit.residual_moments import central_moments, extract_residual_moments
 
 from oracles import normalize_residual
+
+# The paper's operating point, stated here rather than read from the defaults.
+RESIDUAL = ResidualConfig(lp_order=17, num_moments=6)
 
 
 def brute_force_moments(x, num_moments):
@@ -115,20 +118,20 @@ class TestExtractResidualMoments:
 
     def test_shape(self):
         frames = self._frames()
-        feats = extract_residual_moments(frames, lp_order=17, num_moments=6)
+        feats = extract_residual_moments(frames, RESIDUAL)
         assert feats.vectors.shape == (len(frames), 6)
         assert feats.skipped_frames == 0
 
     def test_deterministic(self):
         frames = self._frames()
-        a = extract_residual_moments(frames)
-        b = extract_residual_moments(frames)
+        a = extract_residual_moments(frames, RESIDUAL)
+        b = extract_residual_moments(frames, RESIDUAL)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_matches_staged_pipeline(self):
         """Batch extraction equals the per-frame stage composition."""
         frames = self._frames(num=20)
-        feats = extract_residual_moments(frames, lp_order=17, num_moments=6)
+        feats = extract_residual_moments(frames, RESIDUAL)
         for t, frame in enumerate(frames):
             lp = compute_lp(frame, 17)
             expected = central_moments(normalize_residual(inverse_filter(frame, lp)), 6)
@@ -136,19 +139,19 @@ class TestExtractResidualMoments:
 
     def test_degenerate_frames_skipped_and_counted(self):
         frames = np.vstack([np.zeros(160), np.random.default_rng(29).uniform(-1, 1, 160)])
-        feats = extract_residual_moments(frames)
+        feats = extract_residual_moments(frames, RESIDUAL)
         assert feats.vectors.shape == (1, 6)
         assert feats.skipped_frames == 1
 
     @pytest.mark.parametrize("shape", [(160,), (2, 4, 160)])
     def test_non_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="2-D"):
-            extract_residual_moments(np.ones(shape))
+            extract_residual_moments(np.ones(shape), RESIDUAL)
 
     def test_all_degenerate_rejected(self):
         frames = np.zeros((5, 160))
         with pytest.raises(NoUsableFrames):
-            extract_residual_moments(frames)
+            extract_residual_moments(frames, RESIDUAL)
 
     def test_interleaved_degenerate_rows(self):
         """Zero rows, and a row whose energy overflows so the recursion collapses,
@@ -162,7 +165,7 @@ class TestExtractResidualMoments:
         degenerate = zero_rows + [8]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            feats = extract_residual_moments(frames, 17, 6)
+            feats = extract_residual_moments(frames, RESIDUAL)
             assert not compute_lp(frames[8], 17).usable
             expected = [
                 central_moments(

@@ -1,9 +1,12 @@
 """Power spectrum, filterbanks, cepstra, and the LP-to-cepstrum recursion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from sidkit.config import SpectralConfig
 from sidkit.errors import NoUsableFrames
 from sidkit.frontend import hamming_window
 from sidkit.lpc import compute_lp
@@ -21,6 +24,15 @@ from sidkit.spectral import (
 )
 
 
+# The paper's operating point, stated here rather than read from the defaults.
+PAPER = SpectralConfig(kind="mfcc", num_filters=20, num_cepstra=19, fft_size=256, lpcc_lp_order=19)
+KIND_OF_SCALE = {"mel": "mfcc", "linear": "lfcc"}
+
+
+def spectral_config(kind, **changes):
+    return dataclasses.replace(PAPER, kind=kind, **changes)
+
+
 def naive_dct2_orthonormal(x):
     """Direct O(n^2) summation of the orthonormal type-II cosine transform."""
     n = len(x)
@@ -36,7 +48,7 @@ def naive_dct2_orthonormal(x):
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
-        np.testing.assert_array_equal(power_spectrum(np.zeros(160)), np.zeros(129))
+        np.testing.assert_array_equal(power_spectrum(np.zeros(160), 256), np.zeros(129))
 
     def test_bin_aligned_cosine_concentrates(self):
         """A cosine at an exact bin frequency puts all energy in that bin."""
@@ -155,22 +167,23 @@ class TestFilterBank:
             bank[0, 0] = 1.0
 
     def test_odd_fft_size(self):
-        """An odd FFT size has as many bins as the even size below it;
-        the cepstra use the size they are given, not the bank's width."""
+        """An odd FFT size has as many bins as the even size below it; the
+        cepstra use the config's size and a filterbank built for it."""
         frames = windowed_frames(np.random.default_rng(40), 4)
-        bank = make_filterbank(20, 257, 8000)
+        bank = make_filterbank(20, 257, 8000, "mel")
         assert bank.shape == (20, 129)
-        got = extract_filterbank_cepstra(frames, bank, 257, 19)
+        got = extract_filterbank_cepstra(frames, spectral_config("mfcc", fft_size=257), 8000)
         expected = cepstra_from_energies(
             filterbank_energies(power_spectrum(frames, 257), bank), 19
         )
         np.testing.assert_array_equal(got, expected)
-        assert not np.allclose(extract_filterbank_cepstra(frames, bank, 256, 19), got)
+        even = extract_filterbank_cepstra(frames, spectral_config("mfcc", fft_size=256), 8000)
+        assert not np.allclose(even, got)
 
 
 class TestFilterbankEnergies:
     def test_zero_spectrum_hits_floor(self):
-        bank = make_filterbank(20, 256, 8000)
+        bank = make_filterbank(20, 256, 8000, "mel")
         energies = filterbank_energies(np.zeros(129), bank)
         np.testing.assert_allclose(energies, np.log(LOG_ENERGY_FLOOR))
 
@@ -186,7 +199,7 @@ class TestFilterbankEnergies:
     def test_log_linearity(self):
         """Scaling the spectrum by alpha adds log(alpha) to every output."""
         rng = np.random.default_rng(31)
-        bank = make_filterbank(20, 256, 8000)
+        bank = make_filterbank(20, 256, 8000, "mel")
         spec = rng.uniform(0.1, 1.0, 129)
         base = filterbank_energies(spec, bank)
         for alpha in (0.5, 2.0, 100.0):
@@ -197,13 +210,13 @@ class TestFilterbankEnergies:
 class TestCepstraFromEnergies:
     def test_constant_energies_zero_cepstra(self):
         """A constant lives entirely in the discarded dc coefficient."""
-        np.testing.assert_allclose(cepstra_from_energies(np.full(20, 3.7)), np.zeros(19),
+        np.testing.assert_allclose(cepstra_from_energies(np.full(20, 3.7), 19), np.zeros(19),
                                    atol=1e-12)
 
     def test_one_hot_matches_naive_dct(self):
         one_hot = np.zeros(20)
         one_hot[0] = 1.0
-        got = cepstra_from_energies(one_hot)
+        got = cepstra_from_energies(one_hot, 19)
         np.testing.assert_allclose(got, naive_dct2_orthonormal(one_hot)[1:], atol=1e-12)
 
     def test_random_matches_naive_dct(self):
@@ -211,25 +224,25 @@ class TestCepstraFromEnergies:
         for _ in range(20):
             e = rng.uniform(-5, 5, 20)
             np.testing.assert_allclose(
-                cepstra_from_energies(e), naive_dct2_orthonormal(e)[1:], atol=1e-10
+                cepstra_from_energies(e, 19), naive_dct2_orthonormal(e)[1:], atol=1e-10
             )
 
     def test_length_always_19(self):
         rng = np.random.default_rng(33)
-        assert cepstra_from_energies(rng.uniform(-1, 1, 20)).shape == (19,)
+        assert cepstra_from_energies(rng.uniform(-1, 1, 20), 19).shape == (19,)
 
     def test_dc_invariance(self):
         """Adding a constant to all energies leaves the 19 outputs unchanged."""
         rng = np.random.default_rng(34)
         e = rng.uniform(-5, 5, 20)
-        base = cepstra_from_energies(e)
-        shifted = cepstra_from_energies(e + 123.456)
+        base = cepstra_from_energies(e, 19)
+        shifted = cepstra_from_energies(e + 123.456, 19)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
 class TestLpccFromLp:
     def test_zero_coefficients_zero_cepstra(self):
-        np.testing.assert_array_equal(lpcc_from_lp(np.zeros(19)), np.zeros(19))
+        np.testing.assert_array_equal(lpcc_from_lp(np.zeros(19), 19), np.zeros(19))
 
     def test_order_one_log_series(self):
         """For A(z) = 1 + alpha z^-1, the model cepstrum is the series
@@ -262,7 +275,8 @@ class TestLpccFromLp:
             np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_default_length(self):
-        assert lpcc_from_lp(np.array([-0.5])).shape == (19,)
+        """The paper's 19 cepstra, from an order-1 model."""
+        assert lpcc_from_lp(np.array([-0.5]), 19).shape == (19,)
 
 
 def windowed_frames(rng, num_frames, frame_len=160):
@@ -278,7 +292,7 @@ class TestExtractFilterbankCepstra:
         """The frame-matrix route equals power spectrum -> filterbank -> DCT per frame."""
         frames = windowed_frames(np.random.default_rng(36), 40)
         bank = make_filterbank(20, 256, 8000, scale=scale)
-        got = extract_filterbank_cepstra(frames, bank, 256, 19)
+        got = extract_filterbank_cepstra(frames, spectral_config(KIND_OF_SCALE[scale]), 8000)
         expected = np.array([
             cepstra_from_energies(filterbank_energies(power_spectrum(f, 256), bank), 19)
             for f in frames
@@ -290,8 +304,7 @@ class TestExtractFilterbankCepstra:
         """Silent frames are not dropped: their log energies sit at the floor."""
         frames = windowed_frames(np.random.default_rng(37), 6)
         frames[2] = 0.0
-        bank = make_filterbank(20, 256, 8000)
-        got = extract_filterbank_cepstra(frames, bank, 256, 19)
+        got = extract_filterbank_cepstra(frames, spectral_config("mfcc"), 8000)
         assert got.shape == (6, 19)
         floor = cepstra_from_energies(np.full(20, np.log(LOG_ENERGY_FLOOR)), 19)
         np.testing.assert_allclose(got[2], floor, atol=1e-12)
@@ -302,7 +315,8 @@ class TestExtractLpcc:
     def test_matches_per_frame_composition(self, lp_order, num_cepstra):
         """The batched solve and recursion equal compute_lp -> lpcc_from_lp per frame."""
         frames = windowed_frames(np.random.default_rng(38), 40)
-        got = extract_lpcc(frames, lp_order, num_cepstra)
+        cfg = spectral_config("lpcc", lpcc_lp_order=lp_order, num_cepstra=num_cepstra)
+        got = extract_lpcc(frames, cfg)
         expected = np.array(
             [lpcc_from_lp(compute_lp(f, lp_order).a, num_cepstra) for f in frames]
         )
@@ -315,22 +329,32 @@ class TestExtractLpcc:
         zero = np.zeros(160)
         frames = np.vstack([zero, voiced[0], voiced[1], zero, voiced[2],
                             voiced[3], voiced[4], zero])
-        got = extract_lpcc(frames, lp_order=19, num_cepstra=19)
+        got = extract_lpcc(frames, spectral_config("lpcc"))
         expected = np.array([lpcc_from_lp(compute_lp(f, 19).a, 19) for f in voiced])
         assert got.shape == (5, 19)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(NoUsableFrames):
-            extract_lpcc(np.zeros((4, 160)))
+            extract_lpcc(np.zeros((4, 160)), spectral_config("lpcc"))
 
 
 
 @pytest.mark.parametrize("shape", [(160,), (2, 4, 160)])
 def test_extractors_reject_non_matrix(shape):
     frames = np.ones(shape)
-    bank = make_filterbank(20, 256, 8000)
     with pytest.raises(ValueError, match="2-D"):
-        extract_filterbank_cepstra(frames, bank, 256, 19)
+        extract_filterbank_cepstra(frames, spectral_config("mfcc"), 8000)
     with pytest.raises(ValueError, match="2-D"):
-        extract_lpcc(frames, 19, 19)
+        extract_lpcc(frames, spectral_config("lpcc"))
+
+
+def test_extractors_reject_the_other_kind():
+    """A config of the other extractor's kind is an error naming that kind,
+    not cepstra of a kind nobody asked for."""
+    frames = windowed_frames(np.random.default_rng(41), 4)
+    with pytest.raises(ValueError, match="got 'lpcc'"):
+        extract_filterbank_cepstra(frames, spectral_config("lpcc"), 8000)
+    for kind in ("mfcc", "lfcc"):
+        with pytest.raises(ValueError, match=f"got '{kind}'"):
+            extract_lpcc(frames, spectral_config(kind))

@@ -236,11 +236,12 @@ class TestModelStore:
 
     def test_store_without_records_is_missing_model(self, tmp_path):
         """A store with no record, missing or holding only config.ini, has no
-        banks to score against; the error names the store."""
+        banks to score against; the error names the store and says which."""
         path = tmp_path / "store"
-        empty = f"^model store at {re.escape(str(path))} is empty$"
-        with pytest.raises(MissingModel, match=empty):
+        missing = f"^model store at {re.escape(str(path))} does not exist$"
+        with pytest.raises(MissingModel, match=missing):
             ModelStore(path).banks()
+        empty = f"^model store at {re.escape(str(path))} is empty$"
         bound_store(path).save("alice", "spectral", random_model(np.random.default_rng(90)))
         (path / "alice__spectral.gmm").unlink()
         with pytest.raises(MissingModel, match=empty):
