@@ -253,11 +253,10 @@ class ModelStore:
         exist or holds no record; a ``ConfigMismatch`` from stacking names
         its stream."""
         if self._banks is None:
-            if not self.path.is_dir():
-                raise MissingModel(f"model store at {self.path} does not exist")
             speakers = self.speakers()
             if not speakers:
-                raise MissingModel(f"model store at {self.path} is empty")
+                state = "is empty" if self.path.is_dir() else "does not exist"
+                raise MissingModel(f"model store at {self.path} {state}")
             pairs = [[self.load(speaker, stream) for stream in STREAMS] for speaker in speakers]
             banks = []
             for stream, models in zip(STREAMS, zip(*pairs)):
