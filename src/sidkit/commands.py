@@ -12,9 +12,11 @@ Speakers are trained and test utterances scored one after another, in
 sorted order, so reruns are deterministic.  Each utterance's features are
 computed on its whole frame matrix at once (see ``residual_moments`` and
 ``spectral``).  Evaluate and identify both score against every enrolled
-speaker, through ``ModelStore.banks()``; ``evaluate_command`` stacks the
-utterances' score arrays and takes all three systems' decisions from one
-argmax over speakers.
+speaker, through ``ModelStore.banks()``.  ``evaluate_command`` keeps one
+array, ``EvaluationRun.scores``: the utterances' ``(S, 3)`` score arrays
+stacked in sorted utterance order.  All three systems' decisions come
+from one argmax over its speakers, and the report and records are
+rendered from its rows.
 """
 
 from __future__ import annotations
@@ -99,29 +101,22 @@ def train_command(
     return store
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationRun:
-    """Evaluation of one test split: fused plus both single-stream systems,
-    deciding over the sorted enrolled ``speakers``."""
+    """Evaluation of one test split against the sorted enrolled ``speakers``.
+
+    ``scores`` is the read-only ``(U, S, 3)`` stack of every test
+    utterance's ``UtteranceScores.scores``, rows in sorted utterance order:
+    the order of each report's ``decisions``.  The three reports, the text
+    report and the records are all read from it.
+    """
 
     eta: float
     speakers: tuple[str, ...]
+    scores: np.ndarray
     fused: EvaluationReport
     spectral_only: EvaluationReport
     residual_only: EvaluationReport
-    records: tuple[dict, ...]
-
-
-def _record(entry: ManifestEntry, scores: UtteranceScores, decided: int) -> dict:
-    """The JSON record of one utterance; ``decided`` is the fused pick's row."""
-    true = scores.speakers.index(entry.speaker_id)
-    return {
-        "utterance_id": entry.utterance_id,
-        "true_id": entry.speaker_id,
-        "decided_id": scores.speakers[decided],
-        "decided_scores": dict(zip(COLUMNS, scores.scores[decided].tolist())),
-        "true_scores": dict(zip(COLUMNS, scores.scores[true].tolist())),
-    }
 
 
 def _fusion_eta(store: ModelStore, eta: float | None) -> float:
@@ -162,29 +157,23 @@ def evaluate_command(
     for path in (report_path, records_path):
         if path is not None:
             open(path, "a", encoding="utf-8").close()
-    scored = []
+    rows = []
     for entry in entries:
         with named(f"speaker {entry.speaker_id} utterance {entry.utterance_id}"):
             signal = load_audio(entry.path, expected_rate=manifest.sample_rate)
-            scored.append(score_utterance(*extract_streams(signal, store.config), banks, eta))
+            rows.append(score_utterance(*extract_streams(signal, store.config), banks, eta).scores)
+    scores = np.stack(rows)
+    scores.flags.writeable = False
 
-    # ``picks[c][u]`` is utterance u's best speaker in column c: the first
-    # maximum, so the lowest id on ties.  eta = 1 (0) recombines exactly to
-    # the spectral (residual) column, so those systems decide on it directly.
-    picks = np.stack([scores.scores for scores in scored]).argmax(axis=1).T.tolist()
+    # Each system picks, per utterance, the first maximum of its column, so
+    # the lowest id on ties.  eta = 1 (0) recombines exactly to the spectral
+    # (residual) column, so those systems decide on it directly.
     speakers = banks[0].speakers
     spectral_only, residual_only, fused = (
         evaluate((e.utterance_id, e.speaker_id, speakers[i]) for e, i in zip(entries, column))
-        for column in picks
+        for column in scores.argmax(axis=1).T.tolist()
     )
-    run = EvaluationRun(
-        eta=scored[0].eta,
-        speakers=speakers,
-        fused=fused,
-        spectral_only=spectral_only,
-        residual_only=residual_only,
-        records=tuple(map(_record, entries, scored, picks[COMBINED])),
-    )
+    run = EvaluationRun(eta, speakers, scores, fused, spectral_only, residual_only)
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(render_report(run))
@@ -206,19 +195,25 @@ def render_report(run: EvaluationRun) -> str:
         f"# PIA fused: {run.fused.pia:.4f}",
         "# utterance_id\ttrue_id\tdecided_id\tspectral\tresidual\tcombined",
     ]
-    by_utt = {r["utterance_id"]: r for r in run.records}
-    for utterance_id, true_id, decided in run.fused.decisions:
-        s = by_utt[utterance_id]["decided_scores"]
+    for (utterance_id, true_id, decided), table in zip(run.fused.decisions, run.scores):
+        spectral, residual, combined = table[run.speakers.index(decided)].tolist()
         lines.append(
             f"{utterance_id}\t{true_id}\t{decided}"
-            f"\t{s['spectral']:.6f}\t{s['residual']:.6f}\t{s['combined']:.6f}"
+            f"\t{spectral:.6f}\t{residual:.6f}\t{combined:.6f}"
         )
     return "\n".join(lines) + "\n"
 
 
 def render_records(run: EvaluationRun) -> str:
-    """One JSON record per test utterance, keys sorted."""
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in run.records)
+    """One JSON record per test utterance, keys sorted: its decided and true
+    speakers' rows of ``run.scores``."""
+    lines = []
+    for (utterance_id, true_id, decided), table in zip(run.fused.decisions, run.scores):
+        record = {"utterance_id": utterance_id, "true_id": true_id, "decided_id": decided}
+        for key, speaker in (("decided_scores", decided), ("true_scores", true_id)):
+            record[key] = dict(zip(COLUMNS, table[run.speakers.index(speaker)].tolist()))
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)

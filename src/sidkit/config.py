@@ -68,7 +68,7 @@ class SpectralConfig:
             raise ValueError(f"num_cepstra must be >= 1, got {self.num_cepstra}")
         if self.kind == "lpcc" and self.lpcc_lp_order < 1:
             raise ValueError(f"lpcc_lp_order must be >= 1, got {self.lpcc_lp_order}")
-        if self.num_cepstra >= self.num_filters:
+        if self.kind != "lpcc" and self.num_cepstra >= self.num_filters:
             raise ValueError("num_cepstra must be < num_filters (dc term is discarded)")
 
 

@@ -230,8 +230,10 @@ def generate_synthetic_corpus(
     sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> CorpusManifest:
     """Write per-speaker WAV files and a manifest; bit-identical for a given seed."""
-    if train_utts < 1 or test_utts < 0:
+    if train_utts < 1:
         raise ValueError("need at least one train utterance per speaker")
+    if test_utts < 0:
+        raise ValueError(f"test_utts must be >= 0, got {test_utts}")
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     num_samples = int(round(utt_seconds * sample_rate)) if np.isfinite(utt_seconds) else 0

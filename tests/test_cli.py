@@ -94,12 +94,16 @@ class TestSynth:
             (["--seconds", "-1"], "utt_seconds must be finite and give at least one sample"),
             (["--seconds", "inf"], "utt_seconds must be finite and give at least one sample"),
             (["--sample-rate", "0"], "sample_rate must be positive, got 0"),
+            (["--train-utts", "0"], "need at least one train utterance per speaker\n"),
+            (["--test-utts", "-1"], "test_utts must be >= 0, got -1\n"),
         ],
-        ids=["zero-seconds", "negative-seconds", "infinite-seconds", "zero-rate"],
+        ids=["zero-seconds", "negative-seconds", "infinite-seconds", "zero-rate",
+             "zero-train-utts", "negative-test-utts"],
     )
     def test_bad_length_or_rate_fails_cleanly(self, tmp_path, capsys, argv, message):
-        """An utterance length or rate that gives no samples is an error
-        naming the argument, and no corpus directory is made."""
+        """An utterance length or rate that gives no samples, or an utterance
+        count below its floor, is an error naming the argument, and no corpus
+        directory is made."""
         rc = main(["synth", "--speakers", "2", "--out", str(tmp_path / "c"), *argv])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")

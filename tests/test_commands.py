@@ -2,6 +2,7 @@
 and later training."""
 
 import dataclasses
+import json
 import re
 import shutil
 
@@ -37,6 +38,7 @@ from sidkit.errors import (
 from sidkit.frontend import AudioSignal
 from sidkit.gmm import _logsumexp
 from sidkit.identify import (
+    COLUMNS,
     COMBINED,
     RESIDUAL,
     SPECTRAL,
@@ -254,7 +256,7 @@ def test_manifest_speaker_missing_from_the_store_is_missing_model(corpus, tmp_pa
 def test_evaluate_decides_over_every_enrolled_speaker(corpus, tmp_path):
     """A store enrolling a speaker the manifest does not name: ``zz``, trained
     on the first speaker's test audio.  ``evaluate_command`` scores it like
-    ``identify_command`` does, so every record decides as identify does."""
+    ``identify_command`` does, so every fused decision is identify's."""
     store_dir = tmp_path / "store"
     train_command(corpus, ToolkitConfig(), store_dir)
     source = corpus.speakers()[0]
@@ -267,7 +269,7 @@ def test_evaluate_decides_over_every_enrolled_speaker(corpus, tmp_path):
     assert store.speakers() == corpus.speakers() + ["zz"]
 
     run = evaluate_command(corpus, store)
-    decided = {r["utterance_id"]: r["decided_id"] for r in run.records}
+    decided = {utterance_id: d for utterance_id, _, d in run.fused.decisions}
     assert decided == {
         e.utterance_id: identify_command(e.path, store).decided_id for e in corpus.test_entries
     }
@@ -432,19 +434,18 @@ def test_identify_decision_is_the_head_of_the_ranking(corpus, tmp_path):
 
 def test_identify_and_evaluate_give_the_same_scores(synthetic_corpus, trained_store, evaluation):
     """Every test utterance of the session corpus gets, bit for bit, the same
-    spectral, residual and combined scores for its decided and its true
-    speaker from ``identify_command`` as from ``evaluate_command``."""
+    spectral, residual and combined scores against every enrolled speaker
+    from ``identify_command`` as its row block of ``run.scores``, which is
+    in sorted utterance order."""
     run, _, _ = evaluation
-    by_utt = {r["utterance_id"]: r for r in run.records}
-    assert len(by_utt) == len(synthetic_corpus.test_entries)
-    for entry in synthetic_corpus.test_entries:
+    entries = sorted(synthetic_corpus.test_entries, key=lambda e: e.utterance_id)
+    assert [u for u, _, _ in run.fused.decisions] == [e.utterance_id for e in entries]
+    assert run.scores.shape == (len(entries), len(run.speakers), 3)
+    assert run.scores.dtype == np.float64 and not run.scores.flags.writeable
+    for entry, block in zip(entries, run.scores):
         scores = identify_command(entry.path, trained_store, eta=run.eta).scores
-        record = by_utt[entry.utterance_id]
-        for key in ("decided", "true"):
-            s = scores.scores[scores.speakers.index(record[f"{key}_id"])]
-            assert record[f"{key}_scores"] == {
-                "spectral": s[SPECTRAL], "residual": s[RESIDUAL], "combined": s[COMBINED]
-            }
+        assert scores.speakers == run.speakers
+        assert block.tobytes() == scores.scores.tobytes()
 
 
 def _term_by_term_totals(features, bank):
@@ -456,18 +457,36 @@ def _term_by_term_totals(features, bank):
 
 
 def test_record_scores_match_a_term_by_term_sum(synthetic_corpus, trained_store, evaluation):
-    """Every record's scores agree within 1e-12 relative with the same
-    quadratic form summed term by term: the BLAS product moves only the
-    last bits of a score."""
+    """Every speaker's row of every utterance's ``run.scores`` block agrees
+    within 1e-12 relative with the same quadratic form summed term by term:
+    the BLAS product moves only the last bits of a score."""
     run, _, _ = evaluation
-    by_utt = {r["utterance_id"]: r for r in run.records}
     banks = trained_store.banks()
-    for entry in synthetic_corpus.test_entries:
+    assert banks[0].speakers == run.speakers
+    entries = sorted(synthetic_corpus.test_entries, key=lambda e: e.utterance_id)
+    for entry, block in zip(entries, run.scores, strict=True):
         features = extract_streams(load_audio(entry.path), trained_store.config)
-        totals = np.column_stack([_term_by_term_totals(f, b) for f, b in zip(features, banks)])
-        record = by_utt[entry.utterance_id]
+        spectral, residual = (_term_by_term_totals(f, b) for f, b in zip(features, banks))
+        combined = run.eta * spectral + (1.0 - run.eta) * residual
+        want = np.column_stack([spectral, residual, combined])
+        np.testing.assert_allclose(block, want, rtol=1e-12, atol=0)
+
+
+def test_reports_and_records_are_views_of_the_score_array(evaluation):
+    """Each system decides by the first maximum of its ``run.scores``
+    column, and every ``--records`` line parses to one utterance's decision
+    with its decided and true speakers' rows of ``run.scores``."""
+    run, _, records_path = evaluation
+    for report, column in ((run.spectral_only, SPECTRAL), (run.residual_only, RESIDUAL),
+                           (run.fused, COMBINED)):
+        picks = run.scores[:, :, column].argmax(axis=1)
+        assert [d for _, _, d in report.decisions] == [run.speakers[i] for i in picks]
+    lines = render_records(run).splitlines()
+    assert records_path.read_text(encoding="utf-8").splitlines() == lines
+    assert len(lines) == len(run.scores) == run.fused.num_trials
+    for line, block, decision in zip(lines, run.scores, run.fused.decisions):
+        record = json.loads(line)
+        assert (record["utterance_id"], record["true_id"], record["decided_id"]) == decision
         for key in ("decided", "true"):
-            spectral, residual = totals[banks[0].speakers.index(record[f"{key}_id"])]
-            want = [spectral, residual, run.eta * spectral + (1.0 - run.eta) * residual]
-            got = [record[f"{key}_scores"][c] for c in ("spectral", "residual", "combined")]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            row = block[run.speakers.index(record[f"{key}_id"])]
+            assert record[f"{key}_scores"] == dict(zip(COLUMNS, row.tolist()))

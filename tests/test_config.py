@@ -193,6 +193,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpectralConfig(num_filters=20, num_cepstra=20)
 
+    def test_lfcc_cepstra_must_fit_under_filter_count(self):
+        with pytest.raises(ValueError, match="^num_cepstra must be < num_filters "):
+            parse_config("[spectral]\nkind = lfcc\nnum_filters = 20\nnum_cepstra = 20\n")
+
+    def test_lpcc_cepstra_may_outnumber_the_unused_filters(self):
+        """LPCC builds no filterbank, so ``num_filters`` does not bound its
+        cepstra; the predictor order does not either (the recursion runs on)."""
+        cfg = parse_config("[spectral]\nkind = lpcc\nnum_filters = 20\nnum_cepstra = 24\n")
+        assert (cfg.spectral.num_cepstra, cfg.spectral.lpcc_lp_order) == (24, 19)
+
     @pytest.mark.parametrize("value", [0, -1])
     def test_cepstra_must_be_positive(self, value):
         with pytest.raises(ValueError, match=f"^num_cepstra must be >= 1, got {value}$"):
