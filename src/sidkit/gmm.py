@@ -34,6 +34,29 @@ split gets at most ``_KMEANS_MAX_PASSES`` Lloyd passes, fewer when a pass
 reassigns no vector; every distance it compares keeps the bits of the
 plain ``|x|^2 - 2 x.c + |c|^2`` evaluation.
 
+Training fits a stack: one stream's vectors of S speakers in one ``(sum
+N_i, D)`` matrix, speaker after speaker, ``sizes[i]`` rows for speaker
+``i``.  ``lbg_init`` and ``em_train`` fit one independent mixture per
+speaker in one call and return a ``GmmStack``.  Each model keeps the bits
+of training its speaker alone, whichever speakers share the stack:
+
+- each speaker's rows are put in canonical order on their own, and its
+  column reductions (mean, variance, trace sum) run on its rows alone;
+- every BLAS product stays per speaker, in the shapes above, since BLAS may
+  block another shape differently;
+- only row-wise and elementwise work runs over the whole stack: distances
+  and their argmin, the quadratic forms, ``exp`` and the sums over
+  components, and the cell sums, one ``bincount`` whose cells are offset
+  by speaker (cell ``i*K + k``), so each cell still adds its own speaker's
+  rows in row order;
+- the rare paths (empty-cell reseeds, the final repopulation, collapse
+  reseeds) run speaker by speaker on its own rows.
+
+The Lloyd passes of a split stop once no speaker's labels change; a speaker
+that converged earlier recomputes its own centroids and labels, bit for
+bit.  What the stack saves is numpy's per-call overhead, which dominates
+problems of 8 components by a few hundred vectors.
+
 The sum over components is a max-shifted log-sum-exp in numpy.  Each
 argument of its ``exp`` (and of the EM responsibilities' ``exp(joint -
 max joint)``) is first raised to ``_EXP_FLOOR = -700``.  numpy's ``exp``
@@ -64,7 +87,8 @@ to ~1e-7 nats, which the tests pin against this bound.
 
 from __future__ import annotations
 
-import warnings
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,21 +149,54 @@ class GmmModel:
         return self.means.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class GmmStack:
+    """Independent mixtures, one per speaker, trained from one stacked
+    feature matrix: ``sizes[i]`` rows for speaker ``i``, speaker after speaker.
+
+    ``weights`` is (S, M), ``means`` and ``variances`` are (S, M, D).
+    ``traces[i]`` is speaker ``i``'s EM log-likelihood trace, empty before
+    EM.  ``models()[i]`` is speaker ``i``'s ``GmmModel``.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    sizes: tuple[int, ...]
+    traces: tuple[tuple[float, ...], ...] = ()
+
+    @property
+    def em_log_likelihoods(self) -> tuple[float, ...]:
+        """The stack's total training log-likelihood at initialization and
+        after each EM pass: the sum of its speakers' traces."""
+        return tuple(sum(values) for values in zip(*self.traces))
+
+    def models(self) -> list[GmmModel]:
+        traces = self.traces or ((),) * len(self.sizes)
+        return [
+            GmmModel(weights=w, means=m, variances=v, em_log_likelihoods=t)
+            for w, m, v, t in zip(self.weights, self.means, self.variances, traces)
+        ]
+
+
 def _quadratic_form_of(
     weights: np.ndarray, offsets: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """Rows ``[A_m, c_m]`` (K, 2D + 1) of the quadratic form in the module
-    docstring for K components whose means lie at ``offsets`` (K, D) from
-    the shift: the coefficients of ``[y*y, y, 1]``."""
+    """Rows ``[A_m, c_m]`` (..., K, 2D + 1) of the quadratic form in the
+    module docstring for K components whose means lie at ``offsets`` (...,
+    K, D) from the shift: the coefficients of ``[y*y, y, 1]``.  Leading
+    axes, such as a training stack's speakers, are independent."""
     precisions = 1.0 / variances
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
     const = log_weights - 0.5 * (
-        offsets.shape[1] * LOG_TWO_PI
-        + np.log(variances).sum(axis=1)
-        + (offsets * offsets * precisions).sum(axis=1)
+        offsets.shape[-1] * LOG_TWO_PI
+        + np.log(variances).sum(axis=-1)
+        + (offsets * offsets * precisions).sum(axis=-1)
     )
-    return np.concatenate([-0.5 * precisions, offsets * precisions, const[:, None]], axis=1)
+    return np.concatenate(
+        [-0.5 * precisions, offsets * precisions, const[..., None]], axis=-1
+    )
 
 
 def _stats(shifted: np.ndarray) -> np.ndarray:
@@ -204,15 +261,40 @@ def _floor_of(global_var: np.ndarray, factor: float) -> np.ndarray:
     return np.maximum(factor * global_var, 1e-12)
 
 
+def _spans(features: np.ndarray, sizes) -> list[slice]:
+    """Each speaker's rows of a stacked ``(sum(sizes), D)`` feature matrix.
+
+    Raises:
+        ValueError: ``features`` is not 2-D, or ``sizes`` does not split its rows.
+    """
+    if features.ndim != 2:
+        raise ValueError("features must be (num_vectors, dim)")
+    sizes = [operator.index(size) for size in sizes]
+    bounds = [0, *itertools.accumulate(sizes)]
+    if not sizes or bounds[-1] != features.shape[0] or min(sizes) < 0:
+        raise ValueError(f"sizes {sizes} do not split {features.shape[0]} rows")
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _canonical_stack(features: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """The stacked matrix with each speaker's rows in their own canonical order."""
+    return np.concatenate([_canonical_order(features[span]) for span in spans])
+
+
 def _nearest_centroid(
-    scaled: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+    scaled: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, spans: list[slice]
 ) -> np.ndarray:
-    """Index of each vector's nearest centroid.  ``scaled`` is ``-2 *
-    features`` and ``sq_norms`` the vectors' squared norms as a column;
-    both stay fixed while the centroids move.  Scaling by -2 is exact, so
-    every distance has the bits of ``|x|^2 - 2 x.c + |c|^2``."""
-    sq = sq_norms + scaled @ centroids.T
-    sq += (centroids * centroids).sum(axis=1)
+    """Index of each vector's nearest centroid among its own speaker's
+    ``centroids[i]`` (K, D).  ``scaled`` is ``-2 * features`` and ``sq_norms``
+    the vectors' squared norms as a column; both stay fixed while the
+    centroids move.  Scaling by -2 is exact, so every distance has the bits
+    of ``|x|^2 - 2 x.c + |c|^2`` for that speaker alone."""
+    sq = np.empty((scaled.shape[0], centroids.shape[1]))
+    for span, own, own_sq in zip(spans, centroids, (centroids * centroids).sum(axis=2)):
+        block = sq[span]
+        np.matmul(scaled[span], own.T, out=block)
+        block += sq_norms[span]
+        block += own_sq
     return sq.argmin(axis=1)
 
 
@@ -230,7 +312,9 @@ def _cell_means(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) ->
 
     One ``bincount`` adds every cell's vectors in row order, the order in
     which ``features[labels == j].mean(axis=0)`` sums a 2-D cell, so the
-    two agree bit for bit (1-D data aside, where numpy sums pairwise).
+    two agree bit for bit (1-D data aside, where numpy sums pairwise).  A
+    stack's cells are offset by speaker, ``i * K + k``, so each speaker's
+    cells hold its own rows in its own order.
     """
     dim = features.shape[1]
     # Row j of the table holds cell j's bins; taking rows is the fast gather.
@@ -239,82 +323,122 @@ def _cell_means(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) ->
     return sums.reshape(counts.size, dim) / np.maximum(counts, 1)[:, None]
 
 
-def _kmeans(
-    features: np.ndarray, scaled: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """At most ``_KMEANS_MAX_PASSES`` Lloyd passes.
+class _LbgRows:
+    """A stack's canonical LBG rows, the distance terms that stay fixed while
+    the centroids move, and each row's speaker."""
 
-    Returns the centroids and, when a pass computed them, their labels.  A
-    pass whose labels equal the previous pass's stops at once: the centroids
-    were computed from those very labels, so the pass would return them bit
-    for bit."""
+    def __init__(self, features: np.ndarray, spans: list[slice]):
+        self.features, self.spans = features, spans
+        self.scaled = -2.0 * features
+        self.sq_norms = np.sum(features**2, axis=1)[:, None]
+        self.speaker = np.repeat(np.arange(len(spans)), [span.stop - span.start for span in spans])
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        return _nearest_centroid(self.scaled, self.sq_norms, centroids, self.spans)
+
+
+def _kmeans(rows: _LbgRows, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """At most ``_KMEANS_MAX_PASSES`` Lloyd passes over every speaker at once.
+
+    Returns the centroids and, when a pass computed them, their labels.  The
+    passes stop once no speaker's labels change.  A speaker whose labels
+    repeated earlier gets the same centroids and labels again from each
+    further pass, bit for bit: its centroids were computed from those very
+    labels.  So every speaker ends as if it had stopped on its own."""
+    shape = centroids.shape
+    # Speaker i's cells are i * K + k, so one bincount serves every speaker.
+    first_cell = rows.speaker * shape[1]
     labels = None
     for _ in range(_KMEANS_MAX_PASSES):
-        new_labels = _nearest_centroid(scaled, sq_norms, centroids)
+        new_labels = rows.nearest(centroids)
         if labels is not None and (new_labels == labels).all():
             return centroids, labels
         labels = new_labels
-        counts = np.bincount(labels, minlength=centroids.shape[0])
-        centroids = _cell_means(features, labels, counts)
+        cells = first_cell + labels
+        counts = np.bincount(cells, minlength=shape[0] * shape[1])
+        centroids = _cell_means(rows.features, cells, counts).reshape(shape)
         if counts.min() == 0:
-            empty = np.flatnonzero(counts == 0)
-            centroids = _reseed_empty_cells(features, centroids, labels, empty)
+            counts = counts.reshape(shape[:2])
+            for i in np.flatnonzero(counts.min(axis=1) == 0):
+                span = rows.spans[i]
+                _reseed_empty_cells(rows.features[span], centroids[i], labels[span],
+                                    np.flatnonzero(counts[i] == 0))
     return centroids, None
 
 
-def lbg_init(features: np.ndarray, num_components: int, cfg: ModelConfig) -> GmmModel:
-    """Binary-splitting VQ initialization of a mixture model.
+def lbg_init(
+    features: np.ndarray, sizes, num_components: int, cfg: ModelConfig, names=None
+) -> GmmStack:
+    """Binary-splitting VQ initialization of one mixture per speaker.
 
-    Starting from the global centroid, each codeword is split into a
-    +/- perturbed pair (epsilon times the per-dimension standard deviation)
-    and refined by Lloyd passes until ``num_components`` cells exist.  Each
-    split gets at most ``_KMEANS_MAX_PASSES`` passes and stops early when a
-    pass reassigns no vector: the codebook only seeds EM.  Cell occupancies
-    give the weights; cell scatter gives the floored variances.
+    ``features`` stacks the speakers' vectors, ``sizes[i]`` rows for speaker
+    ``i``.  Starting from each speaker's global centroid, each codeword is
+    split into a +/- perturbed pair (epsilon times the per-dimension
+    standard deviation) and refined by Lloyd passes until ``num_components``
+    cells exist.  Each split gets at most ``_KMEANS_MAX_PASSES`` passes and
+    stops early when a pass reassigns no vector: the codebook only seeds EM.
+    Cell occupancies give the weights; cell scatter gives the floored
+    variances.  Every speaker's model has the bits of training it alone.
+
+    ``names[i]`` (default ``speaker i``) prefixes an error about speaker ``i``.
 
     Raises:
-        InsufficientData: fewer vectors than components, or cells cannot
-            all be populated.
+        InsufficientData: a speaker has fewer vectors than components, or its
+            cells cannot all be populated; the first such speaker is named.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be (num_vectors, dim)")
+    spans = _spans(features, sizes)
     if num_components < 1 or num_components & (num_components - 1):
         raise ValueError(f"need a power-of-two component count, got {num_components}")
-    if features.shape[0] < num_components:
-        raise InsufficientData(
-            f"{features.shape[0]} vectors for {num_components} components"
-        )
-    features = _canonical_order(features)
-    scaled = -2.0 * features
-    sq_norms = np.sum(features**2, axis=1)[:, None]
-    global_var = features.var(axis=0)
-    floor = _floor_of(global_var, cfg.variance_floor_factor)
-    delta = cfg.lbg_split_epsilon * np.sqrt(global_var)
-    centroids = features.mean(axis=0, keepdims=True)
+    names = names or [f"speaker {i}" for i in range(len(spans))]
+    sizes = tuple(span.stop - span.start for span in spans)
+    for name, size in zip(names, sizes):
+        if size < num_components:
+            raise InsufficientData(f"{name}: {size} vectors for {num_components} components")
+    features = _canonical_stack(features, spans)
+    rows = _LbgRows(features, spans)
+    global_var = np.stack([features[span].var(axis=0) for span in spans])
+    floor = _floor_of(global_var, cfg.variance_floor_factor)[:, None]
+    delta = cfg.lbg_split_epsilon * np.sqrt(global_var)[:, None]
+    centroids = np.stack([features[span].mean(axis=0, keepdims=True) for span in spans])
     labels = None
-    while centroids.shape[0] < num_components:
-        centroids = np.vstack([centroids + delta, centroids - delta])
-        centroids, labels = _kmeans(features, scaled, sq_norms, centroids)
+    while centroids.shape[1] < num_components:
+        centroids = np.concatenate([centroids + delta, centroids - delta], axis=1)
+        centroids, labels = _kmeans(rows, centroids)
 
     if labels is None:
-        labels = _nearest_centroid(scaled, sq_norms, centroids)
-    counts = np.bincount(labels, minlength=num_components)
-    for _ in range(10):
-        if counts.min() > 0:
-            break
-        empty = np.flatnonzero(counts == 0)
-        centroids = _reseed_empty_cells(features, centroids, labels, empty)
-        labels = _nearest_centroid(scaled, sq_norms, centroids)
-        counts = np.bincount(labels, minlength=num_components)
-    else:
-        raise InsufficientData("could not populate every cell; too few distinct vectors")
+        labels = rows.nearest(centroids)
+    shape = centroids.shape
+    counts = np.bincount(rows.speaker * shape[1] + labels, minlength=shape[0] * shape[1])
+    counts = counts.reshape(shape[:2])
+    # A speaker left with an empty cell is repopulated on its own rows alone.
+    for i in np.flatnonzero(counts.min(axis=1) == 0):
+        span = spans[i]
+        own_labels = labels[span]
+        for _ in range(10):
+            if counts[i].min() > 0:
+                break
+            empty = np.flatnonzero(counts[i] == 0)
+            _reseed_empty_cells(features[span], centroids[i], own_labels, empty)
+            own_labels = _nearest_centroid(rows.scaled[span], rows.sq_norms[span],
+                                           centroids[i : i + 1], [slice(None)])
+            counts[i] = np.bincount(own_labels, minlength=num_components)
+        else:
+            raise InsufficientData(
+                f"{names[i]}: could not populate every cell; too few distinct vectors"
+            )
+        labels[span] = own_labels
 
-    means = _cell_means(features, labels, counts)
-    scatter = features - means[labels]
-    variances = np.maximum(_cell_means(scatter * scatter, labels, counts), floor)
-    weights = counts / counts.sum()
-    return GmmModel(weights=weights, means=means, variances=variances)
+    cells = rows.speaker * shape[1] + labels
+    means = _cell_means(features, cells, counts.ravel())
+    scatter = features - means[cells]
+    variances = _cell_means(scatter * scatter, cells, counts.ravel()).reshape(shape)
+    return GmmStack(
+        weights=counts / counts.sum(axis=1, keepdims=True),
+        means=means.reshape(shape),
+        variances=np.maximum(variances, floor),
+        sizes=sizes,
+    )
 
 
 def _exp_clamped(shifted: np.ndarray) -> np.ndarray:
@@ -342,67 +466,73 @@ def gmm_log_likelihoods(features: np.ndarray, bank: ModelBank) -> np.ndarray:
     return _logsumexp(joint.reshape(-1, bank.num_components // speakers, speakers), axis=1)
 
 
-def em_train(features: np.ndarray, init: GmmModel, cfg: ModelConfig) -> GmmModel:
-    """Refine a mixture with a fixed number of EM passes.
+def em_train(features: np.ndarray, init: GmmStack, cfg: ModelConfig) -> GmmStack:
+    """Refine every mixture of a stack with a fixed number of EM passes.
 
-    Each pass computes responsibilities from the current parameters, then
-    re-estimates weights (mean responsibility), means, and floored diagonal
-    variances.  A component whose total responsibility collapses is
-    re-seeded on the worst-scoring vector and training continues.
+    ``features`` is the stacked matrix ``init`` was trained on, split by
+    ``init.sizes``.  Each pass computes responsibilities from the current
+    parameters, then re-estimates weights (mean responsibility), means, and
+    floored diagonal variances.  A component whose total responsibility
+    collapses is re-seeded on its speaker's worst-scoring vector and
+    training continues.
 
-    Means and moments are kept about the training-data mean (module
-    docstring).
+    Means and moments are kept about each speaker's training-data mean
+    (module docstring).  Every speaker's model and trace have the bits of
+    training it alone.
 
-    Returns the final model with the log-likelihood trace attached
-    (initial value plus one per pass).
+    Returns the final stack with each speaker's log-likelihood trace
+    attached (initial value plus one per pass).
     """
     features = np.asarray(features, dtype=np.float64)
-    num, dim = features.shape
-    if num < 10 * init.num_components:
-        warnings.warn(
-            f"only {num} vectors for {init.num_components} components; "
-            "estimates may be unreliable",
-            stacklevel=2,
-        )
-    features = _canonical_order(features)
-    centre = features.mean(axis=0)
-    shifted = features - centre
+    spans = _spans(features, init.sizes)
+    dim = features.shape[1]
+    nums = np.array(init.sizes)[:, None]
+    features = _canonical_stack(features, spans)
+    centre = np.stack([features[span].mean(axis=0) for span in spans])
+    shifted = features - np.repeat(centre, init.sizes, axis=0)
     # [y*y, y, 1]: the E-step's inputs, and the M-step's moments and totals.
     stats = _stats(shifted)
-    data_var = features.var(axis=0)
-    floor = _floor_of(data_var, cfg.variance_floor_factor)
-    global_var = np.maximum(data_var, floor)
+    data_var = np.stack([features[span].var(axis=0) for span in spans])
+    floor = _floor_of(data_var, cfg.variance_floor_factor)[:, None]
+    global_var = np.maximum(data_var, floor[:, 0])
 
-    weights, offsets, variances = init.weights, init.means - centre, init.variances
-    trace = []
+    weights, offsets, variances = init.weights, init.means - centre[:, None], init.variances
+    joint = np.empty((init.weights.shape[1], features.shape[0]))
+    traces = []
     for iteration in range(cfg.em_iterations + 1):
-        # Components along axis 0, so every reduction over them runs over rows.
-        joint = _quadratic_form_of(weights, offsets, variances) @ stats.T
+        # Components along axis 0, so every reduction over them runs over
+        # rows; each speaker's product fills its own columns.
+        for span, form in zip(spans, _quadratic_form_of(weights, offsets, variances)):
+            np.matmul(form, stats[span].T, out=joint[:, span])
         peak = joint.max(axis=0)
         joint -= peak
         resp = _exp_clamped(joint)
         density = resp.sum(axis=0)
         per_vector = np.log(density) + peak
-        trace.append(float(per_vector.sum()))
+        traces.append([float(per_vector[span].sum()) for span in spans])
         if iteration == cfg.em_iterations:
             break
         resp /= density
-        moments = resp @ stats
-        totals = moments[:, -1]
-        weights = totals / num
+        moments = np.empty(weights.shape + (stats.shape[1],))
+        for i, span in enumerate(spans):
+            np.matmul(resp[:, span], stats[span], out=moments[i])
+        totals = moments[..., -1]
+        weights = totals / nums
 
         # Dividing by the clamped totals leaves live components exact and
         # keeps collapsed ones finite until they are re-seeded below.
-        moments[:, :-1] /= np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
-        offsets = moments[:, dim:-1]
-        variances = np.maximum(moments[:, :dim] - offsets * offsets, floor)
+        moments[..., :-1] /= np.maximum(totals, COLLAPSE_THRESHOLD)[..., None]
+        offsets = moments[..., dim:-1]
+        variances = np.maximum(moments[..., :dim] - offsets * offsets, floor)
         if totals.min() < COLLAPSE_THRESHOLD:
-            worst = np.argsort(per_vector, kind="stable")
-            for slot, j in enumerate(np.flatnonzero(totals < COLLAPSE_THRESHOLD)):
-                offsets[j] = shifted[worst[slot % num]]
-                variances[j] = global_var
-                weights[j] = 1.0 / num
-            weights = weights / weights.sum()
+            for i in np.flatnonzero(totals.min(axis=1) < COLLAPSE_THRESHOLD):
+                span, num = spans[i], init.sizes[i]
+                worst = np.argsort(per_vector[span], kind="stable")
+                for slot, j in enumerate(np.flatnonzero(totals[i] < COLLAPSE_THRESHOLD)):
+                    offsets[i, j] = shifted[span][worst[slot % num]]
+                    variances[i, j] = global_var[i]
+                    weights[i, j] = 1.0 / num
+                weights[i] = weights[i] / weights[i].sum()
 
-    return GmmModel(weights=weights, means=offsets + centre, variances=variances,
-                    em_log_likelihoods=tuple(trace))
+    return GmmStack(weights, offsets + centre[:, None], variances, init.sizes,
+                    tuple(zip(*traces)))

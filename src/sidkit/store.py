@@ -151,8 +151,9 @@ class ModelStore:
     def bind(self, cfg: ToolkitConfig, sample_rate: int) -> None:
         """Make ``cfg`` and ``sample_rate`` the parameters of models saved next.
 
-        Raises (when the store already holds models, before any write):
-            StoreIntegrityError: it records no config.
+        Raises (before any write):
+            StoreIntegrityError: the store path is not a directory, or the
+                store holds models but records no config.
             ConfigMismatch, SampleRateMismatch: its models were trained
                 under another config or at another rate.
         """
@@ -197,7 +198,17 @@ class ModelStore:
         raise StoreIntegrityError(f"{self.path / name}: not a <speaker>__<stream>.gmm record name")
 
     def _record_names(self) -> list[str]:
-        names = os.listdir(self.path) if self.path.is_dir() else []
+        """The record filenames; none when the directory does not exist.
+
+        Raises:
+            StoreIntegrityError: the store path is not a directory.
+        """
+        try:
+            names = os.listdir(self.path)
+        except FileNotFoundError:
+            return []
+        except NotADirectoryError:
+            raise StoreIntegrityError(f"model store at {self.path} is not a directory") from None
         return [name for name in names if name.endswith(".gmm")]
 
     def speakers(self) -> list[str]:
@@ -250,8 +261,8 @@ class ModelStore:
         """The (spectral, residual) banks of every enrolled speaker, each
         record read through ``load`` once, speaker by speaker, and kept until
         the next ``save``.  ``MissingModel`` if the store's directory does not
-        exist or holds no record; a ``ConfigMismatch`` from stacking names
-        its stream."""
+        exist or holds no record, ``StoreIntegrityError`` if its path is not
+        a directory; a ``ConfigMismatch`` from stacking names its stream."""
         if self._banks is None:
             speakers = self.speakers()
             if not speakers:

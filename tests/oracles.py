@@ -1,7 +1,7 @@
 """Reference forms the tests hold the library to.
 
-Each is the plain, one-frame, one-model or one-pulse statement of
-something the pipeline computes in batch; ``sidkit`` itself calls none of
+Each is the plain, one-frame, one-model, one-speaker or one-pulse
+statement of something the pipeline computes in batch; ``sidkit`` itself calls none of
 them.  The mixture oracles follow Reynolds & Rose 1995 (IEEE TSAP 3(1)):
 a model's score is the log of its weighted sum of diagonal Gaussian
 densities.
@@ -10,7 +10,22 @@ densities.
 import numpy as np
 
 from sidkit.corpus import SyntheticSpeakerSpec
-from sidkit.gmm import LOG_TWO_PI, GmmModel, ModelBank, gmm_log_likelihoods
+from sidkit.errors import InsufficientData
+from sidkit.gmm import (
+    _KMEANS_MAX_PASSES,
+    COLLAPSE_THRESHOLD,
+    LOG_TWO_PI,
+    GmmModel,
+    ModelBank,
+    _canonical_order,
+    _cell_means,
+    _exp_clamped,
+    _floor_of,
+    _quadratic_form_of,
+    _reseed_empty_cells,
+    _stats,
+    gmm_log_likelihoods,
+)
 from sidkit.lpc import LpFrames
 from sidkit.residual_moments import _peak_normalize
 
@@ -84,6 +99,108 @@ def model_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
     """log p(x | model) for one vector: the one-row case of the batch kernel."""
     return float(model_log_likelihoods(np.asarray(x, dtype=np.float64)[None, :], model)[0])
+
+
+def _nearest_centroid_one(scaled, sq_norms, centroids):
+    sq = sq_norms + scaled @ centroids.T
+    sq += (centroids * centroids).sum(axis=1)
+    return sq.argmin(axis=1)
+
+
+def _kmeans_one(features, scaled, sq_norms, centroids):
+    labels = None
+    for _ in range(_KMEANS_MAX_PASSES):
+        new_labels = _nearest_centroid_one(scaled, sq_norms, centroids)
+        if labels is not None and (new_labels == labels).all():
+            return centroids, labels
+        labels = new_labels
+        counts = np.bincount(labels, minlength=centroids.shape[0])
+        centroids = _cell_means(features, labels, counts)
+        if counts.min() == 0:
+            empty = np.flatnonzero(counts == 0)
+            centroids = _reseed_empty_cells(features, centroids, labels, empty)
+    return centroids, None
+
+
+def lbg_init_one(features, num_components, cfg) -> GmmModel:
+    """One speaker's LBG initialization, trained alone: the reference every
+    model of a ``gmm.lbg_init`` stack must equal bit for bit."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape[0] < num_components:
+        raise InsufficientData(f"{features.shape[0]} vectors for {num_components} components")
+    features = _canonical_order(features)
+    scaled = -2.0 * features
+    sq_norms = np.sum(features**2, axis=1)[:, None]
+    global_var = features.var(axis=0)
+    floor = _floor_of(global_var, cfg.variance_floor_factor)
+    delta = cfg.lbg_split_epsilon * np.sqrt(global_var)
+    centroids = features.mean(axis=0, keepdims=True)
+    labels = None
+    while centroids.shape[0] < num_components:
+        centroids = np.vstack([centroids + delta, centroids - delta])
+        centroids, labels = _kmeans_one(features, scaled, sq_norms, centroids)
+
+    if labels is None:
+        labels = _nearest_centroid_one(scaled, sq_norms, centroids)
+    counts = np.bincount(labels, minlength=num_components)
+    for _ in range(10):
+        if counts.min() > 0:
+            break
+        empty = np.flatnonzero(counts == 0)
+        centroids = _reseed_empty_cells(features, centroids, labels, empty)
+        labels = _nearest_centroid_one(scaled, sq_norms, centroids)
+        counts = np.bincount(labels, minlength=num_components)
+    else:
+        raise InsufficientData("could not populate every cell; too few distinct vectors")
+
+    means = _cell_means(features, labels, counts)
+    scatter = features - means[labels]
+    variances = np.maximum(_cell_means(scatter * scatter, labels, counts), floor)
+    return GmmModel(weights=counts / counts.sum(), means=means, variances=variances)
+
+
+def em_train_one(features, init: GmmModel, cfg) -> GmmModel:
+    """One speaker's EM refinement, trained alone: the reference every model
+    of a ``gmm.em_train`` stack must equal bit for bit, trace included."""
+    features = np.asarray(features, dtype=np.float64)
+    num, dim = features.shape
+    features = _canonical_order(features)
+    centre = features.mean(axis=0)
+    shifted = features - centre
+    stats = _stats(shifted)
+    data_var = features.var(axis=0)
+    floor = _floor_of(data_var, cfg.variance_floor_factor)
+    global_var = np.maximum(data_var, floor)
+
+    weights, offsets, variances = init.weights, init.means - centre, init.variances
+    trace = []
+    for iteration in range(cfg.em_iterations + 1):
+        joint = _quadratic_form_of(weights, offsets, variances) @ stats.T
+        peak = joint.max(axis=0)
+        joint -= peak
+        resp = _exp_clamped(joint)
+        density = resp.sum(axis=0)
+        per_vector = np.log(density) + peak
+        trace.append(float(per_vector.sum()))
+        if iteration == cfg.em_iterations:
+            break
+        resp /= density
+        moments = resp @ stats
+        totals = moments[:, -1]
+        weights = totals / num
+        moments[:, :-1] /= np.maximum(totals, COLLAPSE_THRESHOLD)[:, None]
+        offsets = moments[:, dim:-1]
+        variances = np.maximum(moments[:, :dim] - offsets * offsets, floor)
+        if totals.min() < COLLAPSE_THRESHOLD:
+            worst = np.argsort(per_vector, kind="stable")
+            for slot, j in enumerate(np.flatnonzero(totals < COLLAPSE_THRESHOLD)):
+                offsets[j] = shifted[worst[slot % num]]
+                variances[j] = global_var
+                weights[j] = 1.0 / num
+            weights = weights / weights.sum()
+
+    return GmmModel(weights=weights, means=offsets + centre, variances=variances,
+                    em_log_likelihoods=tuple(trace))
 
 
 def synthesize_utterance(

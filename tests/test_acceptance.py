@@ -138,7 +138,7 @@ def test_04_em_monotone_likelihood(criterion):
             data = np.concatenate(parts)
             for m in (2, 4, 8, 16):
                 cfg = ModelConfig()
-                model = em_train(data, lbg_init(data, m, cfg), cfg)
+                (model,) = em_train(data, lbg_init(data, [len(data)], m, cfg), cfg).models()
                 assert len(model.em_log_likelihoods) == cfg.em_iterations + 1
                 drop = float(np.min(np.diff(model.em_log_likelihoods)))
                 worst_drop = min(worst_drop, drop)
@@ -147,7 +147,7 @@ def test_04_em_monotone_likelihood(criterion):
 
         data = np.random.default_rng(1044).standard_normal((500, 4)) * 1.7 + 0.3
         cfg = ModelConfig()
-        model = em_train(data, lbg_init(data, 1, cfg), cfg)
+        (model,) = em_train(data, lbg_init(data, [len(data)], 1, cfg), cfg).models()
         np.testing.assert_allclose(model.means[0], data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(model.variances[0], data.var(axis=0), atol=1e-9)
 

@@ -3,8 +3,10 @@ and later training."""
 
 import dataclasses
 import json
+import logging
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from sidkit.corpus import (
 from sidkit.errors import (
     ConfigMismatch,
     EmptyAfterVad,
+    InsufficientData,
     ManifestError,
     MissingModel,
     SampleRateMismatch,
@@ -47,7 +50,9 @@ from sidkit.identify import (
     with_eta,
 )
 from sidkit.spectral import make_filterbank
-from sidkit.store import CONFIG_NAME, ModelStore
+from sidkit.store import CONFIG_NAME, STREAMS, ModelStore
+
+from oracles import em_train_one, lbg_init_one
 
 TRAINING_CONFIGS = {
     "frame_len": ToolkitConfig(preprocess=PreprocessConfig(frame_len=240, frame_shift=120)),
@@ -373,6 +378,110 @@ def test_silent_last_speaker_fails_before_any_model_is_saved(corpus, tmp_path):
         train_command(CorpusManifest(entries, corpus.sample_rate), ToolkitConfig(),
                       tmp_path / "store")
     assert not (tmp_path / "store").exists()
+
+
+def test_models_and_info_lines_equal_training_each_speaker_alone(corpus, tmp_path, caplog):
+    """Each stored model, and its INFO line's EM trace, has the bits of its
+    speaker trained alone by the per-speaker reference; the lines come in
+    speaker, then stream, order."""
+    cfg = ToolkitConfig()
+    with caplog.at_level(logging.INFO, logger="sidkit.commands"):
+        store = train_command(corpus, cfg, tmp_path / "store")
+    expected = []
+    for speaker in corpus.speakers():
+        entries = sorted((e for e in corpus.train_entries if e.speaker_id == speaker),
+                         key=lambda e: e.utterance_id)
+        utterances = [extract_streams(load_audio(e.path), cfg) for e in entries]
+        kinds = ("mfcc", "residual_moments")
+        for stream, kind, x in zip(STREAMS, kinds, map(np.concatenate, zip(*utterances))):
+            model = em_train_one(x, lbg_init_one(x, 8, cfg.model), cfg.model)
+            stored = store.load(speaker, stream)
+            for name in ("weights", "means", "variances"):
+                assert getattr(stored, name).tobytes() == getattr(model, name).tobytes()
+            values = " ".join(f"{v:.6f}" for v in model.em_log_likelihoods[1:])
+            expected.append(
+                f"speaker {speaker} {stream} stream ({kind}, M=8): EM log-likelihoods {values}"
+            )
+    assert [r.getMessage() for r in caplog.records if "EM log" in r.getMessage()] == expected
+
+
+def test_stacks_of_fewer_speakers_train_the_same_store(corpus, tmp_path, monkeypatch):
+    """A manifest trained a few speakers per stack writes the store byte for
+    byte as one stack does, with one lbg_init call per stack and stream."""
+    whole = train_command(corpus, ToolkitConfig(), tmp_path / "whole")
+    calls = []
+
+    def counting(features, sizes, *args, **kwargs):
+        calls.append(len(sizes))
+        return lbg(features, sizes, *args, **kwargs)
+
+    lbg = commands.lbg_init
+    monkeypatch.setattr(commands, "lbg_init", counting)
+    monkeypatch.setattr(commands, "_STACK_SPEAKERS", 3)
+    split = train_command(corpus, ToolkitConfig(), tmp_path / "split")
+    assert calls == [3, 3, 1, 1]
+    assert snapshot(split.path) == snapshot(whole.path)
+
+
+def scarce_corpus(root, seconds):
+    """What ``sidkit synth --speakers 3 --train-utts 1 --test-utts 0
+    --seconds <seconds>`` writes, listed in reverse speaker order."""
+    manifest = generate_synthetic_corpus(
+        default_speaker_specs(3, seed=0), train_utts=1, test_utts=0,
+        utt_seconds=seconds, seed=0, out_dir=root,
+    )
+    return CorpusManifest(manifest.entries[::-1], manifest.sample_rate)
+
+
+def test_each_scarce_model_warns_naming_its_speaker_and_stream(tmp_path):
+    """0.5 s gives every model 49 vectors for 8 components, fewer than 10
+    per component: one warning per model, each naming its speaker and stream."""
+    corpus = scarce_corpus(tmp_path / "corpus", 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    assert all(w.category is UserWarning for w in caught)
+    assert sorted(str(w.message) for w in caught) == sorted(
+        f"speaker spk{i:02d} {stream} stream: only 49 vectors for 8 components; "
+        "estimates may be unreliable"
+        for i in range(3)
+        for stream in ("spectral", "residual")
+    )
+
+
+def test_too_few_vectors_name_the_first_speaker_and_its_stream(tmp_path):
+    """0.06 s gives every speaker 5 vectors for 8 components: the error names
+    the first speaker in sorted order and its stream, and no store is made."""
+    corpus = scarce_corpus(tmp_path / "corpus", 0.06)
+    with pytest.raises(InsufficientData,
+                       match="^speaker spk00 spectral stream: 5 vectors for 8 components$"):
+        train_command(corpus, ToolkitConfig(), tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+
+
+def no_audio_at_all(*args, **kwargs):
+    raise AssertionError("audio read before the store path was checked")
+
+
+def test_train_into_a_file_fails_before_any_audio(corpus, tmp_path, monkeypatch):
+    path = tmp_path / "afile"
+    path.write_text("not a store\n", encoding="utf-8")
+    monkeypatch.setattr(commands, "load_audio", no_audio_at_all)
+    with pytest.raises(StoreIntegrityError,
+                       match=f"^model store at {re.escape(str(path))} is not a directory$"):
+        train_command(corpus, ToolkitConfig(), path)
+    assert path.read_text(encoding="utf-8") == "not a store\n"
+
+
+def test_scoring_against_a_file_fails_before_any_audio(corpus, tmp_path, monkeypatch):
+    path = tmp_path / "afile"
+    path.write_text("not a store\n", encoding="utf-8")
+    monkeypatch.setattr(commands, "load_audio", no_audio_at_all)
+    message = f"^model store at {re.escape(str(path))} is not a directory$"
+    with pytest.raises(StoreIntegrityError, match=message):
+        evaluate_command(corpus, ModelStore(path))
+    with pytest.raises(StoreIntegrityError, match=message):
+        identify_command(corpus.test_entries[0].path, ModelStore(path))
 
 
 def test_tied_speakers_decide_for_the_lowest_id(corpus, tmp_path):

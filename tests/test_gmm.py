@@ -14,6 +14,7 @@ from sidkit.gmm import (
     COLLAPSE_THRESHOLD,
     LOG_TWO_PI,
     GmmModel,
+    GmmStack,
     ModelBank,
     _canonical_order,
     _cell_means,
@@ -26,10 +27,28 @@ from sidkit.gmm import (
 
 from oracles import (
     component_log_density,
+    em_train_one,
     gmm_log_likelihood,
+    lbg_init_one,
     model_log_likelihoods,
     variance_floor,
 )
+
+
+def stack_of(*models: GmmModel, sizes) -> GmmStack:
+    """An ``em_train`` init stacking the given models."""
+    return GmmStack(*(np.stack([getattr(m, name) for m in models])
+                      for name in ("weights", "means", "variances")), tuple(sizes))
+
+
+def lbg_one(x, m, cfg) -> GmmModel:
+    """``lbg_init`` on a stack of one speaker: its model."""
+    return lbg_init(x, [len(x)], m, cfg).models()[0]
+
+
+def em_one(x, init: GmmModel, cfg) -> GmmModel:
+    """``em_train`` on a stack of one speaker from ``init``: its model."""
+    return em_train(x, stack_of(init, sizes=[len(x)]), cfg).models()[0]
 
 
 # The training loops in their plain form, before the Lloyd fast paths and
@@ -161,7 +180,7 @@ class TestLbgInit:
     def test_single_component_is_global_stats(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((400, 5)) * 2.0 + 1.0
-        model = lbg_init(x, 1, ModelConfig())
+        model = lbg_one(x, 1, ModelConfig())
         np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-12)
         assert model.weights[0] == 1.0
@@ -173,7 +192,7 @@ class TestLbgInit:
         """
         rng = np.random.default_rng(41)
         x, mean_a, mean_b = two_clouds(rng)
-        model = lbg_init(x, 2, ModelConfig())
+        model = lbg_one(x, 2, ModelConfig())
         got = sorted(model.means.tolist())
         want = sorted([mean_a.tolist(), mean_b.tolist()])
         for g, w in zip(got, want):
@@ -183,7 +202,7 @@ class TestLbgInit:
         rng = np.random.default_rng(42)
         x, _, _ = two_clouds(rng)
         for m in (2, 4, 8):
-            model = lbg_init(x, m, ModelConfig())
+            model = lbg_one(x, m, ModelConfig())
             assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(model.weights >= 1.0 / (4 * m))
 
@@ -191,19 +210,19 @@ class TestLbgInit:
         rng = np.random.default_rng(43)
         for m in (3, 0):
             with pytest.raises(ValueError, match=f"got {m}$"):
-                lbg_init(rng.standard_normal((100, 2)), m, ModelConfig())
+                lbg_one(rng.standard_normal((100, 2)), m, ModelConfig())
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(44)
         with pytest.raises(InsufficientData):
-            lbg_init(rng.standard_normal((3, 2)), 4, ModelConfig())
+            lbg_one(rng.standard_normal((3, 2)), 4, ModelConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(45)
         x = rng.standard_normal((300, 4))
         cfg = ModelConfig()
-        a = lbg_init(x, 4, cfg)
-        b = lbg_init(x, 4, cfg)
+        a = lbg_one(x, 4, cfg)
+        b = lbg_one(x, 4, cfg)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -212,7 +231,7 @@ class TestLbgInit:
         rng = np.random.default_rng(46)
         x = rng.standard_normal((200, 3))
         cfg = ModelConfig()
-        model = lbg_init(x, 4, cfg)
+        model = lbg_one(x, 4, cfg)
         floor = variance_floor(x, cfg.variance_floor_factor)
         assert np.all(model.variances >= floor)
 
@@ -230,7 +249,7 @@ class TestLbgInit:
         nearest = gmm._nearest_centroid
         monkeypatch.setattr(gmm, "_nearest_centroid", counting)
         x = np.random.default_rng(47).standard_normal((1600, 19))
-        lbg_init(x, m, ModelConfig())
+        lbg_one(x, m, ModelConfig())
         assert len(calls) <= int(np.log2(m)) * 5 + 1
 
     def test_cell_stats_equal_loop_form(self):
@@ -401,7 +420,7 @@ class TestLogDensityKernel:
         x = rng.standard_normal((400, 4))
         x[:, 2] = 0.37
         cfg = ModelConfig()
-        model = em_train(x, lbg_init(x, 4, cfg), cfg)
+        model = em_one(x, lbg_one(x, 4, cfg), cfg)
         assert np.all(model.variances[:, 2] == 1e-12)
         xs = rng.standard_normal((40, 4))
         xs[:, 2] = 0.37
@@ -485,7 +504,7 @@ class TestLogDensityKernel:
                         variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         monkeypatch.setattr(np, "exp", spy)
         for run in (lambda: gmm_log_likelihoods(xs, ModelBank(models)),
-                    lambda: em_train(x, init, ModelConfig(em_iterations=10))):
+                    lambda: em_one(x, init, ModelConfig(em_iterations=10))):
             seen.clear()
             run()
             assert seen and min(seen) == _EXP_FLOOR
@@ -562,7 +581,7 @@ class TestModelBank:
         for i in range(16):
             x = rng.standard_normal((200, 4))
             x[:, 2] = 0.37
-            models[f"spk{i:02d}"] = em_train(x, lbg_init(x, 4, cfg), cfg)
+            models[f"spk{i:02d}"] = em_one(x, lbg_one(x, 4, cfg), cfg)
         assert all(np.all(m.variances[:, 2] == 1e-12) for m in models.values())
         xs = rng.standard_normal((40, 4))
         xs[:, 2] = 0.37
@@ -581,7 +600,7 @@ class TestModelBank:
         for i, constant in enumerate(constants):
             x = rng.standard_normal((400, 4))
             x[:, 2] = constant
-            models[f"spk{i}"] = em_train(x, lbg_init(x, 4, cfg), cfg)
+            models[f"spk{i}"] = em_one(x, lbg_one(x, 4, cfg), cfg)
         bank = ModelBank(models)
         xs = rng.standard_normal((60, 4))
         xs[:, 2] = rng.choice(constants, 60)
@@ -667,7 +686,7 @@ class TestEmTrain:
                             means=np.full((1, 3), 9.0),
                             variances=np.full((1, 3), 4.0))
         cfg = ModelConfig(em_iterations=1)
-        model = em_train(x, bad_init, cfg)
+        model = em_one(x, bad_init, cfg)
         np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-9)
         assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -676,7 +695,7 @@ class TestEmTrain:
         rng = np.random.default_rng(52)
         x = rng.standard_normal((400, 4))
         cfg = ModelConfig(em_iterations=10)
-        model = em_train(x, lbg_init(x, 4, cfg), cfg)
+        model = em_one(x, lbg_one(x, 4, cfg), cfg)
         trace = np.asarray(model.em_log_likelihoods)
         assert trace.size == 11
         assert np.all(np.diff(trace) >= -1e-8)
@@ -689,7 +708,7 @@ class TestEmTrain:
         x = np.where(labels, -3.0, 3.0) + rng.standard_normal(n)
         x = x[:, None]
         cfg = ModelConfig(em_iterations=10)
-        model = em_train(x, lbg_init(x, 2, cfg), cfg)
+        model = em_one(x, lbg_one(x, 2, cfg), cfg)
         got = sorted(model.means.ravel().tolist())
         assert got[0] == pytest.approx(-3.0, abs=0.15)
         assert got[1] == pytest.approx(3.0, abs=0.15)
@@ -702,7 +721,7 @@ class TestEmTrain:
         for m in (2, 4, 8):
             x = rng.standard_normal((30 * m, 5))
             cfg = ModelConfig(em_iterations=10)
-            model = em_train(x, lbg_init(x, m, cfg), cfg)
+            model = em_one(x, lbg_one(x, m, cfg), cfg)
             floor = variance_floor(x, cfg.variance_floor_factor)
             assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(model.weights >= 0)
@@ -714,21 +733,13 @@ class TestEmTrain:
         rng = np.random.default_rng(55)
         x = rng.standard_normal((300, 3))
         cfg = ModelConfig(em_iterations=5)
-        model_a = em_train(x, lbg_init(x, 2, cfg), cfg)
+        model_a = em_one(x, lbg_one(x, 2, cfg), cfg)
         perm = rng.permutation(len(x))
         y = x[perm]
-        model_b = em_train(y, lbg_init(y, 2, cfg), cfg)
+        model_b = em_one(y, lbg_one(y, 2, cfg), cfg)
         np.testing.assert_array_equal(model_a.means, model_b.means)
         np.testing.assert_array_equal(model_a.variances, model_b.variances)
         np.testing.assert_array_equal(model_a.weights, model_b.weights)
-
-    def test_warns_on_scarce_data(self):
-        rng = np.random.default_rng(56)
-        x = rng.standard_normal((20, 2))
-        cfg = ModelConfig(em_iterations=2)
-        init = lbg_init(x, 8, cfg)
-        with pytest.warns(UserWarning, match="only 20 vectors for 8 components.*unreliable"):
-            em_train(x, init, cfg)
 
     def test_collapsed_component_recovers(self):
         """A component started far outside the data is re-seeded onto a
@@ -741,7 +752,7 @@ class TestEmTrain:
             variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
         )
         cfg = ModelConfig(em_iterations=10)
-        model = em_train(x, init, cfg)
+        model = em_one(x, init, cfg)
         assert np.all(np.abs(model.means) < 10.0)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -758,7 +769,7 @@ class TestEmTrain:
         cfg = ModelConfig(em_iterations=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = em_train(x, init, cfg)
+            model = em_one(x, init, cfg)
         assert np.all(np.isfinite(model.means)) and np.all(np.abs(model.means) < 10.0)
 
     def test_monotone_across_datasets_and_orders(self):
@@ -768,7 +779,7 @@ class TestEmTrain:
             for m in (2, 4):
                 x = rng.standard_normal((25 * m, 3)) + rng.uniform(-2, 2, 3)
                 cfg = ModelConfig(em_iterations=10)
-                model = em_train(x, lbg_init(x, m, cfg), cfg)
+                model = em_one(x, lbg_one(x, m, cfg), cfg)
                 trace = np.asarray(model.em_log_likelihoods)
                 assert np.all(np.diff(trace) >= -1e-8)
 
@@ -820,7 +831,7 @@ class TestTrainingAgainstPlainLoops:
         datasets += [clumped(seed) for seed in range(8)]
         reseeds = []
         for x in datasets:
-            model = lbg_init(x, m, cfg)
+            model = lbg_one(x, m, cfg)
             weights, means, variances = plain_lbg_init(x, m, cfg, reseeds)
             assert model.weights.tobytes() == weights.tobytes()
             assert model.means.tobytes() == means.tobytes()
@@ -837,7 +848,7 @@ class TestTrainingAgainstPlainLoops:
             plain_lbg_init(x, 8, ModelConfig(), reseeds)
         assert reseeds
         with pytest.raises(InsufficientData, match="could not populate every cell"):
-            lbg_init(x, 8, ModelConfig())
+            lbg_one(x, 8, ModelConfig())
 
     def test_em_train_matches_the_plain_em(self):
         rng = np.random.default_rng(94)
@@ -846,8 +857,8 @@ class TestTrainingAgainstPlainLoops:
             for d in (1, 6, 19):
                 x = rng.standard_normal((40 * m, d)) * rng.uniform(0.1, 3.0, d)
                 x += rng.uniform(-3.0, 3.0, d)
-                init = lbg_init(x, m, cfg)
-                model = em_train(x, init, cfg)
+                init = lbg_one(x, m, cfg)
+                model = em_one(x, init, cfg)
                 weights, means, variances, trace = plain_em_train(x, init, cfg)
                 assert_em_close(model, weights, means, variances, x.std(axis=0))
                 np.testing.assert_allclose(model.em_log_likelihoods, trace, rtol=EM_RTOL)
@@ -863,7 +874,7 @@ class TestTrainingAgainstPlainLoops:
                         means=np.array([[0.0, 0.0], [1e6, 1e6]]),
                         variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         cfg = ModelConfig(em_iterations=10)
-        model = em_train(x, init, cfg)
+        model = em_one(x, init, cfg)
         weights, means, variances, trace = plain_em_train(x, init, cfg)
         assert np.all(np.abs(means) < 10.0)
         assert_em_close(model, weights, means, variances, x.std(axis=0))
@@ -882,12 +893,131 @@ class TestTrainingAgainstPlainLoops:
         rng = np.random.default_rng(95)
         cfg = ModelConfig()
         x = 1e4 + rng.standard_normal((600, 6)) * rng.uniform(0.5, 2.0, 6)
-        init = lbg_init(x, 8, cfg)
+        init = lbg_one(x, 8, cfg)
         centre = x.mean(axis=0)
         centred_init = GmmModel(weights=init.weights, means=init.means - centre,
                                 variances=init.variances)
         weights, means, variances, _ = plain_em_train(x - centre, centred_init, cfg)
-        model = em_train(x, init, cfg)
+        model = em_one(x, init, cfg)
         assert_em_close(model, weights, means + centre, variances, x.std(axis=0))
         _, _, uncentred, _ = plain_em_train(x, init, cfg)
         assert np.max(np.abs(uncentred - variances) / variances) > 100 * EM_RTOL
+
+
+def assert_same_model(got, want):
+    """Bit for bit, EM trace included."""
+    for name in ("weights", "means", "variances"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.em_log_likelihoods == want.em_log_likelihoods
+
+
+def train_stack(xs, m, cfg, names=None) -> GmmStack:
+    stacked = np.concatenate(xs)
+    return em_train(stacked, lbg_init(stacked, [len(x) for x in xs], m, cfg, names=names), cfg)
+
+
+def train_alone(x, m, cfg) -> GmmModel:
+    return em_train_one(x, lbg_init_one(x, m, cfg), cfg)
+
+
+class TestStackAgainstTrainingAlone:
+    """Every model of a stack has the bits of its speaker trained alone by
+    the per-speaker reference (``oracles.lbg_init_one``, ``em_train_one``)."""
+
+    def test_unequal_row_counts(self):
+        rng = np.random.default_rng(97)
+        cfg = ModelConfig()
+        for m in (1, 2, 8, 16):
+            xs = [rng.standard_normal((n, 19)) * rng.uniform(0.1, 3.0, 19) + rng.uniform(-3, 3, 19)
+                  for n in (16 * m, 199, 37 * m + 5)]
+            stack = train_stack(xs, m, cfg)
+            assert stack.sizes == tuple(len(x) for x in xs)
+            for x, got in zip(xs, stack.models()):
+                assert_same_model(got, train_alone(x, m, cfg))
+            assert len(stack.em_log_likelihoods) == cfg.em_iterations + 1
+            assert stack.em_log_likelihoods == tuple(sum(t) for t in zip(*stack.traces))
+
+    def test_stack_of_one(self):
+        rng = np.random.default_rng(98)
+        x = rng.standard_normal((400, 6)) + 2.0
+        cfg = ModelConfig()
+        stack = train_stack([x], 8, cfg)
+        (got,) = stack.models()
+        assert_same_model(got, train_alone(x, 8, cfg))
+        assert stack.em_log_likelihoods == got.em_log_likelihoods
+
+    def test_speakers_whose_lbg_reseeds_an_empty_cell(self, monkeypatch):
+        """Clumped speakers reseed empty cells; the clouds between them do not."""
+        reseeds = []
+        reseed = gmm._reseed_empty_cells
+
+        def counting(*args):
+            reseeds.append(args[0].shape[0])
+            return reseed(*args)
+
+        monkeypatch.setattr(gmm, "_reseed_empty_cells", counting)
+        rng = np.random.default_rng(99)
+        cfg = ModelConfig()
+        xs = [rng.standard_normal((150, 3))] + [clumped(seed) for seed in range(8)]
+        xs.insert(4, rng.standard_normal((90, 3)) * 3.0)
+        stack = train_stack(xs, 8, cfg)
+        assert reseeds and set(reseeds) == {64}
+        for x, got in zip(xs, stack.models()):
+            assert_same_model(got, train_alone(x, 8, cfg))
+
+    def test_speaker_whose_em_collapses(self):
+        """The far component of ``test_collapsed_component_recovers``'s init
+        is reseeded within its own speaker only."""
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((200, 2))
+        far = GmmModel(weights=np.array([0.5, 0.5]),
+                       means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                       variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        cfg = ModelConfig(em_iterations=10)
+        before, after = rng.standard_normal((150, 2)) * 2.0 + 1.0, rng.standard_normal((90, 2))
+        xs = [before, x, after]
+        inits = [lbg_init_one(before, 2, cfg), far, lbg_init_one(after, 2, cfg)]
+        stack = em_train(np.concatenate(xs), stack_of(*inits, sizes=[len(v) for v in xs]), cfg)
+        models = stack.models()
+        assert np.all(np.abs(models[1].means) < 10.0)
+        for data, init, got in zip(xs, inits, models):
+            assert_same_model(got, em_train_one(data, init, cfg))
+
+    def test_a_speakers_bits_do_not_depend_on_its_stack(self):
+        """The same speaker in stacks with other speakers, in other orders."""
+        rng = np.random.default_rng(100)
+        cfg = ModelConfig()
+        xs = {
+            "a": rng.standard_normal((199, 19)),
+            "b": rng.standard_normal((80, 19)) * 0.1 + 5.0,
+            "c": rng.standard_normal((400, 19)) * rng.uniform(0.5, 2.0, 19),
+            "d": rng.standard_normal((123, 19)) - 1.0,
+        }
+        alone = {k: train_alone(x, 8, cfg) for k, x in xs.items()}
+        for order in ("abcd", "dcba", "bd", "ca", "cbda", "a"):
+            stack = train_stack([xs[k] for k in order], 8, cfg)
+            for k, got in zip(order, stack.models()):
+                assert_same_model(got, alone[k])
+
+    def test_insufficient_data_names_the_first_failing_speaker(self):
+        rng = np.random.default_rng(101)
+        cfg = ModelConfig()
+        ok = rng.standard_normal((100, 2))
+        names = ["a", "b", "c"]
+        xs = [ok, rng.standard_normal((3, 2)), rng.standard_normal((2, 2))]
+        with pytest.raises(InsufficientData, match="^b: 3 vectors for 4 components$"):
+            train_stack(xs, 4, cfg, names=names)
+        with pytest.raises(InsufficientData, match="^speaker 1: 3 vectors for 4 components$"):
+            train_stack(xs, 4, cfg)
+        few_distinct = rng.standard_normal((6, 2))[rng.integers(0, 6, 40)]
+        with pytest.raises(InsufficientData, match="^b: could not populate every cell"):
+            train_stack([ok, few_distinct, few_distinct], 8, cfg, names=names)
+
+    def test_sizes_must_split_the_rows(self):
+        x = np.random.default_rng(102).standard_normal((50, 2))
+        for sizes in ([20, 20], [60], [], [60, -10]):
+            with pytest.raises(ValueError, match="do not split 50 rows"):
+                lbg_init(x, sizes, 2, ModelConfig())
+        init = lbg_init(x, [25, 25], 2, ModelConfig())
+        with pytest.raises(ValueError, match="do not split 40 rows"):
+            em_train(x[:40], init, ModelConfig())
