@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import warnings
 
 from .commands import evaluate_command, identify_command, train_command
 from .config import DEFAULT_CONFIG_TEXT, ToolkitConfig, load_config
@@ -132,17 +133,25 @@ _RUNNERS = {
 }
 
 
+def _show_warning(message, *args, **kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        return _RUNNERS[args.command](args)
-    except (SidkitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A warning is one "warning:" line, like an "error:" line; the previous
+    # printer is restored on return.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _RUNNERS[args.command](args)
+        except (SidkitError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -132,6 +132,8 @@ class GmmModel:
             raise ValueError("means must be (num_components, dim)")
         if variances.shape != means.shape or weights.shape != (means.shape[0],):
             raise ValueError("weights/means/variances shapes are inconsistent")
+        if not all(np.isfinite(arr).all() for arr in (weights, means, variances)):
+            raise ValueError("weights, means and variances must be finite")
         if abs(float(weights.sum()) - 1.0) > 1e-9 or np.any(weights < 0.0):
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):

@@ -145,6 +145,21 @@ class TestTrain:
         assert capsys.readouterr().out == f"trained 2 models into {store}\n"
         assert ModelStore(store).speakers() == [*ModelStore(store_dir).speakers(), "zz"]
 
+    def test_each_scarce_model_warns_in_one_line(self, tmp_path, capsys):
+        """Each scarce-model warning is one "warning:" line on stderr, not
+        Python's two-line format naming the source line."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--speakers", "2", "--seconds", "0.5", "--train-utts", "1",
+                     "--out", str(corpus)]) == 0
+        assert main(["train", "--manifest", str(corpus / "manifest.tsv"),
+                     "--out", str(tmp_path / "store")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: speaker spk{i:02d} {stream} stream: only 49 vectors for 8 components; "
+            "estimates may be unreliable"
+            for stream in ("spectral", "residual")
+            for i in range(2)
+        ]
+
     @pytest.mark.parametrize(
         "bom, extra", [("", ""), ("", "per_frame_average = false\n"), ("\ufeff", "")],
         ids=["default-config", "per-frame-average-false", "bom"],
@@ -613,6 +628,16 @@ def riff_undercount(path, valid):
     path.write_bytes(data + b"\0")
 
 
+def list_overrun(path, valid):
+    """A LIST chunk before a 200-sample data chunk declares 4096 bytes but
+    holds 4; the RIFF size counts the bytes the file holds."""
+    write_wav(path, frames=bytes(400))
+    data = path.read_bytes()
+    assert data[36:40] == b"data"
+    riff = b"RIFF" + struct.pack("<I", len(data) + 12 - 8)
+    path.write_bytes(riff + data[8:36] + b"LIST" + struct.pack("<I", 4096) + b"INFO" + data[36:])
+
+
 def rate_zero(path, valid):
     data = bytearray(valid.read_bytes())
     struct.pack_into("<I", data, 24, 0)  # the fmt chunk's sample rate
@@ -626,6 +651,7 @@ MALFORMED_WAVS = {
     "odd-chunk": odd_chunk,
     "riff-undercount": riff_undercount,
     "rate-0": rate_zero,
+    "list-overrun": list_overrun,
     "header-only": lambda path, valid: write_wav(path),
     "all-zero-samples": lambda path, valid: write_wav(path, frames=bytes(16000)),
     "stereo": lambda path, valid: write_wav(path, channels=2, frames=bytes(400)),
@@ -664,6 +690,30 @@ class TestMalformedAudio:
             context = f"speaker {gone.speaker_id} utterance {gone.utterance_id}"
             assert message.startswith(f"{context}: ") and message.count(context) == 1, message
             assert message.count(str(bad)) <= 1, message
+
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "identify"])
+    def test_chunk_overrun_is_one_error_line(self, cli_workspace, tmp_path, capsys, command):
+        """A chunk that runs past the file exits 1 with one "error:" line
+        naming the chunk, from each command."""
+        corpus_dir, store_dir = cli_workspace
+        bad, broken = tmp_path / "bad.wav", tmp_path / "broken.tsv"
+        list_overrun(bad, None)
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        entries = [dataclasses.replace(e, path=bad) for e in manifest.entries]
+        write_manifest(CorpusManifest(entries, manifest.sample_rate), broken)
+        argv = {
+            "train": ["--manifest", str(broken), "--out", str(tmp_path / "store")],
+            "evaluate": ["--manifest", str(broken), "--store", str(store_dir)],
+            "identify": ["--audio", str(bad), "--store", str(store_dir)],
+        }[command]
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert line.endswith(
+            f"{bad}: b'LIST' chunk of 4096 bytes runs past the file or its RIFF size")
 
 
 class TestMissingInputFiles:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import struct
 import warnings
 import wave
 
@@ -146,6 +147,89 @@ class TestAudioIo:
         sig = load_audio(path)
         assert sig.samples[0] == pytest.approx(32767 / 32768)
         assert sig.samples[1] == -1.0
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100])
+    @pytest.mark.parametrize("length", [0, 1, 801])
+    def test_header_is_the_one_wave_writes(self, tmp_path, rate, length):
+        """save_audio writes byte for byte what the standard-library wave
+        writer writes for the same 16-bit samples."""
+        samples = np.random.default_rng(length).uniform(-1.0, 1.0, length)
+        ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+        save_audio(ours, AudioSignal(samples=samples, sample_rate=rate))
+        with wave.open(str(ref), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(rate)
+            ints = np.clip(np.rint(samples * 32768), -32768, 32767).astype("<i2")
+            wf.writeframes(ints.tobytes())
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def riff_file(path, *chunks, riff_size=None):
+    """Write a RIFF/WAVE file of ``(name, body)`` or ``(name, body, declared
+    size)`` chunks, each odd body followed by a pad byte; the RIFF size
+    counts every byte written unless given."""
+    body = b"WAVE"
+    for name, data, *declared in chunks:
+        size = declared[0] if declared else len(data)
+        body += name + struct.pack("<I", size) + data + b"\0" * (len(data) % 2)
+    size = len(body) if riff_size is None else riff_size
+    path.write_bytes(b"RIFF" + struct.pack("<I", size) + body)
+    return path
+
+
+PCM_MONO_8K = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+SAMPLES = np.array([1, -2, 3, 32767, -32768], dtype="<i2")
+
+
+class TestRiffChunks:
+    """load_audio walks the chunks up to ``data``: any other chunk is
+    skipped with its pad byte, and each must end within the file and its
+    RIFF size."""
+
+    def test_other_chunks_and_pad_bytes_are_skipped(self, tmp_path):
+        path = riff_file(
+            tmp_path / "x.wav", (b"JUNK", b"abc"), (b"fmt ", PCM_MONO_8K + b"\0\0"),
+            (b"LIST", b"INFOx"), (b"data", SAMPLES.tobytes()), (b"LIST", b"", 4096),
+        )
+        signal = load_audio(path, expected_rate=8000)
+        np.testing.assert_array_equal(signal.samples * 32768, SAMPLES)
+
+    @pytest.mark.parametrize("declared, riff_size", [(4096, None), (4, 4 + 8 + 16 + 8 + 2)],
+                             ids=["past-the-file", "past-the-riff-size"])
+    def test_chunk_past_the_file_or_riff_size(self, tmp_path, declared, riff_size):
+        """A LIST chunk that declares more than the file holds, or one that
+        the RIFF size cuts short, is an error naming it."""
+        path = riff_file(
+            tmp_path / "x.wav", (b"fmt ", PCM_MONO_8K), (b"LIST", b"INFO", declared),
+            (b"data", SAMPLES.tobytes()), riff_size=riff_size,
+        )
+        message = "b'LIST' chunk of .* bytes runs past the file or its RIFF size$"
+        with pytest.raises(UnsupportedFormat, match=f"^{re.escape(str(path))}: {message}"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("chunks, reason", [
+        (((b"fmt ", PCM_MONO_8K),), "no data chunk"),
+        (((b"data", SAMPLES.tobytes()), (b"fmt ", PCM_MONO_8K)),
+         "no complete fmt chunk before the data chunk"),
+        (((b"fmt ", PCM_MONO_8K[:14]), (b"data", SAMPLES.tobytes())),
+         "no complete fmt chunk before the data chunk"),
+        (((b"fmt ", struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)), (b"data", bytes(8))),
+         "expected PCM audio, got format tag 3"),
+        (((b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 12)), (b"data", bytes(8))),
+         "expected 16-bit samples, got 12-bit"),
+    ], ids=["no-data", "data-before-fmt", "short-fmt", "float", "12-bit"])
+    def test_missing_or_unsupported_format(self, tmp_path, chunks, reason):
+        path = riff_file(tmp_path / "x.wav", *chunks)
+        with pytest.raises(UnsupportedFormat, match=f"^{re.escape(f'{path}: {reason}')}$"):
+            load_audio(path)
+
+    def test_not_riff_wave(self, tmp_path):
+        path = tmp_path / "x.wav"
+        for head in (b"RIFX" + bytes(4) + b"WAVE", b"RIFF" + bytes(4) + b"AVI "):
+            path.write_bytes(head + bytes(32))
+            with pytest.raises(UnsupportedFormat, match="not a RIFF/WAVE file$"):
+                load_audio(path)
 
 
 class TestManifest:

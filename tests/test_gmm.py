@@ -169,6 +169,17 @@ class TestGmmModel:
             GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
                      variances=np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("array", ["weights", "means", "variances"])
+    def test_parameters_must_be_finite(self, array, value):
+        """NaN passes every ``<=`` and ``abs`` test, so each array is checked
+        for NaN and inf on its own."""
+        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+                  "variances": np.ones((2, 2))}
+        params[array].flat[-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            GmmModel(**params)
+
     def test_parameters_read_only(self):
         model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
                          variances=np.ones((1, 2)))

@@ -259,6 +259,24 @@ class TestModelStore:
         with pytest.raises(StoreIntegrityError):
             ModelStore(path).load("alice", "spectral")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("array", ["weights", "means", "variances"])
+    def test_non_finite_record_is_integrity_error(self, tmp_path, array, value):
+        """A record whose checksum holds but whose weights, means or
+        variances hold a NaN or inf is refused on load, naming the record."""
+        path = tmp_path / "store"
+        bound_store(path).save("alice", "spectral", random_model(np.random.default_rng(71)))
+        record = path / "alice__spectral.gmm"
+        payload = bytearray(record.read_bytes()[4:-4])
+        m, d = 4, 6  # random_model's shape
+        first = {"weights": 0, "means": m, "variances": m + m * d}[array]
+        # The arrays follow version, kind length, the kind "mfcc", dim and M.
+        struct.pack_into("<d", payload, 4 + len("mfcc") + 8 + 8 * first, value)
+        record.write_bytes(TestRecordFormat._sealed(bytes(payload)))
+        with pytest.raises(StoreIntegrityError,
+                           match=f"^{re.escape(str(record))}: .*must be finite$"):
+            ModelStore(path).load("alice", "spectral")
+
     def test_similar_ids_do_not_collide(self, tmp_path):
         """Ids that differ only in characters a filename cannot hold verbatim
         each keep their own record."""
