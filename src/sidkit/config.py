@@ -12,7 +12,38 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields
+
+# What each field annotation admits, and how its error describes it.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, int, "an int"),
+    "float": (numbers.Real, float, "a finite float"),
+    "str": (str, str, "a str"),
+}
+
+
+def _check_field_types(cfg) -> None:
+    """Refuse a config field that ``parse_config`` could not have read for
+    its annotation: an ``int`` field takes an integer, a ``float`` field a
+    finite real number, neither takes a ``bool``, and a ``str`` field takes
+    a string (a ``ToolkitConfig`` field, its section's class).  Each value
+    is stored as its annotation's type, so it renders as it parses.
+
+    Raises:
+        ValueError: naming ``[section] key`` and the value.
+    """
+    section = type(cfg).__name__.removesuffix("Config").lower()
+    for field in fields(cfg):
+        # A ToolkitConfig field's default is an instance of its section's class.
+        kind, convert, description = _FIELD_TYPES.get(
+            field.type, (type(field.default), lambda value: value, f"a {field.type}")
+        )
+        value = getattr(cfg, field.name)
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or (convert is float and not math.isfinite(value))):
+            raise ValueError(f"[{section}] {field.name} = {value!r} is not {description}")
+        object.__setattr__(cfg, field.name, convert(value))
 
 
 @dataclass(frozen=True)
@@ -25,16 +56,15 @@ class PreprocessConfig:
     silence_energy_ratio: float = 0.06
 
     def __post_init__(self):
+        _check_field_types(self)
         if not 0.0 <= self.pre_emphasis < 1.0:
             raise ValueError(f"pre_emphasis must be in [0, 1), got {self.pre_emphasis}")
         if not 0 < self.frame_shift <= self.frame_len:
             raise ValueError(
                 f"need 0 < frame_shift <= frame_len, got {self.frame_shift}/{self.frame_len}"
             )
-        if not math.isfinite(self.silence_energy_ratio) or self.silence_energy_ratio < 0.0:
-            raise ValueError(
-                f"silence_energy_ratio must be finite and >= 0, got {self.silence_energy_ratio}"
-            )
+        if self.silence_energy_ratio < 0.0:
+            raise ValueError(f"silence_energy_ratio must be >= 0, got {self.silence_energy_ratio}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +75,7 @@ class ResidualConfig:
     num_moments: int = 6
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.lp_order < 1:
             raise ValueError("lp_order must be >= 1")
         if self.num_moments < 1:
@@ -62,6 +93,7 @@ class SpectralConfig:
     lpcc_lp_order: int = 19
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.kind not in ("mfcc", "lfcc", "lpcc"):
             raise ValueError(f"spectral kind must be mfcc, lfcc, or lpcc, got {self.kind!r}")
         if self.num_cepstra < 1:
@@ -83,6 +115,7 @@ class ModelConfig:
     lbg_split_epsilon: float = 0.02
 
     def __post_init__(self):
+        _check_field_types(self)
         # Binary-splitting initialization doubles the component count.
         for key in ("m_spectral", "m_residual"):
             m = getattr(self, key)
@@ -90,9 +123,6 @@ class ModelConfig:
                 raise ValueError(f"{key} must be a power of two, got {m}")
         if self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
-        for key in ("variance_floor_factor", "lbg_split_epsilon"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.variance_floor_factor < 0.0:
             raise ValueError(
                 f"variance_floor_factor must be >= 0, got {self.variance_floor_factor}"
@@ -108,6 +138,7 @@ class FusionConfig:
     eta: float = 0.5
 
     def __post_init__(self):
+        _check_field_types(self)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
@@ -123,6 +154,7 @@ class ToolkitConfig:
     fusion: FusionConfig = FusionConfig()
 
     def __post_init__(self):
+        _check_field_types(self)
         # Each frame must be longer than every predictor order it feeds, and
         # a filterbank's frame must fit its FFT.
         frame_len = self.preprocess.frame_len

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio_io import save_audio
 from .errors import ManifestError, SidkitError, UnstableFilter, named
-from .frontend import AudioSignal
+from .frontend import AudioSignal, check_sample_rate
 
 DEFAULT_SAMPLE_RATE = 8000
 
@@ -36,6 +36,8 @@ class ManifestEntry:
     def __post_init__(self):
         if self.split not in _SPLITS:
             raise ManifestError(f"unknown split {self.split!r} (expected train or test)")
+        if "\0" in str(self.path):
+            raise ManifestError(f"path {str(self.path)!r} holds a NUL byte")
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,24 @@ class CorpusManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.sample_rate <= 0:
-            raise ManifestError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate, ManifestError)
         seen: set[str] = set()
         for entry in self.entries:
             if entry.utterance_id in seen:
                 raise ManifestError(f"duplicate utterance id {entry.utterance_id!r}")
             seen.add(entry.utterance_id)
+        # Testing on training audio would score each speaker on its own data.
+        # realpath costs ~20 us a path, so a manifest without tests skips it.
+        tests = self.test_entries
+        train_paths = {os.path.realpath(e.path): e.utterance_id
+                       for e in self.train_entries} if tests else {}
+        for entry in tests:
+            train_id = train_paths.get(os.path.realpath(entry.path))
+            if train_id is not None:
+                raise ManifestError(
+                    f"test utterance {entry.utterance_id!r} reads the file of train "
+                    f"utterance {train_id!r}: {entry.path}"
+                )
         train = {e.speaker_id for e in self.entries if e.split == "train"}
         test = {e.speaker_id for e in self.entries if e.split == "test"}
         if not test <= train:
@@ -234,8 +247,7 @@ def generate_synthetic_corpus(
         raise ValueError("need at least one train utterance per speaker")
     if test_utts < 0:
         raise ValueError(f"test_utts must be >= 0, got {test_utts}")
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    check_sample_rate(sample_rate, ValueError)
     num_samples = int(round(utt_seconds * sample_rate)) if np.isfinite(utt_seconds) else 0
     if num_samples < 1:
         raise ValueError(

@@ -12,6 +12,7 @@ input of every feature extractor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,15 @@ class AudioSignal:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        check_sample_rate(self.sample_rate, ValueError)
+
+
+def check_sample_rate(rate, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``rate`` is a positive int; a ``bool`` is not one."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Integral):
+        raise error(f"sample_rate must be an int, got {rate!r}")
+    if rate <= 0:
+        raise error(f"sample_rate must be positive, got {rate}")
 
 
 def hamming_window(length: int) -> np.ndarray:

@@ -69,13 +69,15 @@ the peak's own term ``exp(0) = 1``, every raised term was below ``e**-700
 below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
 ``-inf`` is set to ``-inf`` explicitly.
 
-A ``ModelBank`` stacks the S same-shaped models of one stream, so that one
-product scores a batch against every speaker, one column per speaker in
-id order.  The bank's ``S*M`` components are component-major
-(column ``m*S + s`` is component ``m`` of speaker ``s``) in one contiguous
-``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is viewed as ``(N, M, S)``,
-and the log-sum-exp runs over its middle axis, which numpy reduces faster
-than a short last axis.  The bank has one shift, the mean of all ``S*M``
+A ``ModelBank`` holds the S models of one stream as the ``(S, M)`` and
+``(S, M, D)`` arrays of a ``GmmStack``, so that one product scores a batch
+against every speaker, one column per speaker in id order.  Whoever stacks
+the arrays has checked their shapes; ``ModelStore.load`` checks each
+record's against ``config.ini``.  The bank's ``S*M`` components are
+component-major (column ``m*S + s`` is component ``m`` of speaker ``s``)
+in one contiguous ``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is
+viewed as ``(N, M, S)``, and the log-sum-exp runs over its middle axis,
+which numpy reduces faster than a short last axis.  The bank has one shift, the mean of all ``S*M``
 component means.  Beyond the rounding of the score itself, trading a
 speaker's own shift for the bank's costs about ``eps * sum_d delta_d**2 /
 var_d`` nats per vector, ``delta`` being the gap between the two shifts.
@@ -94,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigMismatch, InsufficientData
+from .errors import InsufficientData
 
 # A component whose total responsibility falls below this is re-seeded.
 COLLAPSE_THRESHOLD = 1e-10
@@ -210,37 +212,35 @@ def _stats(shifted: np.ndarray) -> np.ndarray:
 class ModelBank:
     """The models of one stream, one per speaker, stacked for scoring.
 
-    ``speakers`` is sorted; ``num_components`` counts all ``S*M`` stacked
-    Gaussians.  The quadratic form is ``(2D+1, S*M)``: column ``m*S + s``
-    holds ``[A_m, c_m]`` of speaker ``speakers[s]``, and one shift serves
-    every speaker (see the module docstring).
+    ``weights`` is (S, M) and ``means`` and ``variances`` are (S, M, D),
+    row ``s`` being speaker ``speakers[s]``: the arrays a ``GmmStack``
+    holds.  ``num_components`` counts all ``S*M`` stacked Gaussians.  The
+    quadratic form is ``(2D+1, S*M)``: column ``m*S + s`` holds ``[A_m,
+    c_m]`` of speaker ``speakers[s]``, and one shift serves every speaker
+    (see the module docstring).
 
     Raises:
-        ValueError: no models.
-        ConfigMismatch: the models differ in component count or dimension.
+        ValueError: no speakers, ``speakers`` not strictly increasing, or
+            not one per row of the arrays.
     """
 
-    def __init__(self, models: dict[str, GmmModel]):
-        if not models:
+    def __init__(self, speakers, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
+        self.speakers = tuple(speakers)
+        if not self.speakers:
             raise ValueError("no speakers to score against")
-        self.speakers = tuple(sorted(models))
-        stacked = [models[speaker] for speaker in self.speakers]
-        first = stacked[0]
-        for speaker, model in zip(self.speakers, stacked):
-            if (model.num_components, model.dim) != (first.num_components, first.dim):
-                raise ConfigMismatch(
-                    f"cannot stack models of unequal shape: speaker {speaker!r} has "
-                    f"{model.num_components} components of dimension {model.dim}, speaker "
-                    f"{self.speakers[0]!r} has {first.num_components} of dimension {first.dim}"
-                )
-        self.dim = first.dim
-        self.num_components = len(stacked) * first.num_components
-        means = np.stack([m.means for m in stacked], axis=1).reshape(-1, self.dim)
+        if list(self.speakers) != sorted(set(self.speakers)):
+            raise ValueError(f"speakers must be strictly increasing, got {self.speakers}")
+        if means.shape[0] != len(self.speakers):
+            raise ValueError(f"{len(self.speakers)} speakers for {means.shape[0]} models")
+        self.dim = means.shape[2]
+        self.num_components = weights.size
+        # Component-major: row m*S + s is component m of speaker s.
+        means = means.transpose(1, 0, 2).reshape(-1, self.dim)
         self._shift = means.mean(axis=0)
         self._form = np.ascontiguousarray(_quadratic_form_of(
-            np.stack([m.weights for m in stacked], axis=1).reshape(-1),
+            weights.T.reshape(-1),
             means - self._shift,
-            np.stack([m.variances for m in stacked], axis=1).reshape(-1, self.dim),
+            variances.transpose(1, 0, 2).reshape(-1, self.dim),
         ).T)
 
 

@@ -3,8 +3,9 @@
 A store directory is ``config.ini`` and one ``<speaker>__<stream>.gmm``
 record per model; other files are ignored.  The enrolled speakers are the
 ids the record names decode to.  ``banks()`` is the one way to read all
-their models: it loads every record once and stacks one scoring bank per
-stream, kept until the next ``save``.
+their models: it loads every record once, through ``load``, and stacks one
+scoring bank per stream from the records' arrays, kept until the next
+``save``.
 
 ``config.ini`` starts with ``# sample_rate: <Hz>`` and then holds the
 ``ToolkitConfig`` (as ``render_config`` writes it) that every model was
@@ -12,10 +13,14 @@ trained with; ``parse_config`` reads the rate line as a comment.  Scoring
 takes its front end, widths and fusion settings from there, and each
 stream's feature kind comes from it (``[spectral] kind``, or
 ``residual_moments``).  ``save`` writes that kind into the record; ``load``
-rejects a record of another kind, or with another component count than the
-config gives its stream (``m_spectral``, ``m_residual``).  Records and
-config are replaced whole through a temp file and ``os.replace``, so a
-failed save leaves the previous store.
+rejects, as a ``ConfigMismatch`` naming the record, a record of another
+kind, or with another component count (``m_spectral``, ``m_residual``) or
+width (``[spectral] num_cepstra``, ``[residual] num_moments``) than the
+config gives its stream.  So every record that ``load`` returns has its
+stream's shape, and a store that disagrees with its config fails when it
+is read, before any audio is scored.  Records and config are replaced
+whole through a temp file and ``os.replace``, so a failed save leaves the
+previous store.
 
 Record layout (little-endian): magic ``SIDM``, u16 format version, u16
 feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
@@ -44,6 +49,8 @@ CONFIG_NAME = "config.ini"
 RATE_PREFIX = "# sample_rate:"
 STREAMS = ("spectral", "residual")
 RESIDUAL_KIND = "residual_moments"
+# The key of each stream's section that gives its feature width.
+WIDTH_KEYS = {"spectral": "num_cepstra", "residual": "num_moments"}
 # Speaker-id bytes kept verbatim in record filenames.
 _FILENAME_BYTES = frozenset((string.ascii_letters + string.digits + ".-").encode())
 
@@ -234,7 +241,7 @@ class ModelStore:
 
     def load(self, speaker: str, stream: str) -> GmmModel:
         """Read one model back; ``ConfigMismatch`` if its record holds another
-        feature kind or component count than the config gives ``stream``."""
+        feature kind, component count or width than the config gives ``stream``."""
         record = self.path / self._filename(speaker, stream)
         try:
             data = record.read_bytes()
@@ -248,13 +255,16 @@ class ModelStore:
                 f"{record}: the {stream} model of speaker {speaker!r} holds {kind} "
                 f"features, but {CONFIG_NAME} says {expected}"
             )
-        key = "m_spectral" if stream == "spectral" else "m_residual"
-        components = getattr(self.config.model, key)
-        if model.num_components != components:
-            raise ConfigMismatch(
-                f"{record}: the {stream} model of speaker {speaker!r} has "
-                f"{model.num_components} components, but {CONFIG_NAME} says {key} = {components}"
-            )
+        for section, key, value, noun in (
+            ("model", f"m_{stream}", model.num_components, "components"),
+            (stream, WIDTH_KEYS[stream], model.dim, "dimensions"),
+        ):
+            expected = getattr(getattr(self.config, section), key)
+            if value != expected:
+                raise ConfigMismatch(
+                    f"{record}: the {stream} model of speaker {speaker!r} has "
+                    f"{value} {noun}, but {CONFIG_NAME} says {key} = {expected}"
+                )
         return model
 
     def banks(self) -> tuple[ModelBank, ModelBank]:
@@ -262,16 +272,16 @@ class ModelStore:
         record read through ``load`` once, speaker by speaker, and kept until
         the next ``save``.  ``MissingModel`` if the store's directory does not
         exist or holds no record, ``StoreIntegrityError`` if its path is not
-        a directory; a ``ConfigMismatch`` from stacking names its stream."""
+        a directory, and ``load``'s errors for the first bad record."""
         if self._banks is None:
             speakers = self.speakers()
             if not speakers:
                 state = "is empty" if self.path.is_dir() else "does not exist"
                 raise MissingModel(f"model store at {self.path} {state}")
             pairs = [[self.load(speaker, stream) for stream in STREAMS] for speaker in speakers]
-            banks = []
-            for stream, models in zip(STREAMS, zip(*pairs)):
-                with named(f"{stream} models"):
-                    banks.append(ModelBank(dict(zip(speakers, models))))
-            self._banks = tuple(banks)
+            self._banks = tuple(
+                ModelBank(speakers, *(np.stack([getattr(m, name) for m in models])
+                                      for name in ("weights", "means", "variances")))
+                for models in zip(*pairs)
+            )
         return self._banks

@@ -91,9 +91,16 @@ def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
     )
 
 
+def bank_of(models: dict[str, GmmModel]) -> ModelBank:
+    """The bank of speaker id -> model, its arrays stacked in id order."""
+    speakers = sorted(models)
+    return ModelBank(speakers, *(np.stack([getattr(models[speaker], name) for speaker in speakers])
+                                 for name in ("weights", "means", "variances")))
+
+
 def model_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
     """Per-vector log-likelihoods (N,) under one model, scored as a bank of one."""
-    return gmm_log_likelihoods(features, ModelBank({"": model}))[:, 0]
+    return gmm_log_likelihoods(features, bank_of({"": model}))[:, 0]
 
 
 def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:

@@ -22,7 +22,6 @@ from sidkit.config import ToolkitConfig
 from sidkit.corpus import CorpusManifest, ManifestEntry, read_manifest, write_manifest
 from sidkit.errors import (
     ConfigMismatch,
-    FeatureDimensionMismatch,
     ManifestError,
     SidkitError,
     UnsupportedFormat,
@@ -222,7 +221,7 @@ class TestTrain:
             ("[preprocess]\nframe_len = 1%\n", "[preprocess] frame_len = '1%' is not an int"),
             ("[spectral]\nnum_cepstra = 0\n", "num_cepstra must be >= 1, got 0"),
             ("[model]\nvariance_floor_factor = inf\n",
-             "variance_floor_factor must be finite, got inf"),
+             "[model] variance_floor_factor = inf is not a finite float"),
             ("[spectral]\nkind = lpcc\nlpcc_lp_order = 0\n", "lpcc_lp_order must be >= 1, got 0"),
             ("frame_len = 200\n",
              "malformed config: line 1: 'frame_len = 200' comes before any [section] header"),
@@ -417,36 +416,40 @@ def narrow_store(store_dir, out_dir, edit):
 
 
 class TestWidthMismatch:
-    """Scoring features narrower than the stored models is a typed error."""
+    """A config.ini whose width disagrees with the stored models is a
+    ConfigMismatch naming the first record, the stream, the key and both
+    widths, raised when the store is read, before any audio."""
+
+    @staticmethod
+    def message(store_path, stream):
+        key, stored = NARROW_EDITS[stream][0].split(" = ")
+        narrow = NARROW_EDITS[stream][1].split(" = ")[1]
+        return (f"{store_path / f'spk00__{stream}.gmm'}: the {stream} model of speaker 'spk00' "
+                f"has {stored} dimensions, but config.ini says {key} = {narrow}")
 
     @pytest.mark.parametrize("stream", sorted(NARROW_EDITS))
-    def test_evaluate_names_utterance_and_stream(self, cli_workspace, tmp_path, stream):
+    def test_evaluate_names_record_key_and_widths(self, cli_workspace, tmp_path, monkeypatch,
+                                                  stream):
         corpus_dir, store_dir = cli_workspace
         manifest = read_manifest(corpus_dir / "manifest.tsv")
-        first = min(e.utterance_id for e in manifest.test_entries)
-        with pytest.raises(FeatureDimensionMismatch) as info:
-            evaluate_command(
-                manifest, narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
-            )
-        message = str(info.value)
-        assert first in message and stream in message
+        store = narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
+        monkeypatch.setattr(commands, "load_audio", no_audio)
+        with pytest.raises(ConfigMismatch, match=f"^{re.escape(self.message(store.path, stream))}$"):
+            evaluate_command(manifest, store)
 
     @pytest.mark.parametrize("stream", sorted(NARROW_EDITS))
-    def test_identify_names_audio_and_stream(self, cli_workspace, tmp_path, stream):
+    def test_identify_names_record_key_and_widths(self, cli_workspace, tmp_path, monkeypatch,
+                                                  stream):
         corpus_dir, store_dir = cli_workspace
         path = read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path
-        with pytest.raises(FeatureDimensionMismatch) as info:
-            identify_command(
-                path, narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
-            )
-        message = str(info.value)
-        assert str(path) in message and stream in message
+        store = narrow_store(store_dir, tmp_path / "store", NARROW_EDITS[stream])
+        monkeypatch.setattr(commands, "load_audio", no_audio)
+        with pytest.raises(ConfigMismatch, match=f"^{re.escape(self.message(store.path, stream))}$"):
+            identify_command(path, store)
 
     def test_cli_evaluate_fails_cleanly(self, cli_workspace, tmp_path, capsys):
         corpus_dir, store_dir = cli_workspace
-        narrow_store(store_dir, tmp_path / "store", NARROW_EDITS["spectral"])
-        manifest = read_manifest(corpus_dir / "manifest.tsv")
-        first = min(e.utterance_id for e in manifest.test_entries)
+        store = narrow_store(store_dir, tmp_path / "store", NARROW_EDITS["spectral"])
         rc = main(
             [
                 "evaluate",
@@ -457,8 +460,9 @@ class TestWidthMismatch:
             ]
         )
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and first in err and "12" in err and "19" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.message(store.path, 'spectral')}\n"
 
 
 class TestKindMismatch:
@@ -700,7 +704,10 @@ class TestMalformedAudio:
         bad, broken = tmp_path / "bad.wav", tmp_path / "broken.tsv"
         list_overrun(bad, None)
         manifest = read_manifest(corpus_dir / "manifest.tsv")
-        entries = [dataclasses.replace(e, path=bad) for e in manifest.entries]
+        # Only the split the command reads: a test entry may not read a train file.
+        split = "test" if command == "evaluate" else "train"
+        entries = [dataclasses.replace(e, path=bad) if e.split == split else e
+                   for e in manifest.entries]
         write_manifest(CorpusManifest(entries, manifest.sample_rate), broken)
         argv = {
             "train": ["--manifest", str(broken), "--out", str(tmp_path / "store")],

@@ -1,8 +1,10 @@
 """Configuration defaults, file parsing, and validation."""
 
+import dataclasses
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from sidkit.config import (
@@ -12,6 +14,7 @@ from sidkit.config import (
     FusionConfig,
     ModelConfig,
     PreprocessConfig,
+    ResidualConfig,
     SpectralConfig,
     ToolkitConfig,
     parse_config,
@@ -246,7 +249,8 @@ class TestValidation:
          ("model", "lbg_split_epsilon")],
     )
     def test_non_finite_float_names_its_key(self, section, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be finite.*, got {value}$"):
+        message = f"[{section}] {key} = {value} is not a finite float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(f"[{section}]\n{key} = {value}\n")
 
     @pytest.mark.parametrize(
@@ -289,3 +293,81 @@ class TestValidation:
     )
     def test_values_at_the_limits_accepted(self, text):
         parse_config(text)
+
+
+class TestFieldTypes:
+    """A config built in Python refuses what ``parse_config`` could not read."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ResidualConfig(num_moments=True), "[residual] num_moments = True is not an int"),
+            (lambda: PreprocessConfig(frame_len=160.0), "[preprocess] frame_len = 160.0 is not an int"),
+            (lambda: PreprocessConfig(frame_len=160.5), "[preprocess] frame_len = 160.5 is not an int"),
+            (lambda: PreprocessConfig(frame_len="160"), "[preprocess] frame_len = '160' is not an int"),
+            (lambda: ResidualConfig(lp_order=17.0), "[residual] lp_order = 17.0 is not an int"),
+            (lambda: SpectralConfig(fft_size=256.0), "[spectral] fft_size = 256.0 is not an int"),
+            (lambda: ModelConfig(em_iterations=10.0), "[model] em_iterations = 10.0 is not an int"),
+            (lambda: ModelConfig(m_spectral=8.0), "[model] m_spectral = 8.0 is not an int"),
+            (lambda: FusionConfig(eta="0.5"), "[fusion] eta = '0.5' is not a finite float"),
+            (lambda: FusionConfig(eta=True), "[fusion] eta = True is not a finite float"),
+            (lambda: SpectralConfig(kind=None), "[spectral] kind = None is not a str"),
+            (lambda: ToolkitConfig(fusion=0.5),
+             "[toolkit] fusion = 0.5 is not a FusionConfig"),
+        ],
+        ids=["bool-moments", "float-frame-len", "fractional-frame-len", "text-frame-len",
+             "float-lp-order", "float-fft-size", "float-em-iterations", "float-m-spectral",
+             "text-eta", "bool-eta", "no-kind", "section-not-a-config"],
+    )
+    def test_wrong_type_names_its_key(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_values_are_stored_as_their_annotation(self):
+        """An int for a float field and numpy scalars are stored as the
+        field's own type, so they render as parse_config reads them."""
+        cfg = ToolkitConfig(
+            residual=ResidualConfig(num_moments=np.int64(4)),
+            fusion=FusionConfig(eta=1),
+            model=ModelConfig(variance_floor_factor=np.float32(0.5)),
+        )
+        assert type(cfg.residual.num_moments) is int and type(cfg.fusion.eta) is float
+        assert type(cfg.model.variance_floor_factor) is float
+        assert parse_config(render_config(cfg)) == cfg
+
+    # One valid non-default value per field, each accepted beside the defaults.
+    NON_DEFAULTS = {
+        ("preprocess", "pre_emphasis"): 0.95,
+        ("preprocess", "frame_len"): 200,
+        ("preprocess", "frame_shift"): 100,
+        ("preprocess", "silence_energy_ratio"): 0.1,
+        ("residual", "lp_order"): 12,
+        ("residual", "num_moments"): 4,
+        ("spectral", "kind"): "lfcc",
+        ("spectral", "num_filters"): 24,
+        ("spectral", "num_cepstra"): 12,
+        ("spectral", "fft_size"): 512,
+        ("spectral", "lpcc_lp_order"): 14,
+        ("model", "m_spectral"): 16,
+        ("model", "m_residual"): 4,
+        ("model", "em_iterations"): 5,
+        ("model", "variance_floor_factor"): 1e-3,
+        ("model", "lbg_split_epsilon"): 0.05,
+        ("fusion", "eta"): 0.1 + 0.2,
+    }
+
+    def test_non_defaults_cover_every_field(self):
+        every = {(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)}
+        assert set(self.NON_DEFAULTS) == every
+
+    @pytest.mark.parametrize("section, key", sorted(NON_DEFAULTS))
+    def test_every_field_survives_render_then_parse(self, section, key):
+        value = self.NON_DEFAULTS[section, key]
+        default = ToolkitConfig()
+        cfg = dataclasses.replace(
+            default, **{section: dataclasses.replace(getattr(default, section), **{key: value})}
+        )
+        back = parse_config(render_config(cfg))
+        assert back == cfg
+        stored = getattr(getattr(back, section), key)
+        assert stored == value and type(stored) is type(value)

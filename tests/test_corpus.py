@@ -5,6 +5,7 @@ import re
 import struct
 import warnings
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,44 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("rate", [8000.0, True, "8000"], ids=["float", "bool", "text"])
+    def test_sample_rate_must_be_an_int(self, rate):
+        entries = (ManifestEntry("a", "u0", Path("x.wav"), "train"),)
+        message = f"sample_rate must be an int, got {rate!r}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            CorpusManifest(entries, rate)
+
+    def test_test_entry_reading_a_train_file_rejected(self, tmp_path):
+        """A test path that resolves to a train entry's file, through ``..``
+        or a symbolic link, names both utterances; the error names the file."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "x.wav").write_bytes(b"")
+        (tmp_path / "link.wav").symlink_to(tmp_path / "x.wav")
+        for alias in ("sub/../x.wav", "link.wav"):
+            path = tmp_path / "m.tsv"
+            path.write_text(f"a\tu0\tx.wav\ttrain\na\tu1\t{alias}\ttest\n", encoding="utf-8")
+            message = (f"{path}: test utterance 'u1' reads the file of train utterance 'u0': "
+                       f"{tmp_path / alias}")
+            with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+                read_manifest(path)
+
+    def test_nul_byte_in_path_names_the_line(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("a\tu0\tx\0.wav\ttrain\n", encoding="utf-8")
+        audio = str(tmp_path / "x\0.wav")
+        message = f"{path}:1: path {audio!r} holds a NUL byte"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            read_manifest(path)
+
+    def test_shared_files_within_a_split_accepted(self, tmp_path):
+        """Two train entries, or two test entries, may read one file."""
+        path = tmp_path / "m.tsv"
+        path.write_text(
+            "a\tu0\tx.wav\ttrain\nb\tu1\tx.wav\ttrain\n"
+            "a\tu2\ty.wav\ttest\nb\tu3\ty.wav\ttest\n", encoding="utf-8"
+        )
+        assert len(read_manifest(path).entries) == 4
+
     def test_byte_order_mark_skipped(self, tmp_path):
         """A manifest saved with a UTF-8 byte-order mark keeps its first line
         a comment."""
@@ -434,6 +473,14 @@ class TestGenerateSyntheticCorpus:
         m2 = generate_synthetic_corpus(specs, 1, 0, 0.5, seed=2,
                                        out_dir=tmp_path / "two")
         assert m1.entries[0].path.read_bytes() != m2.entries[0].path.read_bytes()
+
+    @pytest.mark.parametrize("rate", [8000.0, True], ids=["float", "bool"])
+    def test_sample_rate_must_be_an_int_before_any_file(self, tmp_path, rate):
+        specs = default_speaker_specs(1)
+        message = f"sample_rate must be an int, got {rate!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic_corpus(specs, 1, 0, 0.1, 0, tmp_path / "c", sample_rate=rate)
+        assert not (tmp_path / "c").exists()
 
     def test_manifest_written_and_readable(self, tmp_path):
         specs = default_speaker_specs(2, seed=4)

@@ -31,6 +31,12 @@ class TestAudioSignal:
         with pytest.raises(ValueError):
             AudioSignal(samples=np.zeros(10), sample_rate=0)
 
+    @pytest.mark.parametrize("rate", [8000.0, True, None], ids=["float", "bool", "none"])
+    def test_rate_must_be_an_int(self, rate):
+        """A bool is not a 1 Hz rate, and a float rate cannot be written to a WAV header."""
+        with pytest.raises(ValueError, match=f"^sample_rate must be an int, got {rate!r}$"):
+            AudioSignal(samples=np.zeros(10), sample_rate=rate)
+
     def test_duration(self):
         sig = AudioSignal(samples=np.zeros(8000), sample_rate=8000)
         assert sig.samples.size == 8000

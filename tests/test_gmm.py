@@ -1,5 +1,6 @@
 """Mixture models: LBG initialization, EM training, log-density evaluation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sidkit import gmm
 from sidkit.config import ModelConfig
-from sidkit.errors import InsufficientData, SidkitError
+from sidkit.errors import InsufficientData
 from sidkit.gmm import (
     _EXP_FLOOR,
     _KMEANS_MAX_PASSES,
@@ -26,6 +27,7 @@ from sidkit.gmm import (
 )
 
 from oracles import (
+    bank_of,
     component_log_density,
     em_train_one,
     gmm_log_likelihood,
@@ -514,7 +516,7 @@ class TestLogDensityKernel:
                         means=np.array([[0.0, 0.0], [1e6, 1e6]]),
                         variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         monkeypatch.setattr(np, "exp", spy)
-        for run in (lambda: gmm_log_likelihoods(xs, ModelBank(models)),
+        for run in (lambda: gmm_log_likelihoods(xs, bank_of(models)),
                     lambda: em_one(x, init, ModelConfig(em_iterations=10))):
             seen.clear()
             run()
@@ -537,7 +539,7 @@ class TestModelBank:
     _random_model = staticmethod(TestLogDensityKernel._random_model)
 
     def _check_columns(self, xs, models, atol=1e-9):
-        bank = ModelBank(models)
+        bank = bank_of(models)
         got = gmm_log_likelihoods(xs, bank)
         assert got.shape == (xs.shape[0], len(models))
         for column, speaker in zip(got.T, sorted(models)):
@@ -559,7 +561,7 @@ class TestModelBank:
         is the component's log joint at the shift itself (y = 0)."""
         rng = np.random.default_rng(65)
         models = {name: self._random_model(rng, 4, 3) for name in ("c", "a", "b")}
-        bank = ModelBank(models)
+        bank = bank_of(models)
         assert bank.speakers == ("a", "b", "c")
         assert (bank.num_components, bank.dim) == (12, 3)
         form = bank._form
@@ -612,7 +614,7 @@ class TestModelBank:
             x = rng.standard_normal((400, 4))
             x[:, 2] = constant
             models[f"spk{i}"] = em_one(x, lbg_one(x, 4, cfg), cfg)
-        bank = ModelBank(models)
+        bank = bank_of(models)
         xs = rng.standard_normal((60, 4))
         xs[:, 2] = rng.choice(constants, 60)
         xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 30)
@@ -649,7 +651,7 @@ class TestModelBank:
     def test_batch_equals_per_vector(self):
         """A batch scores within a few ulps of its rows one at a time."""
         rng = np.random.default_rng(70)
-        bank = ModelBank({f"spk{i}": self._random_model(rng, 8, 19) for i in range(5)})
+        bank = bank_of({f"spk{i}": self._random_model(rng, 8, 19) for i in range(5)})
         xs = rng.uniform(-5.0, 5.0, (33, 19))
         rows = np.vstack([gmm_log_likelihoods(x[None, :], bank) for x in xs])
         np.testing.assert_allclose(gmm_log_likelihoods(xs, bank), rows, rtol=1e-14, atol=0)
@@ -661,19 +663,42 @@ class TestModelBank:
         xs = rng.uniform(-5.0, 5.0, (33, 19))
         got = model_log_likelihoods(xs, model)
         assert got.shape == (33,)
-        np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, ModelBank({"a": model}))[:, 0])
+        np.testing.assert_array_equal(got, gmm_log_likelihoods(xs, bank_of({"a": model}))[:, 0])
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="no speakers to score against"):
-            ModelBank({})
+            ModelBank((), np.ones((0, 1)), np.zeros((0, 1, 2)), np.ones((0, 1, 2)))
 
-    @pytest.mark.parametrize("m, d", [(4, 6), (8, 5)])
-    def test_unequal_shapes_are_a_toolkit_error(self, m, d):
-        rng = np.random.default_rng(71)
-        models = {"a": self._random_model(rng, 8, 6), "b": self._random_model(rng, m, d)}
-        pattern = f"'b' has {m} components of dimension {d}, speaker 'a'"
-        with pytest.raises(SidkitError, match=pattern):
-            ModelBank(models)
+    @pytest.mark.parametrize("speakers", [("b", "a"), ("a", "a")], ids=["unsorted", "repeated"])
+    def test_speakers_must_strictly_increase(self, speakers):
+        """Columns are read in speaker order, so an order the caller did not
+        sort would name every column wrongly."""
+        model = self._random_model(np.random.default_rng(71), 2, 3)
+        arrays = [np.stack([getattr(model, name)] * 2) for name in ("weights", "means", "variances")]
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {speakers}")):
+            ModelBank(speakers, *arrays)
+
+    def test_one_speaker_per_model(self):
+        model = self._random_model(np.random.default_rng(73), 2, 3)
+        arrays = [np.stack([getattr(model, name)] * 2) for name in ("weights", "means", "variances")]
+        with pytest.raises(ValueError, match="^3 speakers for 2 models$"):
+            ModelBank(("a", "b", "c"), *arrays)
+
+    def test_bank_of_a_stack_scores_as_its_models(self):
+        """A trained stack's own (S, M) and (S, M, D) arrays make the bank
+        that stacking its models one by one makes, bit for bit."""
+        rng = np.random.default_rng(75)
+        cfg = ModelConfig()
+        x = rng.standard_normal((600, 5))
+        stack = em_train(x, lbg_init(x, [200, 250, 150], 4, cfg), cfg)
+        speakers = ("a", "b", "c")
+        direct = ModelBank(speakers, stack.weights, stack.means, stack.variances)
+        stacked = bank_of(dict(zip(speakers, stack.models())))
+        np.testing.assert_array_equal(direct._form, stacked._form)
+        np.testing.assert_array_equal(direct._shift, stacked._shift)
+        xs = rng.standard_normal((40, 5))
+        np.testing.assert_array_equal(gmm_log_likelihoods(xs, direct),
+                                      gmm_log_likelihoods(xs, stacked))
 
     def test_logsumexp_over_the_middle_axis(self):
         """The axis argument reduces like the last-axis form of each slice."""

@@ -17,7 +17,7 @@ from sidkit.identify import (
     with_eta,
 )
 
-from oracles import model_log_likelihoods
+from oracles import bank_of, model_log_likelihoods
 
 
 def make_model(rng, d):
@@ -37,7 +37,7 @@ def make_model_set(rng, speakers, d_spectral=4, d_residual=3):
 
 def banks_of(model_set):
     """The (spectral, residual) banks of speaker -> (spectral, residual) models."""
-    return tuple(ModelBank({spk: pair[i] for spk, pair in model_set.items()}) for i in range(2))
+    return tuple(bank_of({spk: pair[i] for spk, pair in model_set.items()}) for i in range(2))
 
 
 def fake_scores(table, eta=0.5):
@@ -123,7 +123,7 @@ class TestScoreUtterance:
 
     def test_no_speakers_rejected(self):
         with pytest.raises(ValueError, match="no speakers to score against"):
-            ModelBank({})
+            ModelBank((), np.ones((0, 1)), np.zeros((0, 1, 3)), np.ones((0, 1, 3)))
 
     def test_banks_of_other_speakers_rejected(self):
         rng = np.random.default_rng(88)

@@ -17,16 +17,19 @@ from sidkit.config import (
     render_config,
 )
 from sidkit.errors import ConfigMismatch, MissingModel, StoreIntegrityError
-from sidkit.gmm import GmmModel, ModelBank, gmm_log_likelihoods
+from sidkit.gmm import GmmModel, gmm_log_likelihoods
 from sidkit.store import (
     CONFIG_NAME,
     FORMAT_VERSION,
     MAGIC,
     STREAMS,
+    WIDTH_KEYS,
     ModelStore,
     model_from_bytes,
     model_to_bytes,
 )
+
+from oracles import bank_of
 
 
 def random_model(rng, m=4, d=6):
@@ -39,8 +42,10 @@ def random_model(rng, m=4, d=6):
     )
 
 
-# The component counts of random_model, which load checks records against.
-FOUR_COMPONENTS = ToolkitConfig(model=ModelConfig(m_spectral=4, m_residual=4))
+# The component counts and width of random_model, which load checks records against.
+FOUR_COMPONENTS = ToolkitConfig(
+    spectral=SpectralConfig(num_cepstra=6), model=ModelConfig(m_spectral=4, m_residual=4)
+)
 
 
 def bound_store(path, cfg=FOUR_COMPONENTS):
@@ -164,7 +169,7 @@ class TestModelStore:
             store.save(speaker, "residual", random_model(rng))
             enrolled = tuple(sorted({"alice", speaker}))
             assert [bank.speakers for bank in store.banks()] == [enrolled] * 2
-        loaded = ModelBank({spk: store.load(spk, "residual") for spk in ("alice", "bob")})
+        loaded = bank_of({spk: store.load(spk, "residual") for spk in ("alice", "bob")})
         xs = rng.uniform(-2, 2, (10, 6))
         np.testing.assert_array_equal(
             gmm_log_likelihoods(xs, store.banks()[1]), gmm_log_likelihoods(xs, loaded)
@@ -222,8 +227,9 @@ class TestModelStore:
 
     @pytest.mark.parametrize("stream", STREAMS)
     def test_unequal_shapes_name_the_stream(self, tmp_path, stream):
-        """Records of one stream that agree with the config but not with each
-        other in dimension cannot be stacked; the error names the stream."""
+        """A record narrower than the width the config gives its stream,
+        beside records that have it, is a ConfigMismatch naming the record,
+        the stream, the key and both widths, from load and from banks()."""
         rng = np.random.default_rng(89)
         path = tmp_path / "store"
         store = bound_store(path)
@@ -231,7 +237,32 @@ class TestModelStore:
             for s in STREAMS:
                 dim = 5 if (speaker, s) == ("bob", stream) else 6
                 store.save(speaker, s, random_model(rng, d=dim))
-        with pytest.raises(ConfigMismatch, match=f"^{stream} models: cannot stack"):
+        pattern = (
+            "^" + re.escape(str(path / f"bob__{stream}.gmm"))
+            + f": the {stream} model of speaker 'bob' has 5 dimensions, "
+            + f"but config.ini says {WIDTH_KEYS[stream]} = 6$"
+        )
+        with pytest.raises(ConfigMismatch, match=pattern):
+            ModelStore(path).load("bob", stream)
+        with pytest.raises(ConfigMismatch, match=pattern):
+            ModelStore(path).banks()
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_records_that_agree_but_not_with_the_config(self, tmp_path, stream):
+        """Records that all share one width, other than the config's, fail
+        when the store is read, at the first speaker's record."""
+        rng = np.random.default_rng(91)
+        path = tmp_path / "store"
+        store = bound_store(path)
+        for speaker in ("alice", "bob"):
+            for s in STREAMS:
+                store.save(speaker, s, random_model(rng, d=7 if s == stream else 6))
+        pattern = (
+            "^" + re.escape(str(path / f"alice__{stream}.gmm"))
+            + f": the {stream} model of speaker 'alice' has 7 dimensions, "
+            + f"but config.ini says {WIDTH_KEYS[stream]} = 6$"
+        )
+        with pytest.raises(ConfigMismatch, match=pattern):
             ModelStore(path).banks()
 
     def test_store_without_records_is_missing_model(self, tmp_path):
