@@ -27,8 +27,9 @@ def load_audio(path, expected_rate: int | None = None) -> AudioSignal:
     path = Path(path)
     try:
         buf = path.read_bytes()
-    except OSError as exc:
-        raise UnsupportedFormat(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise UnsupportedFormat(f"{path}: cannot read: {reason}") from exc
     if len(buf) < 12:
         raise UnsupportedFormat(f"{path}: truncated WAV header")
     riff, riff_size, form = struct.unpack_from("<4sI4s", buf)

@@ -10,14 +10,15 @@ with it.  Training names a speaker's model as ``speaker S <stream> stream``.
 
 Speakers are trained in sorted order, each stream of up to
 ``_STACK_SPEAKERS`` of them as one stack, and test utterances are scored
-one after another in sorted order, so reruns are deterministic.  Each utterance's features are
-computed on its whole frame matrix at once (see ``residual_moments`` and
-``spectral``).  Evaluate and identify both score against every enrolled
-speaker, through ``ModelStore.banks()``.  ``evaluate_command`` keeps one
-array, ``EvaluationRun.scores``: the utterances' ``(S, 3)`` score arrays
-stacked in sorted utterance order.  All three systems' decisions come
-from one argmax over its speakers, and the report and records are
-rendered from its rows.
+one after another in sorted order, so reruns are deterministic.  A train
+saves once, after every speaker is trained, so a failure leaves the store
+as it was.  Each utterance's features are computed on its whole frame
+matrix at once (see ``residual_moments`` and ``spectral``).  Evaluate and
+identify both score against every enrolled speaker, through
+``ModelStore.banks()``.  ``evaluate_command`` keeps one array,
+``EvaluationRun.scores``: the utterances' ``(S, 3)`` score arrays stacked in
+sorted utterance order.  All three systems' decisions come from one argmax
+over its speakers, and the report and records are rendered from its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .config import ToolkitConfig
 from .corpus import CorpusManifest, ManifestEntry
 from .errors import ManifestError, MissingModel, SampleRateMismatch, named
 from .frontend import AudioSignal, preprocess
-from .gmm import GmmModel, em_train, lbg_init
+from .gmm import GmmStack, em_train, lbg_init
 from .identify import (
     COLUMNS,
     COMBINED,
@@ -68,12 +69,10 @@ def extract_streams(signal: AudioSignal, cfg: ToolkitConfig) -> tuple[np.ndarray
 _STACK_SPEAKERS = 16
 
 
-def _train_stack(
-    speakers: list[str], by_speaker: dict[str, list[ManifestEntry]], sample_rate: int,
-    cfg: ToolkitConfig,
-) -> list[tuple[GmmModel, GmmModel]]:
-    """The (spectral, residual) models of ``speakers``, in their order: one
-    ``lbg_init`` and one ``em_train`` call per stream over their stacked
+def _train_stack(speakers: list[str], by_speaker: dict[str, list[ManifestEntry]],
+                 sample_rate: int, cfg: ToolkitConfig) -> list[GmmStack]:
+    """The (spectral, residual) stacks of ``speakers``, rows in their order:
+    one ``lbg_init`` and one ``em_train`` call per stream over their stacked
     vectors.  A model with fewer than 10 vectors per component gets a
     ``UserWarning`` naming its speaker and stream."""
     features = []
@@ -94,20 +93,16 @@ def _train_stack(
         init = lbg_init(stacked, sizes, components, cfg.model, names=names)
         for name, size in zip(names, sizes):
             if size < 10 * components:
-                warnings.warn(
-                    f"{name}: only {size} vectors for {components} components; "
-                    "estimates may be unreliable",
-                    stacklevel=3,
-                )
-        trained.append(em_train(stacked, init, cfg.model).models())
-    return list(zip(*trained))
+                warnings.warn(f"{name}: only {size} vectors for {components} components; "
+                              "estimates may be unreliable", stacklevel=3)
+        trained.append(em_train(stacked, init, cfg.model))
+    return trained
 
 
-def train_command(
-    manifest: CorpusManifest, cfg: ToolkitConfig, store_dir
-) -> ModelStore:
-    """Train one spectral and one residual model per speaker and persist both,
-    into a store that ``ModelStore.bind`` accepts before anything is trained.
+def train_command(manifest: CorpusManifest, cfg: ToolkitConfig, store_dir) -> ModelStore:
+    """Train one spectral and one residual model per speaker and save them
+    all with one ``ModelStore.save``, into a store that ``ModelStore.bind``
+    accepts before anything is trained.
 
     Speakers are trained in sorted order, ``_STACK_SPEAKERS`` at a time, each
     stream of them as one stack (``_train_stack``); every model has the bits
@@ -120,21 +115,22 @@ def train_command(
     store = ModelStore(store_dir)
     store.bind(cfg, manifest.sample_rate)
     speakers = sorted(by_speaker)
-    # Every speaker is trained before any is saved, so a failure leaves the
-    # store as it was.
-    trained = []
+    chunks = []
     for start in range(0, len(speakers), _STACK_SPEAKERS):
         chunk = speakers[start : start + _STACK_SPEAKERS]
-        trained += _train_stack(chunk, by_speaker, manifest.sample_rate, cfg)
-    for speaker, models in zip(speakers, trained):
-        for stream, model in zip(STREAMS, models):
-            store.save(speaker, stream, model)
-            if logger.isEnabledFor(logging.INFO):
-                values = " ".join(f"{v:.6f}" for v in model.em_log_likelihoods[1:])
-                logger.info(
-                    "speaker %s %s stream (%s, M=%d): EM log-likelihoods %s",
-                    speaker, stream, store.kind(stream), model.num_components, values,
-                )
+        chunks.append(_train_stack(chunk, by_speaker, manifest.sample_rate, cfg))
+    # Each stream's chunks joined into one stack, rows in speaker order.
+    stacks = [GmmStack(*(np.concatenate([getattr(s, name) for s in parts])
+                         for name in ("weights", "means", "variances")),
+                       sum((s.sizes for s in parts), ()), sum((s.traces for s in parts), ()))
+              for parts in zip(*chunks)]
+    store.save(speakers, *stacks)
+    if logger.isEnabledFor(logging.INFO):
+        for i, speaker in enumerate(speakers):
+            for stream, stack in zip(STREAMS, stacks):
+                values = " ".join(f"{v:.6f}" for v in stack.traces[i][1:])
+                logger.info("speaker %s %s stream (%s, M=%d): EM log-likelihoods %s", speaker,
+                            stream, store.kind(stream), stack.weights.shape[1], values)
     return store
 
 

@@ -40,8 +40,12 @@ def _check_field_types(cfg) -> None:
             field.type, (type(field.default), lambda value: value, f"a {field.type}")
         )
         value = getattr(cfg, field.name)
-        if (not isinstance(value, kind) or isinstance(value, bool)
-                or (convert is float and not math.isfinite(value))):
+        try:  # math.isfinite overflows on an int beyond the float range
+            fits = (isinstance(value, kind) and not isinstance(value, bool)
+                    and (convert is not float or math.isfinite(value)))
+        except OverflowError:
+            fits = False
+        if not fits:
             raise ValueError(f"[{section}] {field.name} = {value!r} is not {description}")
         object.__setattr__(cfg, field.name, convert(value))
 

@@ -62,7 +62,7 @@ class ConfigMismatch(SidkitError):
 @contextmanager
 def named(context):
     """Re-raise a ``SidkitError`` from the block as the same class, its
-    message prefixed with ``context: ``: the file, record, speaker or
+    message prefixed with ``context: ``: the file, speaker or
     utterance it came from."""
     try:
         yield

@@ -72,8 +72,8 @@ below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
 A ``ModelBank`` holds the S models of one stream as the ``(S, M)`` and
 ``(S, M, D)`` arrays of a ``GmmStack``, so that one product scores a batch
 against every speaker, one column per speaker in id order.  Whoever stacks
-the arrays has checked their shapes; ``ModelStore.load`` checks each
-record's against ``config.ini``.  The bank's ``S*M`` components are
+the arrays has checked their shapes; ``ModelStore.load`` checks a stored
+stream's against ``config.ini``.  The bank's ``S*M`` components are
 component-major (column ``m*S + s`` is component ``m`` of speaker ``s``)
 in one contiguous ``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is
 viewed as ``(N, M, S)``, and the log-sum-exp runs over its middle axis,
@@ -168,6 +168,14 @@ class GmmStack:
     variances: np.ndarray
     sizes: tuple[int, ...]
     traces: tuple[tuple[float, ...], ...] = ()
+
+    @property
+    def num_components(self) -> int:  # all S*M Gaussians, as ModelBank counts them
+        return self.weights.size
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[2]
 
     @property
     def em_log_likelihoods(self) -> tuple[float, ...]:

@@ -1,37 +1,32 @@
-"""Model persistence: one binary record per model plus the training config.
+"""Model persistence: one model file for every enrolled speaker, plus the training config.
 
-A store directory is ``config.ini`` and one ``<speaker>__<stream>.gmm``
-record per model; other files are ignored.  The enrolled speakers are the
-ids the record names decode to.  ``banks()`` is the one way to read all
-their models: it loads every record once, through ``load``, and stacks one
-scoring bank per stream from the records' arrays, kept until the next
-``save``.
+A store directory is ``config.ini`` and ``models.bin``; other files are
+ignored.  ``models.bin`` holds both streams of every enrolled speaker as
+stacked arrays, one row per speaker in sorted order.  ``save`` merges the
+(spectral, residual) ``GmmStack`` pair of one train into the stored rows
+(a re-enrolled id replaces its row) and commits with one ``os.replace``,
+so a failed save leaves the previous store and no temp file.  A store
+takes one writer at a time: of two concurrent trains, the last commit
+wins.  ``load(stream)`` reads the file and checks that stream against
+``config.ini``; ``banks()`` is the pair of loads, kept until the next ``save``.
 
 ``config.ini`` starts with ``# sample_rate: <Hz>`` and then holds the
 ``ToolkitConfig`` (as ``render_config`` writes it) that every model was
-trained with; ``parse_config`` reads the rate line as a comment.  Scoring
-takes its front end, widths and fusion settings from there, and each
-stream's feature kind comes from it (``[spectral] kind``, or
-``residual_moments``).  ``save`` writes that kind into the record; ``load``
-rejects, as a ``ConfigMismatch`` naming the record, a record of another
-kind, or with another component count (``m_spectral``, ``m_residual``) or
-width (``[spectral] num_cepstra``, ``[residual] num_moments``) than the
-config gives its stream.  So every record that ``load`` returns has its
-stream's shape, and a store that disagrees with its config fails when it
-is read, before any audio is scored.  Records and config are replaced
-whole through a temp file and ``os.replace``, so a failed save leaves the
-previous store.
+trained with, the source of scoring's front end, widths, fusion settings
+and each stream's kind.  A directory of the ``<speaker>__<stream>.gmm``
+records that older versions wrote has to be retrained.
 
-Record layout (little-endian): magic ``SIDM``, u16 format version, u16
-feature-kind length and UTF-8 bytes, u32 dimension, u32 component count,
-then weights, means, and variances as float64, and a trailing CRC32 of
-everything between the magic and the checksum.
+Model file layout (little-endian): magic ``SIDS``, u16 format version and
+each stream's u32 S, M and D; each stream's kind, then the S speaker ids in
+increasing order, each text as a u32 byte count and UTF-8; each stream's
+``(S, M)`` weights and ``(S, M, D)`` means and variances as float64; and a
+CRC32 of every byte before it.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import string
 import struct
 import zlib
 from pathlib import Path
@@ -40,75 +35,71 @@ import numpy as np
 
 from .config import ToolkitConfig, parse_config, render_config
 from .errors import ConfigMismatch, MissingModel, SampleRateMismatch, StoreIntegrityError, named
-from .gmm import GmmModel, ModelBank
+from .gmm import GmmStack, ModelBank
 
-MAGIC = b"SIDM"
-FORMAT_VERSION = 1
+MAGIC = b"SIDS"
+FORMAT_VERSION = 2
 
 CONFIG_NAME = "config.ini"
+MODELS_NAME = "models.bin"
 RATE_PREFIX = "# sample_rate:"
 STREAMS = ("spectral", "residual")
 RESIDUAL_KIND = "residual_moments"
 # The key of each stream's section that gives its feature width.
 WIDTH_KEYS = {"spectral": "num_cepstra", "residual": "num_moments"}
-# Speaker-id bytes kept verbatim in record filenames.
-_FILENAME_BYTES = frozenset((string.ascii_letters + string.digits + ".-").encode())
 
 
-def model_to_bytes(model: GmmModel, kind: str) -> bytes:
-    """Serialize one model of feature ``kind`` to the versioned binary record."""
-    encoded = kind.encode("utf-8")
-    payload = struct.pack("<HH", FORMAT_VERSION, len(encoded))
-    payload += encoded
-    payload += struct.pack("<II", model.dim, model.num_components)
-    payload += model.weights.astype("<f8").tobytes()
-    payload += model.means.astype("<f8").tobytes()
-    payload += model.variances.astype("<f8").tobytes()
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    return MAGIC + payload + struct.pack("<I", checksum)
+def _pack(speakers: list[str], streams: list[tuple]) -> bytes:
+    """The model file of the sorted ``speakers`` and each stream's (kind,
+    weights, means, variances), one row per speaker."""
+    shapes = [n for _, _, means, _ in streams for n in means.shape]
+    parts = [MAGIC, struct.pack("<H6I", FORMAT_VERSION, *shapes)]
+    for text in [kind for kind, *_ in streams] + speakers:
+        parts += [struct.pack("<I", len(text.encode("utf-8"))), text.encode("utf-8")]
+    for _, *arrays in streams:
+        parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
-def model_from_bytes(data: bytes) -> tuple[str, GmmModel]:
-    """Parse and checksum-validate one binary model record: (kind, model).
-
-    Raises:
-        StoreIntegrityError: bad magic, truncation, checksum mismatch, or a
-            header that does not fit the record.
-    """
-    if len(data) < len(MAGIC) + 4 + 8 or data[:4] != MAGIC:
-        raise StoreIntegrityError("not a model record (bad magic or truncated)")
-    payload, (stored,) = data[4:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored:
-        raise StoreIntegrityError("checksum mismatch (corrupt or truncated record)")
-    version, kind_len = struct.unpack_from("<HH", payload, 0)
+def _unpack(data: bytes) -> tuple[list[str], list[tuple]]:
+    """Parse and checksum-validate a model file: the speakers and each
+    stream's (kind, weights, means, variances), arrays read-only.
+    ``StoreIntegrityError`` for bad magic, truncation, a checksum mismatch
+    or a header that does not fit the file."""
+    end, offset = len(data) - 4, len(MAGIC) + struct.calcsize("<H6I")
+    if end < offset or data[:4] != MAGIC:
+        raise StoreIntegrityError("not a model file (bad magic or truncated)")
+    if zlib.crc32(data[:end]) != struct.unpack_from("<I", data, end)[0]:
+        raise StoreIntegrityError("checksum mismatch (corrupt or truncated file)")
+    version, *dims = struct.unpack_from("<H6I", data, 4)
     if version != FORMAT_VERSION:
         raise StoreIntegrityError(f"unsupported format version {version}")
-    offset = 4
-    if offset + kind_len + 8 > len(payload):
-        raise StoreIntegrityError(f"feature-kind length {kind_len} runs past the record")
+    texts = []
+    while len(texts) < len(STREAMS) + dims[0]:
+        if offset + 4 > end:
+            raise StoreIntegrityError("header runs past the file")
+        (size,) = struct.unpack_from("<I", data, offset)
+        texts.append(data[offset + 4 : offset + 4 + size])
+        offset += 4 + size
     try:
-        kind = payload[offset : offset + kind_len].decode("utf-8")
+        texts = [text.decode("utf-8") for text in texts]
     except UnicodeDecodeError:
-        raise StoreIntegrityError("feature kind is not UTF-8") from None
-    offset += kind_len
-    dim, num_components = struct.unpack_from("<II", payload, offset)
-    offset += 8
-    expected = offset + 8 * (num_components + 2 * num_components * dim)
-    if len(payload) != expected:
-        raise StoreIntegrityError("record length does not match header")
-    weights = np.frombuffer(payload, dtype="<f8", count=num_components, offset=offset)
-    offset += 8 * num_components
-    means = np.frombuffer(
-        payload, dtype="<f8", count=num_components * dim, offset=offset
-    ).reshape(num_components, dim)
-    offset += 8 * num_components * dim
-    variances = np.frombuffer(
-        payload, dtype="<f8", count=num_components * dim, offset=offset
-    ).reshape(num_components, dim)
-    try:
-        return kind, GmmModel(weights=weights, means=means, variances=variances)
-    except ValueError as exc:
-        raise StoreIntegrityError(f"invalid model parameters: {exc}") from exc
+        raise StoreIntegrityError("header text is not UTF-8") from None
+    kinds, speakers = texts[:2], texts[2:]
+    shapes = [dims[:3], dims[3:]]
+    if not speakers or speakers != sorted(set(speakers)) or shapes[1][0] != len(speakers):
+        raise StoreIntegrityError("speaker ids are not one per row, strictly increasing")
+    if offset + sum(8 * s * m * (1 + 2 * d) for s, m, d in shapes) != end:
+        raise StoreIntegrityError("file length does not match header")
+    streams = []
+    for kind, (s, m, d) in zip(kinds, shapes):
+        arrays = []
+        for shape in ((s, m), (s, m, d), (s, m, d)):
+            arrays.append(np.frombuffer(data, "<f8", math.prod(shape), offset).reshape(shape))
+            offset += 8 * math.prod(shape)
+        streams.append((kind, *arrays))
+    return speakers, streams
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -124,56 +115,64 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 class ModelStore:
-    """Directory of model records and the training config."""
+    """Directory of one model file and the training config."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.sample_rate: int | None = None
         self._config: ToolkitConfig | None = None
         self._banks: tuple[ModelBank, ModelBank] | None = None
-        # Whether the store holds no record yet, so that the next save must
-        # (re)write config.ini first; None until bind or the first save asks.
-        self._empty: bool | None = None
-        config = self.path / CONFIG_NAME
-        if config.exists():
+        data = self._read(CONFIG_NAME)
+        if data is not None:
             try:
-                text = config.read_text(encoding="utf-8")
+                text = data.decode("utf-8")
                 head = text.partition("\n")[0]
                 if not head.startswith(RATE_PREFIX):
                     raise ValueError(f"first line is not '{RATE_PREFIX} <Hz>'; retrain this store")
                 self.sample_rate = int(head[len(RATE_PREFIX) :])
                 self._config = parse_config(text)
             except ValueError as exc:
-                raise StoreIntegrityError(f"{config}: {exc}") from exc
+                raise StoreIntegrityError(f"{self.path / CONFIG_NAME}: {exc}") from exc
+
+    def _read(self, name: str) -> bytes | None:
+        """The bytes of the store's file ``name``, None if there is none: the
+        one place the store reads its path.  ``StoreIntegrityError`` if the
+        path is not a directory or cannot be a path (it holds a NUL byte)."""
+        try:
+            return (self.path / name).read_bytes()
+        except FileNotFoundError:
+            return None
+        except NotADirectoryError:
+            raise StoreIntegrityError(f"model store at {self.path} is not a directory") from None
+        except ValueError as exc:
+            raise StoreIntegrityError(f"model store at {str(self.path)!r}: {exc}") from None
 
     @property
     def config(self) -> ToolkitConfig:
         """The config the store's models were trained with."""
         if self._config is None:
-            raise StoreIntegrityError(
-                f"store at {self.path} records no training config ({CONFIG_NAME})"
-            )
+            raise StoreIntegrityError(f"store at {self.path} records no training config "
+                                      f"({CONFIG_NAME})")
         return self._config
 
     def bind(self, cfg: ToolkitConfig, sample_rate: int) -> None:
         """Make ``cfg`` and ``sample_rate`` the parameters of models saved next.
 
         Raises (before any write):
-            StoreIntegrityError: the store path is not a directory, or the
-                store holds models but records no config.
+            StoreIntegrityError: the store path is not a directory, its model
+                file is damaged or older records need retraining, or it
+                holds models but records no config.
             ConfigMismatch, SampleRateMismatch: its models were trained
                 under another config or at another rate.
         """
-        self._empty = not self._record_names()
-        if not self._empty:
+        if self.speakers():
             if self.config != cfg:
                 pairs = zip(*(render_config(c).splitlines() for c in (self.config, cfg)))
                 changed = "; ".join(f"{a} (not {b.split(' = ')[1]})" for a, b in pairs if a != b)
                 raise ConfigMismatch(f"store {self.path} was trained with {changed}")
             if self.sample_rate != sample_rate:
-                raise SampleRateMismatch(
-                    f"store {self.path} was trained at {self.sample_rate} Hz, not {sample_rate}"
-                )
+                raise SampleRateMismatch(f"store {self.path} was trained at "
+                                         f"{self.sample_rate} Hz, not {sample_rate}")
         self._config, self.sample_rate = cfg, sample_rate
 
     def kind(self, stream: str) -> str:
@@ -182,106 +181,95 @@ class ModelStore:
             raise ValueError(f"unknown stream {stream!r}, expected one of {STREAMS}")
         return self.config.spectral.kind if stream == "spectral" else RESIDUAL_KIND
 
-    @staticmethod
-    def _filename(speaker: str, stream: str) -> str:
-        """Injective: ``[A-Za-z0-9.-]`` is kept and every other UTF-8 byte,
-        ``_`` included, becomes ``_xx`` hex, so ``__`` only ever separates."""
-        safe = "".join(
-            chr(b) if b in _FILENAME_BYTES else f"_{b:02x}" for b in speaker.encode("utf-8")
-        )
-        return f"{safe}__{stream}.gmm"
+    def _models(self) -> tuple[list[str], list[tuple]] | None:
+        """``_unpack`` of the model file; None if there is none."""
+        data = self._read(MODELS_NAME)
+        if data is None:
+            if any(self.path.glob("*.gmm")):
+                raise StoreIntegrityError(f"model store at {self.path} holds *.gmm records of "
+                                          f"an older sidkit and no {MODELS_NAME}; retrain it")
+            return None
+        with named(self.path / MODELS_NAME):
+            return _unpack(data)
 
-    def _speaker_of(self, name: str) -> str:
-        """Inverse of ``_filename``: the speaker whose record ``name`` is."""
-        safe, _, stream = name.removesuffix(".gmm").partition("__")
-        head, *escaped = safe.split("_")
-        try:
-            raw = head.encode() + b"".join(bytes.fromhex(e[:2]) + e[2:].encode() for e in escaped)
-            speaker = raw.decode("utf-8")
-            if stream in STREAMS and self._filename(speaker, stream) == name:
-                return speaker
-        except ValueError:
-            pass
-        raise StoreIntegrityError(f"{self.path / name}: not a <speaker>__<stream>.gmm record name")
-
-    def _record_names(self) -> list[str]:
-        """The record filenames; none when the directory does not exist.
-
-        Raises:
-            StoreIntegrityError: the store path is not a directory.
-        """
-        try:
-            names = os.listdir(self.path)
-        except FileNotFoundError:
-            return []
-        except NotADirectoryError:
-            raise StoreIntegrityError(f"model store at {self.path} is not a directory") from None
-        return [name for name in names if name.endswith(".gmm")]
-
-    def speakers(self) -> list[str]:
-        """The enrolled speaker ids, read back from the record filenames."""
-        return sorted({self._speaker_of(name) for name in self._record_names()})
-
-    def save(self, speaker: str, stream: str, model: GmmModel) -> None:
-        """Write one model under the kind the bound config gives ``stream``.
-
-        The first record of a store (re)writes ``config.ini`` before it, so
-        the config left by a train that failed before writing any record is
-        never taken for the records' own."""
-        kind = self.kind(stream)
-        if self._empty is None:
-            self._empty = not self._record_names()
-        if self._empty:
-            self.path.mkdir(parents=True, exist_ok=True)
-            text = f"{RATE_PREFIX} {self.sample_rate}\n" + render_config(self.config)
-            _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
-        _write_atomic(self.path / self._filename(speaker, stream), model_to_bytes(model, kind))
-        self._empty = False
-        self._banks = None
-
-    def load(self, speaker: str, stream: str) -> GmmModel:
-        """Read one model back; ``ConfigMismatch`` if its record holds another
-        feature kind, component count or width than the config gives ``stream``."""
-        record = self.path / self._filename(speaker, stream)
-        try:
-            data = record.read_bytes()
-        except FileNotFoundError:
-            raise MissingModel(f"no {stream} model for speaker {speaker!r}") from None
-        with named(record):
-            kind, model = model_from_bytes(data)
-        expected = self.kind(stream)
+    def _check(self, stream: str, speakers: list[str], stored: tuple) -> None:
+        """Refuse ``stream``'s stored models unless they have the kind, M and
+        D that ``config.ini`` gives it and every row is a valid mixture."""
+        path, expected = self.path / MODELS_NAME, self.kind(stream)
+        kind, weights, means, variances = stored
         if kind != expected:
-            raise ConfigMismatch(
-                f"{record}: the {stream} model of speaker {speaker!r} holds {kind} "
-                f"features, but {CONFIG_NAME} says {expected}"
-            )
+            raise ConfigMismatch(f"{path}: the {stream} models hold {kind} features, "
+                                 f"but {CONFIG_NAME} says {expected}")
         for section, key, value, noun in (
-            ("model", f"m_{stream}", model.num_components, "components"),
-            (stream, WIDTH_KEYS[stream], model.dim, "dimensions"),
+            ("model", f"m_{stream}", means.shape[1], "components"),
+            (stream, WIDTH_KEYS[stream], means.shape[2], "dimensions"),
         ):
             expected = getattr(getattr(self.config, section), key)
             if value != expected:
-                raise ConfigMismatch(
-                    f"{record}: the {stream} model of speaker {speaker!r} has "
-                    f"{value} {noun}, but {CONFIG_NAME} says {key} = {expected}"
-                )
-        return model
+                raise ConfigMismatch(f"{path}: the {stream} models have {value} {noun}, "
+                                     f"but {CONFIG_NAME} says {key} = {expected}")
+        # NaN fails every comparison, and an infinite weight breaks the sum.
+        valid = ((weights >= 0).all(1) & (np.abs(weights.sum(1) - 1.0) <= 1e-9)
+                 & np.isfinite(means).all((1, 2)) & (variances > 0).all((1, 2))
+                 & (variances < np.inf).all((1, 2)))
+        if not valid.all():
+            raise StoreIntegrityError(
+                f"{path}: the {stream} model of speaker {speakers[valid.argmin()]!r} is not a "
+                "mixture: it needs finite parameters, weights >= 0 summing to 1, variances > 0"
+            )
+
+    def speakers(self) -> list[str]:
+        """The enrolled speaker ids, sorted, read from the model file."""
+        models = self._models()
+        return models[0] if models else []
+
+    def save(self, speakers, spectral: GmmStack, residual: GmmStack) -> None:
+        """Enrol ``speakers``, one row of each stack apiece, and commit the
+        merged model file with one ``os.replace``.  A store without a model
+        file first (re)writes ``config.ini``, so a config left by a train
+        that failed before its commit is never taken for the models' own.
+
+        Raises:
+            ValueError: the ids repeat, or a stack has another row count.
+        """
+        ids, stacks = list(speakers), (spectral, residual)
+        if len(set(ids)) != len(ids) or any(len(s.weights) != len(ids) for s in stacks):
+            raise ValueError(f"need one row of each stack per distinct speaker, got {ids}")
+        streams = [(self.kind(stream), s.weights, s.means, s.variances)
+                   for stream, s in zip(STREAMS, stacks)]
+        old = self._models()
+        if old is None:
+            self.path.mkdir(parents=True, exist_ok=True)
+            text = f"{RATE_PREFIX} {self.sample_rate}\n" + render_config(self.config)
+            _write_atomic(self.path / CONFIG_NAME, text.encode("utf-8"))
+        else:
+            for stream, stored in zip(STREAMS, old[1]):
+                self._check(stream, old[0], stored)
+            ids = old[0] + ids
+            streams = [(kind, *map(np.concatenate, zip(was, new)))
+                       for (kind, *new), (_, *was) in zip(streams, old[1])]
+        rows = {speaker: i for i, speaker in enumerate(ids)}  # a re-enrolled id's new row wins
+        order = [rows[speaker] for speaker in sorted(rows)]
+        streams = [(kind, *(a[order] for a in arrays)) for kind, *arrays in streams]
+        _write_atomic(self.path / MODELS_NAME, _pack(sorted(rows), streams))
+        self._banks = None
+
+    def load(self, stream: str) -> ModelBank:
+        """Read the model file and return ``stream``'s bank of every enrolled
+        speaker, once ``_check`` accepts it.  ``MissingModel`` if the store's
+        directory does not exist or holds no model file."""
+        models = self._models()
+        if models is None:
+            state = "is empty" if self.path.is_dir() else "does not exist"
+            raise MissingModel(f"model store at {self.path} {state}")
+        speakers, streams = models
+        stored = streams[STREAMS.index(stream)]
+        self._check(stream, speakers, stored)
+        return ModelBank(speakers, *stored[1:])
 
     def banks(self) -> tuple[ModelBank, ModelBank]:
-        """The (spectral, residual) banks of every enrolled speaker, each
-        record read through ``load`` once, speaker by speaker, and kept until
-        the next ``save``.  ``MissingModel`` if the store's directory does not
-        exist or holds no record, ``StoreIntegrityError`` if its path is not
-        a directory, and ``load``'s errors for the first bad record."""
+        """The (spectral, residual) banks of every enrolled speaker, one
+        ``load`` per stream, kept until the next ``save``."""
         if self._banks is None:
-            speakers = self.speakers()
-            if not speakers:
-                state = "is empty" if self.path.is_dir() else "does not exist"
-                raise MissingModel(f"model store at {self.path} {state}")
-            pairs = [[self.load(speaker, stream) for stream in STREAMS] for speaker in speakers]
-            self._banks = tuple(
-                ModelBank(speakers, *(np.stack([getattr(m, name) for m in models])
-                                      for name in ("weights", "means", "variances")))
-                for models in zip(*pairs)
-            )
+            self._banks = tuple(self.load(stream) for stream in STREAMS)
         return self._banks

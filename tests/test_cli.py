@@ -26,8 +26,7 @@ from sidkit.errors import (
     SidkitError,
     UnsupportedFormat,
 )
-from sidkit.gmm import GmmModel
-from sidkit.store import CONFIG_NAME, ModelStore
+from sidkit.store import CONFIG_NAME, MODELS_NAME, ModelStore, _pack, _unpack
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +125,7 @@ class TestTrain:
         store = ModelStore(store_dir)
         assert len(store.speakers()) == 4
         assert [bank.speakers for bank in store.banks()] == [tuple(store.speakers())] * 2
-        assert sorted(p.name for p in store_dir.iterdir()) == [CONFIG_NAME] + [
-            f"{speaker}__{stream}.gmm"
-            for speaker in store.speakers() for stream in ("residual", "spectral")
-        ]
+        assert sorted(p.name for p in store_dir.iterdir()) == [CONFIG_NAME, MODELS_NAME]
         text = (store_dir / CONFIG_NAME).read_text(encoding="utf-8")
         assert text.splitlines()[0] == "# sample_rate: 8000"
 
@@ -169,18 +165,19 @@ class TestTrain:
         """A config written by default-config, also with the removed [fusion]
         key appended false or saved with a UTF-8 byte-order mark, trains the
         bytes that no config trains."""
-        corpus_dir, store_dir = cli_workspace
+        corpus_dir, _ = cli_workspace
         config = tmp_path / "sidkit.ini"
         assert main(["default-config", "--out", str(config)]) == 0
         config.write_text(bom + config.read_text(encoding="utf-8") + extra, encoding="utf-8")
         manifest = speaker_manifest(corpus_dir, tmp_path / "spk00.tsv", "spk00")
-        store = tmp_path / "store"
+        store, plain = tmp_path / "store", tmp_path / "plain"
         assert main(["train", "--manifest", manifest, "--out", str(store),
                      "--config", str(config)]) == 0
+        assert main(["train", "--manifest", manifest, "--out", str(plain)]) == 0
         names = sorted(p.name for p in store.iterdir())
-        assert names == [CONFIG_NAME, "spk00__residual.gmm", "spk00__spectral.gmm"]
+        assert names == [CONFIG_NAME, MODELS_NAME]
         for name in names:
-            assert (store / name).read_bytes() == (store_dir / name).read_bytes(), name
+            assert (store / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_header_only_manifest_fails_cleanly(self, tmp_path, capsys):
         """A manifest without train utterances is an error, and no store is made."""
@@ -417,15 +414,15 @@ def narrow_store(store_dir, out_dir, edit):
 
 class TestWidthMismatch:
     """A config.ini whose width disagrees with the stored models is a
-    ConfigMismatch naming the first record, the stream, the key and both
+    ConfigMismatch naming the model file, the stream, the key and both
     widths, raised when the store is read, before any audio."""
 
     @staticmethod
     def message(store_path, stream):
         key, stored = NARROW_EDITS[stream][0].split(" = ")
         narrow = NARROW_EDITS[stream][1].split(" = ")[1]
-        return (f"{store_path / f'spk00__{stream}.gmm'}: the {stream} model of speaker 'spk00' "
-                f"has {stored} dimensions, but config.ini says {key} = {narrow}")
+        return (f"{store_path / MODELS_NAME}: the {stream} models have {stored} dimensions, "
+                f"but config.ini says {key} = {narrow}")
 
     @pytest.mark.parametrize("stream", sorted(NARROW_EDITS))
     def test_evaluate_names_record_key_and_widths(self, cli_workspace, tmp_path, monkeypatch,
@@ -472,7 +469,8 @@ class TestKindMismatch:
         corpus_dir, store_dir = cli_workspace
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         store = narrow_store(store_dir, tmp_path / "store", KIND_EDIT)
-        pattern = "spectral model of speaker .* holds mfcc features, but config.ini says lfcc"
+        pattern = (f"^{re.escape(str(store.path / MODELS_NAME))}: the spectral models hold "
+                   "mfcc features, but config.ini says lfcc$")
         with pytest.raises(ConfigMismatch, match=pattern):
             evaluate_command(manifest, store)
         with pytest.raises(ConfigMismatch, match=pattern):
@@ -488,18 +486,17 @@ class TestKindMismatch:
 
 
 class TestComponentMismatch:
-    """A record re-saved with another component count than config.ini names
-    is rejected when the store is read, before any scoring."""
+    """A model file re-written with another component count than config.ini
+    names is rejected when the store is read, before any scoring."""
 
     @staticmethod
     def resaved_store(store_dir, out_dir):
-        """A copy of ``store_dir`` whose spk00 spectral record has 4 components."""
+        """A copy of ``store_dir`` whose spectral models have 4 components."""
         shutil.copytree(store_dir, out_dir)
-        store = ModelStore(out_dir)
-        old = store.load("spk00", "spectral")
-        store.save("spk00", "spectral", GmmModel(
-            weights=np.full(4, 0.25), means=old.means[:4], variances=old.variances[:4]
-        ))
+        speakers, (spectral, residual) = _unpack((out_dir / MODELS_NAME).read_bytes())
+        kind, _, means, variances = spectral
+        fewer = (kind, np.full((len(speakers), 4), 0.25), means[:, :4], variances[:, :4])
+        (out_dir / MODELS_NAME).write_bytes(_pack(speakers, [fewer, residual]))
         return ModelStore(out_dir)
 
     def test_evaluate_and_identify_name_record_and_counts(self, cli_workspace, tmp_path):
@@ -507,8 +504,8 @@ class TestComponentMismatch:
         manifest = read_manifest(corpus_dir / "manifest.tsv")
         store = self.resaved_store(store_dir, tmp_path / "store")
         pattern = (
-            "spk00__spectral.gmm: the spectral model of speaker 'spk00' has 4 components, "
-            "but config.ini says m_spectral = 8"
+            f"^{re.escape(str(store.path / MODELS_NAME))}: the spectral models have 4 "
+            "components, but config.ini says m_spectral = 8$"
         )
         with pytest.raises(ConfigMismatch, match=pattern):
             evaluate_command(manifest, store)
@@ -534,13 +531,13 @@ class TestComponentMismatch:
 
 class TestMalformedRecord:
     def test_cli_identify_fails_cleanly(self, cli_workspace, tmp_path, capsys):
-        """A record whose checksum holds but whose feature-kind length runs
-        past its end exits 1 naming the record, not with a traceback."""
+        """A model file whose checksum holds but whose feature-kind length
+        runs past its end exits 1 naming the file, not with a traceback."""
         corpus_dir, store_dir = cli_workspace
         shutil.copytree(store_dir, tmp_path / "store")
-        payload = struct.pack("<HH", 1, 200) + b"mfcc"
-        record = tmp_path / "store" / "spk00__spectral.gmm"
-        record.write_bytes(b"SIDM" + payload + struct.pack("<I", zlib.crc32(payload)))
+        body = b"SIDS" + struct.pack("<H7I", 2, 4, 8, 19, 4, 8, 6, 200) + b"mfcc"
+        record = tmp_path / "store" / MODELS_NAME
+        record.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         audio = str(read_manifest(corpus_dir / "manifest.tsv").test_entries[0].path)
         assert main(["identify", "--audio", audio, "--store", str(tmp_path / "store")]) == 1
         err = capsys.readouterr().err

@@ -2,11 +2,14 @@
 and later training."""
 
 import dataclasses
+import errno
 import json
 import logging
+import os
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +53,7 @@ from sidkit.identify import (
     with_eta,
 )
 from sidkit.spectral import make_filterbank
-from sidkit.store import CONFIG_NAME, STREAMS, ModelStore
+from sidkit.store import CONFIG_NAME, MODELS_NAME, STREAMS, ModelStore, _unpack
 
 from oracles import em_train_one, lbg_init_one
 
@@ -228,20 +231,20 @@ def test_stored_eta_is_the_default(corpus, tmp_path):
 
 
 def test_identify_reads_each_record_once_per_store(corpus, tmp_path, monkeypatch):
+    """Two identify calls on one store load each stream once."""
     train_command(corpus, ToolkitConfig(), tmp_path / "store")
     store = ModelStore(tmp_path / "store")
     reads = []
     load = ModelStore.load
 
-    def counted(self, speaker, stream):
-        reads.append((speaker, stream))
-        return load(self, speaker, stream)
+    def counted(self, stream):
+        reads.append(stream)
+        return load(self, stream)
 
     monkeypatch.setattr(ModelStore, "load", counted)
     first = identify_command(corpus.test_entries[0].path, store)
     second = identify_command(corpus.test_entries[0].path, store)
-    assert sorted(reads) == sorted((s, stream) for s in corpus.speakers()
-                                   for stream in ("spectral", "residual"))
+    assert reads == ["spectral", "residual"]
     assert second.scores.speakers == first.scores.speakers
     assert np.array_equal(second.scores.scores, first.scores.scores)
     assert (second.scores.eta, second.scores.num_spectral_frames,
@@ -387,17 +390,21 @@ def test_models_and_info_lines_equal_training_each_speaker_alone(corpus, tmp_pat
     cfg = ToolkitConfig()
     with caplog.at_level(logging.INFO, logger="sidkit.commands"):
         store = train_command(corpus, cfg, tmp_path / "store")
+    speakers, streams = _unpack((store.path / MODELS_NAME).read_bytes())
+    assert speakers == corpus.speakers()
     expected = []
-    for speaker in corpus.speakers():
+    for row, speaker in enumerate(speakers):
         entries = sorted((e for e in corpus.train_entries if e.speaker_id == speaker),
                          key=lambda e: e.utterance_id)
         utterances = [extract_streams(load_audio(e.path), cfg) for e in entries]
         kinds = ("mfcc", "residual_moments")
-        for stream, kind, x in zip(STREAMS, kinds, map(np.concatenate, zip(*utterances))):
+        for stream, kind, x, (stored_kind, *stored) in zip(
+            STREAMS, kinds, map(np.concatenate, zip(*utterances)), streams
+        ):
             model = em_train_one(x, lbg_init_one(x, 8, cfg.model), cfg.model)
-            stored = store.load(speaker, stream)
-            for name in ("weights", "means", "variances"):
-                assert getattr(stored, name).tobytes() == getattr(model, name).tobytes()
+            assert stored_kind == kind
+            for name, array in zip(("weights", "means", "variances"), stored):
+                assert array[row].tobytes() == getattr(model, name).tobytes()
             values = " ".join(f"{v:.6f}" for v in model.em_log_likelihoods[1:])
             expected.append(
                 f"speaker {speaker} {stream} stream ({kind}, M=8): EM log-likelihoods {values}"
@@ -421,6 +428,108 @@ def test_stacks_of_fewer_speakers_train_the_same_store(corpus, tmp_path, monkeyp
     split = train_command(corpus, ToolkitConfig(), tmp_path / "split")
     assert calls == [3, 3, 1, 1]
     assert snapshot(split.path) == snapshot(whole.path)
+
+
+@pytest.fixture(scope="module")
+def corpus8(tmp_path_factory):
+    return make_corpus(tmp_path_factory.mktemp("corpus8"), 8)
+
+
+def subset(manifest, speakers):
+    """The entries of ``manifest`` whose speaker is one of ``speakers``."""
+    return CorpusManifest([e for e in manifest.entries if e.speaker_id in speakers],
+                          manifest.sample_rate)
+
+
+def test_trains_split_across_calls_write_the_same_store(corpus8, tmp_path):
+    """8 speakers trained in one call, or in three calls of interleaved ids
+    (3 + 1 + 4), give the same config.ini and model file bytes, and the
+    same evaluate report and records."""
+    whole = train_command(corpus8, ToolkitConfig(), tmp_path / "whole")
+    speakers = corpus8.speakers()
+    for part in ([1, 4, 6], [3], [0, 2, 5, 7]):
+        split = train_command(subset(corpus8, [speakers[i] for i in part]), ToolkitConfig(),
+                              tmp_path / "split")
+    assert sorted(p.name for p in split.path.iterdir()) == [CONFIG_NAME, MODELS_NAME]
+    assert snapshot(split.path) == snapshot(whole.path)
+    outputs = []
+    for store in (whole, split):
+        out = tmp_path / f"{store.path.name}-outputs"
+        out.mkdir()
+        evaluate_command(corpus8, store, report_path=out / "report.txt",
+                         records_path=out / "records.jsonl")
+        outputs.append(snapshot(out))
+    assert outputs[0] == outputs[1]
+
+
+def test_re_enrolled_speaker_replaces_its_row(corpus, tmp_path):
+    """A speaker first enrolled from another speaker's audio and trained
+    again from its own ends with the store that trains it once."""
+    whole = train_command(corpus, ToolkitConfig(), tmp_path / "whole")
+    first, second = corpus.speakers()[:2]
+    wrong = [dataclasses.replace(e, speaker_id=first, utterance_id=f"x{e.utterance_id}")
+             for e in corpus.train_entries if e.speaker_id == second]
+    path = tmp_path / "again"
+    train_command(CorpusManifest(wrong, corpus.sample_rate), ToolkitConfig(), path)
+    assert snapshot(path) != snapshot(whole.path)
+    train_command(corpus, ToolkitConfig(), path)
+    assert snapshot(path) == snapshot(whole.path)
+
+
+def fail_on_models(fault):
+    """``Path.write_bytes`` that writes half of the model file and fails,
+    or ``os.replace`` that fails to commit it; other files pass through."""
+    write, replace = Path.write_bytes, os.replace
+    full = OSError(errno.ENOSPC, "No space left on device")
+
+    def torn_write(path, data):
+        if path.name != MODELS_NAME + ".tmp":
+            return write(path, data)
+        write(path, data[: len(data) // 2])
+        raise full
+
+    def failed_replace(src, dst):
+        if Path(dst).name != MODELS_NAME:
+            return replace(src, dst)
+        raise full
+
+    return (Path, "write_bytes", torn_write) if fault == "torn-write" else (
+        os, "replace", failed_replace)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("fault", ["torn-write", "replace"])
+def test_failed_model_file_commit_leaves_the_store_as_it_was(
+    corpus, tmp_path, monkeypatch, fault, existing
+):
+    """A train whose model-file write fails halfway, or whose commit fails,
+    leaves no temp file and no model of the failed call: a fresh store
+    holds no models, and a store that held some (one of which the failed
+    call re-enrols) answers every identify call as before."""
+    path = tmp_path / "store"
+    speakers = corpus.speakers()
+    queries = [entry.path for entry in corpus.test_entries]
+    if existing:
+        store = train_command(subset(corpus, speakers[:2]), ToolkitConfig(), path)
+        before = [identify_command(query, store) for query in queries]
+        files = snapshot(path)
+    monkeypatch.setattr(*fail_on_models(fault))
+    with pytest.raises(OSError, match="No space left on device"):
+        train_command(subset(corpus, speakers[1:]), ToolkitConfig(), path)
+    monkeypatch.undo()
+    assert not list(path.glob("*.tmp"))
+    store = ModelStore(path)
+    if not existing:
+        assert sorted(p.name for p in path.iterdir()) == [CONFIG_NAME]
+        with pytest.raises(MissingModel, match="is empty"):
+            identify_command(queries[-1], store)
+        return
+    assert snapshot(path) == files
+    for query, old in zip(queries, before):
+        new = identify_command(query, store)
+        assert (new.decided_id, new.ranking, new.scores.speakers) == (
+            old.decided_id, old.ranking, old.scores.speakers)
+        np.testing.assert_array_equal(new.scores.scores, old.scores.scores)
 
 
 def scarce_corpus(root, seconds):

@@ -311,13 +311,17 @@ class TestFieldTypes:
             (lambda: ModelConfig(m_spectral=8.0), "[model] m_spectral = 8.0 is not an int"),
             (lambda: FusionConfig(eta="0.5"), "[fusion] eta = '0.5' is not a finite float"),
             (lambda: FusionConfig(eta=True), "[fusion] eta = True is not a finite float"),
+            (lambda: FusionConfig(eta=10**400), f"[fusion] eta = {10**400} is not a finite float"),
+            (lambda: ModelConfig(variance_floor_factor=-(10**309)),
+             f"[model] variance_floor_factor = {-(10**309)} is not a finite float"),
             (lambda: SpectralConfig(kind=None), "[spectral] kind = None is not a str"),
             (lambda: ToolkitConfig(fusion=0.5),
              "[toolkit] fusion = 0.5 is not a FusionConfig"),
         ],
         ids=["bool-moments", "float-frame-len", "fractional-frame-len", "text-frame-len",
              "float-lp-order", "float-fft-size", "float-em-iterations", "float-m-spectral",
-             "text-eta", "bool-eta", "no-kind", "section-not-a-config"],
+             "text-eta", "bool-eta", "overflowing-eta", "overflowing-floor", "no-kind",
+             "section-not-a-config"],
     )
     def test_wrong_type_names_its_key(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

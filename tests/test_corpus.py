@@ -100,6 +100,13 @@ class TestAudioIo:
             with pytest.raises(UnsupportedFormat, match=re.escape(f"{path}: {reason}")):
                 load_audio(path)
 
+    def test_path_with_a_nul_byte_rejected(self):
+        """A path the operating system cannot take is an UnsupportedFormat
+        naming it, not a bare ValueError."""
+        with pytest.raises(UnsupportedFormat) as exc:
+            load_audio("x\0.wav")
+        assert str(exc.value) == "x\0.wav: cannot read: embedded null byte"
+
     def test_truncated_data_rejected(self, tmp_path):
         """A file cut short at an even byte count names the file once and
         both sample counts; the odd cut keeps its own message."""

@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 from sidkit.audio_io import load_audio, save_audio
-from sidkit.config import DEFAULT_CONFIG_TEXT, parse_config
+from sidkit.config import (
+    DEFAULT_CONFIG_TEXT,
+    ModelConfig,
+    SpectralConfig,
+    ToolkitConfig,
+    parse_config,
+)
 from sidkit.corpus import CorpusManifest, ManifestEntry, read_manifest, write_manifest
-from sidkit.errors import ManifestError, SidkitError, StoreIntegrityError
+from sidkit.errors import ManifestError, SidkitError
 from sidkit.frontend import AudioSignal
-from sidkit.gmm import GmmModel
-from sidkit.store import MAGIC, model_from_bytes, model_to_bytes
+from sidkit.gmm import GmmStack
+from sidkit.store import MAGIC, MODELS_NAME, ModelStore
 
 # Fixed before the sweep first ran; not to be re-picked by its result.
 SEED = 7
@@ -70,19 +76,36 @@ def test_wav_header(tmp_path):
     sweep(parse, mutations(valid.read_bytes(), 60), SidkitError, check)
 
 
-def test_sealed_model_record():
-    """Edits in the first 60 bytes of a record's payload, resealed with a
-    valid checksum so that they reach the header and parameter checks."""
+def test_sealed_model_record(tmp_path):
+    """Edits in a model file's header, resealed with a valid checksum so
+    that they reach the header and parameter checks: the store refuses each
+    with a typed error, or reads banks whose arrays equal the valid file's
+    (such an edit may still rename a speaker)."""
     rng = np.random.default_rng(0)
-    weights = rng.uniform(0.5, 1.5, 4)
-    model = GmmModel(weights / weights.sum(), rng.uniform(-2, 2, (4, 6)),
-                     rng.uniform(0.1, 2.0, (4, 6)))
-    payload = model_to_bytes(model, "mfcc")[len(MAGIC):-4]
+    cfg = ToolkitConfig(spectral=SpectralConfig(num_cepstra=6),
+                        model=ModelConfig(m_spectral=4, m_residual=4))
+    store = ModelStore(tmp_path)
+    store.bind(cfg, 8000)
+    stacks = []
+    for _ in range(2):
+        weights = rng.uniform(0.5, 1.5, (2, 4))
+        weights /= weights.sum(axis=1, keepdims=True)
+        means, variances = rng.uniform(-2, 2, (2, 4, 6)), rng.uniform(0.1, 2.0, (2, 4, 6))
+        stacks.append(GmmStack(weights, means, variances, sizes=()))
+    store.save(["alice", "bob"], *stacks)
+    valid = (tmp_path / MODELS_NAME).read_bytes()
+    banks = ModelStore(tmp_path).banks()
+    # Edits land at offsets up to and including the span: the header's last byte.
+    last = valid.index(b"bob") + 2 - len(MAGIC)
 
     def parse(data):
-        model_from_bytes(MAGIC + data + struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF))
+        body = MAGIC + data
+        (tmp_path / MODELS_NAME).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        for bank, read in zip(banks, ModelStore(tmp_path).banks()):
+            assert np.array_equal(read._form, bank._form)
+            assert np.array_equal(read._shift, bank._shift)
 
-    sweep(parse, mutations(payload, 60), StoreIntegrityError)
+    sweep(parse, mutations(valid[len(MAGIC) : -4], last), SidkitError)
 
 
 def test_default_config_text():
