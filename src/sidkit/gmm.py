@@ -71,13 +71,14 @@ below half an ulp of 1.  ``np.maximum`` keeps NaN, and a slice that is all
 
 A ``ModelBank`` holds the S models of one stream as the ``(S, M)`` and
 ``(S, M, D)`` arrays of a ``GmmStack``, so that one product scores a batch
-against every speaker, one column per speaker in id order.  Whoever stacks
-the arrays has checked their shapes; ``ModelStore.load`` checks a stored
-stream's against ``config.ini``.  The bank's ``S*M`` components are
-component-major (column ``m*S + s`` is component ``m`` of speaker ``s``)
-in one contiguous ``(2D+1, S*M)`` matrix, the ``(N, S*M)`` joint is
-viewed as ``(N, M, S)``, and the log-sum-exp runs over its middle axis,
-which numpy reduces faster than a short last axis.  The bank has one shift, the mean of all ``S*M``
+against every speaker, one column per speaker in id order.  The bank
+checks that the arrays have those shapes, one row per speaker;
+``ModelStore.load`` checks a stored stream's against ``config.ini``.  The
+bank's ``S*M`` components are component-major (column ``m*S + s`` is
+component ``m`` of speaker ``s``) in one contiguous ``(2D+1, S*M)``
+matrix, the ``(N, S*M)`` joint is viewed as ``(N, M, S)``, and the
+log-sum-exp runs over its middle axis, which numpy reduces faster than a
+short last axis.  The bank has one shift, the mean of all ``S*M``
 component means.  Beyond the rounding of the score itself, trading a
 speaker's own shift for the bank's costs about ``eps * sum_d delta_d**2 /
 var_d`` nats per vector, ``delta`` being the gap between the two shifts.
@@ -112,55 +113,15 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 _EXP_FLOOR = -700.0
 
 
-@dataclass(frozen=True)
-class GmmModel:
-    """Mixture weights, means, and diagonal variances for one speaker stream.
-
-    ``em_log_likelihoods`` holds the total training log-likelihood at
-    initialization and after each EM pass; it is informational and not
-    serialized.
-    """
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    em_log_likelihoods: tuple = ()
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        means = np.array(self.means, dtype=np.float64)
-        variances = np.array(self.variances, dtype=np.float64)
-        if means.ndim != 2:
-            raise ValueError("means must be (num_components, dim)")
-        if variances.shape != means.shape or weights.shape != (means.shape[0],):
-            raise ValueError("weights/means/variances shapes are inconsistent")
-        if not all(np.isfinite(arr).all() for arr in (weights, means, variances)):
-            raise ValueError("weights, means and variances must be finite")
-        if abs(float(weights.sum()) - 1.0) > 1e-9 or np.any(weights < 0.0):
-            raise ValueError("weights must be non-negative and sum to 1")
-        if np.any(variances <= 0.0):
-            raise ValueError("variances must be strictly positive")
-        for name, arr in (("weights", weights), ("means", means), ("variances", variances)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def num_components(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class GmmStack:
     """Independent mixtures, one per speaker, trained from one stacked
     feature matrix: ``sizes[i]`` rows for speaker ``i``, speaker after speaker.
 
-    ``weights`` is (S, M), ``means`` and ``variances`` are (S, M, D).
-    ``traces[i]`` is speaker ``i``'s EM log-likelihood trace, empty before
-    EM.  ``models()[i]`` is speaker ``i``'s ``GmmModel``.
+    Speaker ``i``'s model is row ``i`` of ``weights`` (S, M), of ``means``
+    and ``variances`` (S, M, D) and, after EM, of ``traces``, its EM
+    log-likelihood trace (``traces`` is empty before EM).  One speaker's
+    model is a stack of one.
     """
 
     weights: np.ndarray
@@ -182,13 +143,6 @@ class GmmStack:
         """The stack's total training log-likelihood at initialization and
         after each EM pass: the sum of its speakers' traces."""
         return tuple(sum(values) for values in zip(*self.traces))
-
-    def models(self) -> list[GmmModel]:
-        traces = self.traces or ((),) * len(self.sizes)
-        return [
-            GmmModel(weights=w, means=m, variances=v, em_log_likelihoods=t)
-            for w, m, v, t in zip(self.weights, self.means, self.variances, traces)
-        ]
 
 
 def _quadratic_form_of(
@@ -229,7 +183,7 @@ class ModelBank:
 
     Raises:
         ValueError: no speakers, ``speakers`` not strictly increasing, or
-            not one per row of the arrays.
+            arrays not of those shapes with one row per speaker.
     """
 
     def __init__(self, speakers, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
@@ -238,9 +192,11 @@ class ModelBank:
             raise ValueError("no speakers to score against")
         if list(self.speakers) != sorted(set(self.speakers)):
             raise ValueError(f"speakers must be strictly increasing, got {self.speakers}")
-        if means.shape[0] != len(self.speakers):
-            raise ValueError(f"{len(self.speakers)} speakers for {means.shape[0]} models")
-        self.dim = means.shape[2]
+        n, shape = len(self.speakers), means.shape
+        if len(shape) != 3 or (n, weights.shape, variances.shape) != (shape[0], shape[:2], shape):
+            raise ValueError(f"weights (S, M), means and variances (S, M, D) need S = {n}, one row"
+                             f" per speaker; got {weights.shape}, {shape} and {variances.shape}")
+        self.dim = shape[2]
         self.num_components = weights.size
         # Component-major: row m*S + s is component m of speaker s.
         means = means.transpose(1, 0, 2).reshape(-1, self.dim)

@@ -49,6 +49,13 @@ RESIDUAL_KIND = "residual_moments"
 WIDTH_KEYS = {"spectral": "num_cepstra", "residual": "num_moments"}
 
 
+def _stream_index(stream: str) -> int:
+    """``stream``'s place in ``STREAMS``; ``ValueError`` for any other name."""
+    if stream not in STREAMS:
+        raise ValueError(f"unknown stream {stream!r}, expected one of {STREAMS}")
+    return STREAMS.index(stream)
+
+
 def _pack(speakers: list[str], streams: list[tuple]) -> bytes:
     """The model file of the sorted ``speakers`` and each stream's (kind,
     weights, means, variances), one row per speaker."""
@@ -177,9 +184,7 @@ class ModelStore:
 
     def kind(self, stream: str) -> str:
         """The feature kind the store's config puts in ``stream``."""
-        if stream not in STREAMS:
-            raise ValueError(f"unknown stream {stream!r}, expected one of {STREAMS}")
-        return self.config.spectral.kind if stream == "spectral" else RESIDUAL_KIND
+        return RESIDUAL_KIND if _stream_index(stream) else self.config.spectral.kind
 
     def _models(self) -> tuple[list[str], list[tuple]] | None:
         """``_unpack`` of the model file; None if there is none."""
@@ -256,14 +261,16 @@ class ModelStore:
 
     def load(self, stream: str) -> ModelBank:
         """Read the model file and return ``stream``'s bank of every enrolled
-        speaker, once ``_check`` accepts it.  ``MissingModel`` if the store's
-        directory does not exist or holds no model file."""
+        speaker, once ``_check`` accepts it.  ``ValueError`` for an unknown
+        stream, before any read; ``MissingModel`` if the store's directory
+        does not exist or holds no model file."""
+        index = _stream_index(stream)
         models = self._models()
         if models is None:
             state = "is empty" if self.path.is_dir() else "does not exist"
             raise MissingModel(f"model store at {self.path} {state}")
         speakers, streams = models
-        stored = streams[STREAMS.index(stream)]
+        stored = streams[index]
         self._check(stream, speakers, stored)
         return ModelBank(speakers, *stored[1:])
 

@@ -15,7 +15,7 @@ from sidkit.gmm import (
     _KMEANS_MAX_PASSES,
     COLLAPSE_THRESHOLD,
     LOG_TWO_PI,
-    GmmModel,
+    GmmStack,
     ModelBank,
     _canonical_order,
     _cell_means,
@@ -77,33 +77,51 @@ def variance_floor(features: np.ndarray, factor: float) -> np.ndarray:
     return np.maximum(factor * x.var(axis=0), 1e-12)
 
 
-def component_log_density(x: np.ndarray, i: int, model: GmmModel) -> float:
-    """Log of the i-th component's Gaussian density at one vector."""
+ARRAYS = ("weights", "means", "variances")
+
+
+def mixture(weights, means, variances, size: int = 0) -> GmmStack:
+    """One speaker's model of ``weights`` (M,) and ``means`` and
+    ``variances`` (M, D): a stack of one, trained on ``size`` rows."""
+    return GmmStack(*(np.asarray(a, dtype=np.float64)[None] for a in (weights, means, variances)),
+                    sizes=(size,))
+
+
+def row_of(stack: GmmStack, i: int) -> GmmStack:
+    """Speaker ``i``'s model of ``stack``, trace included: a stack of one."""
+    return GmmStack(*(getattr(stack, name)[i : i + 1] for name in ARRAYS),
+                    sizes=stack.sizes[i : i + 1], traces=stack.traces[i : i + 1])
+
+
+def component_log_density(x: np.ndarray, i: int, model: GmmStack) -> float:
+    """Log of the i-th component's Gaussian density at one vector, under a
+    stack of one."""
     x = np.asarray(x, dtype=np.float64)
-    diff = x - model.means[i]
+    diff = x - model.means[0, i]
     return float(
         -0.5
         * (
             model.dim * LOG_TWO_PI
-            + np.sum(np.log(model.variances[i]))
-            + np.sum(diff * diff / model.variances[i])
+            + np.sum(np.log(model.variances[0, i]))
+            + np.sum(diff * diff / model.variances[0, i])
         )
     )
 
 
-def bank_of(models: dict[str, GmmModel]) -> ModelBank:
-    """The bank of speaker id -> model, its arrays stacked in id order."""
+def bank_of(models: dict[str, GmmStack]) -> ModelBank:
+    """The bank of speaker id -> stack of one, its rows stacked in id order."""
     speakers = sorted(models)
-    return ModelBank(speakers, *(np.stack([getattr(models[speaker], name) for speaker in speakers])
-                                 for name in ("weights", "means", "variances")))
+    return ModelBank(speakers, *(np.concatenate([getattr(models[speaker], name)
+                                                 for speaker in speakers])
+                                 for name in ARRAYS))
 
 
-def model_log_likelihoods(features: np.ndarray, model: GmmModel) -> np.ndarray:
-    """Per-vector log-likelihoods (N,) under one model, scored as a bank of one."""
+def model_log_likelihoods(features: np.ndarray, model: GmmStack) -> np.ndarray:
+    """Per-vector log-likelihoods (N,) under a stack of one, scored as a bank of one."""
     return gmm_log_likelihoods(features, bank_of({"": model}))[:, 0]
 
 
-def gmm_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
+def gmm_log_likelihood(x: np.ndarray, model: GmmStack) -> float:
     """log p(x | model) for one vector: the one-row case of the batch kernel."""
     return float(model_log_likelihoods(np.asarray(x, dtype=np.float64)[None, :], model)[0])
 
@@ -129,9 +147,9 @@ def _kmeans_one(features, scaled, sq_norms, centroids):
     return centroids, None
 
 
-def lbg_init_one(features, num_components, cfg) -> GmmModel:
-    """One speaker's LBG initialization, trained alone: the reference every
-    model of a ``gmm.lbg_init`` stack must equal bit for bit."""
+def lbg_init_one(features, num_components, cfg) -> GmmStack:
+    """One speaker's LBG initialization, trained alone, as a stack of one:
+    the reference every row of a ``gmm.lbg_init`` stack must equal bit for bit."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] < num_components:
         raise InsufficientData(f"{features.shape[0]} vectors for {num_components} components")
@@ -163,12 +181,13 @@ def lbg_init_one(features, num_components, cfg) -> GmmModel:
     means = _cell_means(features, labels, counts)
     scatter = features - means[labels]
     variances = np.maximum(_cell_means(scatter * scatter, labels, counts), floor)
-    return GmmModel(weights=counts / counts.sum(), means=means, variances=variances)
+    return mixture(counts / counts.sum(), means, variances, size=features.shape[0])
 
 
-def em_train_one(features, init: GmmModel, cfg) -> GmmModel:
-    """One speaker's EM refinement, trained alone: the reference every model
-    of a ``gmm.em_train`` stack must equal bit for bit, trace included."""
+def em_train_one(features, init: GmmStack, cfg) -> GmmStack:
+    """One speaker's EM refinement of a stack of one, trained alone: the
+    reference every row of a ``gmm.em_train`` stack must equal bit for bit,
+    trace included."""
     features = np.asarray(features, dtype=np.float64)
     num, dim = features.shape
     features = _canonical_order(features)
@@ -179,7 +198,7 @@ def em_train_one(features, init: GmmModel, cfg) -> GmmModel:
     floor = _floor_of(data_var, cfg.variance_floor_factor)
     global_var = np.maximum(data_var, floor)
 
-    weights, offsets, variances = init.weights, init.means - centre, init.variances
+    weights, offsets, variances = init.weights[0], init.means[0] - centre, init.variances[0]
     trace = []
     for iteration in range(cfg.em_iterations + 1):
         joint = _quadratic_form_of(weights, offsets, variances) @ stats.T
@@ -206,8 +225,8 @@ def em_train_one(features, init: GmmModel, cfg) -> GmmModel:
                 weights[j] = 1.0 / num
             weights = weights / weights.sum()
 
-    return GmmModel(weights=weights, means=offsets + centre, variances=variances,
-                    em_log_likelihoods=tuple(trace))
+    return GmmStack(*(a[None] for a in (weights, offsets + centre, variances)),
+                    sizes=(num,), traces=(tuple(trace),))
 
 
 def synthesize_utterance(

@@ -33,17 +33,13 @@ from sidkit.corpus import (
 )
 from sidkit.audio_io import load_audio
 from sidkit.frontend import AudioSignal, hamming_window, preprocess
-from sidkit.gmm import (
-    GmmModel,
-    em_train,
-    lbg_init,
-)
+from sidkit.gmm import em_train, lbg_init
 from sidkit.identify import COMBINED, RESIDUAL, SPECTRAL, identify, score_utterance, with_eta
 from sidkit.lpc import AUTOCORR_RIDGE, compute_lp, inverse_filter
 from sidkit.residual_moments import central_moments
 from sidkit.store import MODELS_NAME
 
-from oracles import model_log_likelihoods, normalize_residual, predict
+from oracles import mixture, model_log_likelihoods, normalize_residual, predict
 
 
 def _dense_lp_coefficients(frame, order):
@@ -146,7 +142,7 @@ def test_04_em_monotone_likelihood(criterion):
             data = np.concatenate(parts)
             for m in (2, 4, 8, 16):
                 cfg = ModelConfig()
-                (model,) = em_train(data, lbg_init(data, [len(data)], m, cfg), cfg).models()
+                model = em_train(data, lbg_init(data, [len(data)], m, cfg), cfg)
                 assert len(model.em_log_likelihoods) == cfg.em_iterations + 1
                 drop = float(np.min(np.diff(model.em_log_likelihoods)))
                 worst_drop = min(worst_drop, drop)
@@ -155,9 +151,9 @@ def test_04_em_monotone_likelihood(criterion):
 
         data = np.random.default_rng(1044).standard_normal((500, 4)) * 1.7 + 0.3
         cfg = ModelConfig()
-        (model,) = em_train(data, lbg_init(data, [len(data)], 1, cfg), cfg).models()
-        np.testing.assert_allclose(model.means[0], data.mean(axis=0), atol=1e-9)
-        np.testing.assert_allclose(model.variances[0], data.var(axis=0), atol=1e-9)
+        model = em_train(data, lbg_init(data, [len(data)], 1, cfg), cfg)
+        np.testing.assert_allclose(model.means[0, 0], data.mean(axis=0), atol=1e-9)
+        np.testing.assert_allclose(model.variances[0, 0], data.var(axis=0), atol=1e-9)
 
 
 def test_05_mixture_density_oracle(criterion):
@@ -171,21 +167,18 @@ def test_05_mixture_density_oracle(criterion):
             m = int(2 ** rng.integers(0, 4))
             weights = rng.uniform(0.2, 1.0, m)
             weights /= weights.sum()
-            model = GmmModel(
-                weights=weights,
-                means=rng.uniform(-3.0, 3.0, (m, dim)),
-                variances=rng.uniform(0.2, 2.0, (m, dim)),
-            )
+            means = rng.uniform(-3.0, 3.0, (m, dim))
+            variances = rng.uniform(0.2, 2.0, (m, dim))
             points = rng.uniform(-4.0, 4.0, (100, dim))
 
-            diff = points[:, None, :] - model.means[None, :, :]
-            exponent = -0.5 * np.sum(diff**2 / model.variances[None, :, :], axis=2)
-            norms = np.prod(2.0 * np.pi * model.variances, axis=1) ** -0.5
-            linear = (np.exp(exponent) * norms[None, :]) @ model.weights
+            diff = points[:, None, :] - means[None, :, :]
+            exponent = -0.5 * np.sum(diff**2 / variances[None, :, :], axis=2)
+            norms = np.prod(2.0 * np.pi * variances, axis=1) ** -0.5
+            linear = (np.exp(exponent) * norms[None, :]) @ weights
 
             usable = linear > 1e-290
             direct = np.log(linear[usable])
-            stable = model_log_likelihoods(points, model)[usable]
+            stable = model_log_likelihoods(points, mixture(weights, means, variances))[usable]
             if usable.any():
                 worst = max(worst, float(np.max(np.abs(direct - stable))))
             checked += int(usable.sum())

@@ -14,7 +14,6 @@ from sidkit.gmm import (
     _KMEANS_MAX_PASSES,
     COLLAPSE_THRESHOLD,
     LOG_TWO_PI,
-    GmmModel,
     GmmStack,
     ModelBank,
     _canonical_order,
@@ -27,30 +26,33 @@ from sidkit.gmm import (
 )
 
 from oracles import (
+    ARRAYS,
     bank_of,
     component_log_density,
     em_train_one,
     gmm_log_likelihood,
     lbg_init_one,
+    mixture,
     model_log_likelihoods,
+    row_of,
     variance_floor,
 )
 
 
-def stack_of(*models: GmmModel, sizes) -> GmmStack:
-    """An ``em_train`` init stacking the given models."""
-    return GmmStack(*(np.stack([getattr(m, name) for m in models])
-                      for name in ("weights", "means", "variances")), tuple(sizes))
+def stack_of(*models: GmmStack, sizes) -> GmmStack:
+    """An ``em_train`` init stacking the rows of the given stacks."""
+    return GmmStack(*(np.concatenate([getattr(m, name) for m in models]) for name in ARRAYS),
+                    tuple(sizes))
 
 
-def lbg_one(x, m, cfg) -> GmmModel:
-    """``lbg_init`` on a stack of one speaker: its model."""
-    return lbg_init(x, [len(x)], m, cfg).models()[0]
+def lbg_one(x, m, cfg) -> GmmStack:
+    """``lbg_init`` on a stack of one speaker."""
+    return lbg_init(x, [len(x)], m, cfg)
 
 
-def em_one(x, init: GmmModel, cfg) -> GmmModel:
-    """``em_train`` on a stack of one speaker from ``init``: its model."""
-    return em_train(x, stack_of(init, sizes=[len(x)]), cfg).models()[0]
+def em_one(x, init: GmmStack, cfg) -> GmmStack:
+    """``em_train`` on a stack of one speaker from the stack of one ``init``."""
+    return em_train(x, stack_of(init, sizes=[len(x)]), cfg)
 
 
 # The training loops in their plain form, before the Lloyd fast paths and
@@ -128,7 +130,7 @@ def plain_em_train(features, init, cfg):
     squares = features**2
     floor = variance_floor(features, cfg.variance_floor_factor)
     global_var = np.maximum(features.var(axis=0), floor)
-    weights, means, variances = init.weights, init.means, init.variances
+    weights, means, variances = init.weights[0], init.means[0], init.variances[0]
     trace = []
     for iteration in range(cfg.em_iterations + 1):
         joint = _plain_log_joint(features, weights, means, variances)
@@ -160,43 +162,14 @@ def two_clouds(rng, n_per=500, dim=3, separation=10.0, std=1.0):
     return np.vstack([a, b]), a.mean(axis=0), b.mean(axis=0)
 
 
-class TestGmmModel:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            GmmModel(weights=np.array([0.5, 0.4]), means=np.zeros((2, 1)),
-                     variances=np.ones((2, 1)))
-
-    def test_variances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
-                     variances=np.array([[1.0, 0.0]]))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("array", ["weights", "means", "variances"])
-    def test_parameters_must_be_finite(self, array, value):
-        """NaN passes every ``<=`` and ``abs`` test, so each array is checked
-        for NaN and inf on its own."""
-        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
-                  "variances": np.ones((2, 2))}
-        params[array].flat[-1] = value
-        with pytest.raises(ValueError, match="must be finite"):
-            GmmModel(**params)
-
-    def test_parameters_read_only(self):
-        model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
-                         variances=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            model.means[0, 0] = 5.0
-
-
 class TestLbgInit:
     def test_single_component_is_global_stats(self):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((400, 5)) * 2.0 + 1.0
         model = lbg_one(x, 1, ModelConfig())
-        np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-12)
-        assert model.weights[0] == 1.0
+        np.testing.assert_allclose(model.means[0, 0], x.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(model.variances[0, 0], x.var(axis=0), atol=1e-12)
+        assert model.weights[0, 0] == 1.0
 
     def test_two_separated_clouds_found(self):
         """Split + refine lands centroids on the true cloud means.
@@ -206,7 +179,7 @@ class TestLbgInit:
         rng = np.random.default_rng(41)
         x, mean_a, mean_b = two_clouds(rng)
         model = lbg_one(x, 2, ModelConfig())
-        got = sorted(model.means.tolist())
+        got = sorted(model.means[0].tolist())
         want = sorted([mean_a.tolist(), mean_b.tolist()])
         for g, w in zip(got, want):
             assert np.linalg.norm(np.array(g) - np.array(w)) < 0.1
@@ -291,7 +264,7 @@ class TestComponentLogDensity:
     def _model(mean, var):
         mean = np.atleast_2d(np.asarray(mean, dtype=float))
         var = np.atleast_2d(np.asarray(var, dtype=float))
-        return GmmModel(weights=np.array([1.0]), means=mean, variances=var)
+        return mixture(weights=np.array([1.0]), means=mean, variances=var)
 
     def test_standard_normal_peak_1d(self):
         model = self._model([0.0], [1.0])
@@ -323,8 +296,8 @@ class TestComponentLogDensity:
 class TestGmmLogLikelihood:
     def test_single_component_equals_density(self):
         rng = np.random.default_rng(48)
-        model = GmmModel(weights=np.array([1.0]), means=rng.uniform(-1, 1, (1, 4)),
-                         variances=rng.uniform(0.5, 2.0, (1, 4)))
+        model = mixture(weights=np.array([1.0]), means=rng.uniform(-1, 1, (1, 4)),
+                        variances=rng.uniform(0.5, 2.0, (1, 4)))
         x = rng.uniform(-2, 2, 4)
         assert gmm_log_likelihood(x, model) == pytest.approx(
             component_log_density(x, 0, model), abs=1e-12
@@ -334,10 +307,10 @@ class TestGmmLogLikelihood:
         """Two copies of the same Gaussian at weights 0.5/0.5 score like one."""
         mean = np.array([[0.3, -0.7]])
         var = np.array([[1.2, 0.8]])
-        single = GmmModel(weights=np.array([1.0]), means=mean, variances=var)
-        double = GmmModel(weights=np.array([0.5, 0.5]),
-                          means=np.vstack([mean, mean]),
-                          variances=np.vstack([var, var]))
+        single = mixture(weights=np.array([1.0]), means=mean, variances=var)
+        double = mixture(weights=np.array([0.5, 0.5]),
+                         means=np.vstack([mean, mean]),
+                         variances=np.vstack([var, var]))
         x = np.array([1.0, 1.0])
         assert gmm_log_likelihood(x, double) == pytest.approx(
             gmm_log_likelihood(x, single), abs=1e-12
@@ -354,7 +327,7 @@ class TestGmmLogLikelihood:
             variances = rng.uniform(0.5, 2.0, (m, d))
             weights = rng.uniform(0.5, 1.5, m)
             weights /= weights.sum()
-            model = GmmModel(weights=weights, means=means, variances=variances)
+            model = mixture(weights=weights, means=means, variances=variances)
             for x in rng.uniform(-4, 4, (100, d)):
                 linear = 0.0
                 for i in range(m):
@@ -374,9 +347,9 @@ class TestGmmLogLikelihood:
         """A batch scores within a few ulps of its rows one at a time: the
         BLAS product may accumulate one row differently from many."""
         rng = np.random.default_rng(50)
-        model = GmmModel(weights=np.array([0.4, 0.6]),
-                         means=rng.uniform(-1, 1, (2, 5)),
-                         variances=rng.uniform(0.5, 2.0, (2, 5)))
+        model = mixture(weights=np.array([0.4, 0.6]),
+                        means=rng.uniform(-1, 1, (2, 5)),
+                        variances=rng.uniform(0.5, 2.0, (2, 5)))
         xs = rng.uniform(-2, 2, (50, 5))
         batch = model_log_likelihoods(xs, model)
         singles = np.array([gmm_log_likelihood(x, model) for x in xs])
@@ -389,7 +362,7 @@ class TestLogDensityKernel:
     @staticmethod
     def _oracle(xs, model):
         with np.errstate(divide="ignore"):
-            log_weights = np.log(model.weights)
+            log_weights = np.log(model.weights[0])
         joint = np.array([
             [log_weights[i] + component_log_density(x, i, model)
              for i in range(model.num_components)]
@@ -400,9 +373,9 @@ class TestLogDensityKernel:
     @staticmethod
     def _random_model(rng, m, d, centre=0.0, spread=3.0, var_scale=1.0):
         weights = rng.uniform(0.2, 1.0, m)
-        return GmmModel(weights=weights / weights.sum(),
-                        means=centre + rng.uniform(-spread, spread, (m, d)),
-                        variances=var_scale * rng.uniform(0.1, 3.0, (m, d)))
+        return mixture(weights=weights / weights.sum(),
+                       means=centre + rng.uniform(-spread, spread, (m, d)),
+                       variances=var_scale * rng.uniform(0.1, 3.0, (m, d)))
 
     def test_matches_oracle_across_orders_and_widths(self):
         rng = np.random.default_rng(60)
@@ -434,7 +407,7 @@ class TestLogDensityKernel:
         x[:, 2] = 0.37
         cfg = ModelConfig()
         model = em_one(x, lbg_one(x, 4, cfg), cfg)
-        assert np.all(model.variances[:, 2] == 1e-12)
+        assert np.all(model.variances[0, :, 2] == 1e-12)
         xs = rng.standard_normal((40, 4))
         xs[:, 2] = 0.37
         xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 20)
@@ -448,10 +421,10 @@ class TestLogDensityKernel:
         rng = np.random.default_rng(63)
         means = np.array([[-1.0, 2.0, 0.5], [1.0, 0.0, -0.5]])
         variances = rng.uniform(0.5, 2.0, (2, 3))
-        live = GmmModel(weights=np.array([0.25, 0.75]), means=means, variances=variances)
-        with_dead = GmmModel(weights=np.array([0.25, 0.0, 0.75]),
-                             means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
-                             variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
+        live = mixture(weights=np.array([0.25, 0.75]), means=means, variances=variances)
+        with_dead = mixture(weights=np.array([0.25, 0.0, 0.75]),
+                            means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
+                            variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
         xs = rng.uniform(-3.0, 3.0, (30, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -512,9 +485,9 @@ class TestLogDensityKernel:
                   for i in range(16)}
         xs = rng.uniform(-30.0, 30.0, (50, 19))
         x = rng.standard_normal((200, 2))
-        init = GmmModel(weights=np.array([0.5, 0.5]),
-                        means=np.array([[0.0, 0.0], [1e6, 1e6]]),
-                        variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        init = mixture(weights=np.array([0.5, 0.5]),
+                       means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                       variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         monkeypatch.setattr(np, "exp", spy)
         for run in (lambda: gmm_log_likelihoods(xs, bank_of(models)),
                     lambda: em_one(x, init, ModelConfig(em_iterations=10))):
@@ -570,10 +543,10 @@ class TestModelBank:
             model = models[speaker]
             for m in range(4):
                 column = form[:, m * 3 + s]
-                np.testing.assert_array_equal(column[:3], -0.5 / model.variances[m])
+                np.testing.assert_array_equal(column[:3], -0.5 / model.variances[0, m])
                 np.testing.assert_allclose(
                     column[6],
-                    np.log(model.weights[m]) + component_log_density(bank._shift, m, model),
+                    np.log(model.weights[0, m]) + component_log_density(bank._shift, m, model),
                     rtol=1e-13, atol=0,
                 )
 
@@ -595,7 +568,7 @@ class TestModelBank:
             x = rng.standard_normal((200, 4))
             x[:, 2] = 0.37
             models[f"spk{i:02d}"] = em_one(x, lbg_one(x, 4, cfg), cfg)
-        assert all(np.all(m.variances[:, 2] == 1e-12) for m in models.values())
+        assert all(np.all(m.variances[0, :, 2] == 1e-12) for m in models.values())
         xs = rng.standard_normal((40, 4))
         xs[:, 2] = 0.37
         xs[::2, 2] += rng.uniform(-1e-6, 1e-6, 20)
@@ -624,9 +597,9 @@ class TestModelBank:
         for column, speaker in zip(got.T, bank.speakers):
             model = models[speaker]
             own = model_log_likelihoods(xs, model)
-            delta = model.means.mean(axis=0) - bank_shift
+            delta = model.means[0].mean(axis=0) - bank_shift
             bound = np.finfo(float).eps * (
-                np.abs(own) + np.sum(delta**2 / model.variances.min(axis=0))
+                np.abs(own) + np.sum(delta**2 / model.variances[0].min(axis=0))
             )
             error = np.abs(column - own)
             assert np.all(error <= 4.0 * bound)
@@ -637,10 +610,10 @@ class TestModelBank:
         rng = np.random.default_rng(69)
         means = np.array([[-1.0, 2.0, 0.5], [1.0, 0.0, -0.5]])
         variances = rng.uniform(0.5, 2.0, (2, 3))
-        live = GmmModel(weights=np.array([0.25, 0.75]), means=means, variances=variances)
-        with_dead = GmmModel(weights=np.array([0.25, 0.0, 0.75]),
-                             means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
-                             variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
+        live = mixture(weights=np.array([0.25, 0.75]), means=means, variances=variances)
+        with_dead = mixture(weights=np.array([0.25, 0.0, 0.75]),
+                            means=np.array([means[0], [0.0, 1.0, 0.0], means[1]]),
+                            variances=np.array([variances[0], [1.0, 1.0, 1.0], variances[1]]))
         models = {"a": with_dead, "b": self._random_model(rng, 3, 3)}
         xs = rng.uniform(-3.0, 3.0, (30, 3))
         with warnings.catch_warnings():
@@ -674,15 +647,37 @@ class TestModelBank:
         """Columns are read in speaker order, so an order the caller did not
         sort would name every column wrongly."""
         model = self._random_model(np.random.default_rng(71), 2, 3)
-        arrays = [np.stack([getattr(model, name)] * 2) for name in ("weights", "means", "variances")]
+        arrays = [np.concatenate([getattr(model, name)] * 2) for name in ARRAYS]
         with pytest.raises(ValueError, match=re.escape(f"strictly increasing, got {speakers}")):
             ModelBank(speakers, *arrays)
 
     def test_one_speaker_per_model(self):
         model = self._random_model(np.random.default_rng(73), 2, 3)
-        arrays = [np.stack([getattr(model, name)] * 2) for name in ("weights", "means", "variances")]
-        with pytest.raises(ValueError, match="^3 speakers for 2 models$"):
+        arrays = [np.concatenate([getattr(model, name)] * 2) for name in ARRAYS]
+        with pytest.raises(ValueError, match="^" + re.escape(
+            "weights (S, M), means and variances (S, M, D) need S = 3, one row per speaker; "
+            "got (2, 2), (2, 2, 3) and (2, 2, 3)"
+        ) + "$"):
             ModelBank(("a", "b", "c"), *arrays)
+
+    @pytest.mark.parametrize(
+        "weights, means, variances, shapes",
+        [
+            ((1, 2), (2, 3), (1, 2, 3), "(1, 2), (2, 3) and (1, 2, 3)"),
+            ((1, 1), (1, 2, 3), (1, 2, 3), "(1, 1), (1, 2, 3) and (1, 2, 3)"),
+            ((1, 2), (1, 2, 3), (1, 2, 4), "(1, 2), (1, 2, 3) and (1, 2, 4)"),
+        ],
+        ids=["2-D-means", "weights-of-other-M", "variances-of-other-shape"],
+    )
+    def test_arrays_must_have_the_stacked_shapes(self, weights, means, variances, shapes):
+        """Mis-shaped arrays would score without error and answer wrongly (a
+        (1, 1) weights beside (1, 2, 3) means made a 1-component bank whose
+        scores had twice the vectors' rows), or fail deep in numpy."""
+        with pytest.raises(ValueError, match="^" + re.escape(
+            "weights (S, M), means and variances (S, M, D) need S = 1, one row per speaker; "
+            f"got {shapes}"
+        ) + "$"):
+            ModelBank(["a"], np.full(weights, 0.5), np.zeros(means), np.ones(variances))
 
     def test_bank_of_a_stack_scores_as_its_models(self):
         """A trained stack's own (S, M) and (S, M, D) arrays make the bank
@@ -693,7 +688,7 @@ class TestModelBank:
         stack = em_train(x, lbg_init(x, [200, 250, 150], 4, cfg), cfg)
         speakers = ("a", "b", "c")
         direct = ModelBank(speakers, stack.weights, stack.means, stack.variances)
-        stacked = bank_of(dict(zip(speakers, stack.models())))
+        stacked = bank_of({speaker: row_of(stack, i) for i, speaker in enumerate(speakers)})
         np.testing.assert_array_equal(direct._form, stacked._form)
         np.testing.assert_array_equal(direct._shift, stacked._shift)
         xs = rng.standard_normal((40, 5))
@@ -718,14 +713,14 @@ class TestEmTrain:
         regardless of the starting point (closed-form maximum likelihood)."""
         rng = np.random.default_rng(51)
         x = rng.standard_normal((500, 3)) * 1.7 + 0.4
-        bad_init = GmmModel(weights=np.array([1.0]),
-                            means=np.full((1, 3), 9.0),
-                            variances=np.full((1, 3), 4.0))
+        bad_init = mixture(weights=np.array([1.0]),
+                           means=np.full((1, 3), 9.0),
+                           variances=np.full((1, 3), 4.0))
         cfg = ModelConfig(em_iterations=1)
         model = em_one(x, bad_init, cfg)
-        np.testing.assert_allclose(model.means[0], x.mean(axis=0), atol=1e-9)
-        np.testing.assert_allclose(model.variances[0], x.var(axis=0), atol=1e-9)
-        assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(model.means[0, 0], x.mean(axis=0), atol=1e-9)
+        np.testing.assert_allclose(model.variances[0, 0], x.var(axis=0), atol=1e-9)
+        assert model.weights[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_log_likelihood_trace_non_decreasing(self):
         rng = np.random.default_rng(52)
@@ -748,7 +743,7 @@ class TestEmTrain:
         got = sorted(model.means.ravel().tolist())
         assert got[0] == pytest.approx(-3.0, abs=0.15)
         assert got[1] == pytest.approx(3.0, abs=0.15)
-        assert model.weights[0] == pytest.approx(0.5, abs=0.05)
+        assert model.weights[0, 0] == pytest.approx(0.5, abs=0.05)
 
     def test_constraints_after_training(self):
         """Weights sum to one and variances respect the floor for random
@@ -782,7 +777,7 @@ class TestEmTrain:
         data point instead of killing the run."""
         rng = np.random.default_rng(57)
         x = rng.standard_normal((200, 2))
-        init = GmmModel(
+        init = mixture(
             weights=np.array([0.5, 0.5]),
             means=np.array([[0.0, 0.0], [1e6, 1e6]]),
             variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
@@ -797,7 +792,7 @@ class TestEmTrain:
         warning escapes before it is re-seeded."""
         rng = np.random.default_rng(57)
         x = rng.standard_normal((200, 2))
-        init = GmmModel(
+        init = mixture(
             weights=np.array([0.5, 0.5]),
             means=np.array([[0.0, 0.0], [1e6, 1e6]]),
             variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]),
@@ -826,9 +821,9 @@ EM_RTOL = 1e-9
 
 
 def assert_em_close(model, weights, means, variances, spread):
-    np.testing.assert_allclose(model.weights, weights, rtol=EM_RTOL, atol=0)
-    assert np.all(np.abs(model.means - means) <= EM_RTOL * spread)
-    np.testing.assert_allclose(model.variances, variances, rtol=EM_RTOL, atol=0)
+    np.testing.assert_allclose(model.weights[0], weights, rtol=EM_RTOL, atol=0)
+    assert np.all(np.abs(model.means[0] - means) <= EM_RTOL * spread)
+    np.testing.assert_allclose(model.variances[0], variances, rtol=EM_RTOL, atol=0)
 
 
 def clumped(seed):
@@ -906,9 +901,9 @@ class TestTrainingAgainstPlainLoops:
         its digits to cancellation (it is off by 2e-3 nats)."""
         rng = np.random.default_rng(57)
         x = rng.standard_normal((200, 2))
-        init = GmmModel(weights=np.array([0.5, 0.5]),
-                        means=np.array([[0.0, 0.0], [1e6, 1e6]]),
-                        variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        init = mixture(weights=np.array([0.5, 0.5]),
+                       means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                       variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         cfg = ModelConfig(em_iterations=10)
         model = em_one(x, init, cfg)
         weights, means, variances, trace = plain_em_train(x, init, cfg)
@@ -931,8 +926,7 @@ class TestTrainingAgainstPlainLoops:
         x = 1e4 + rng.standard_normal((600, 6)) * rng.uniform(0.5, 2.0, 6)
         init = lbg_one(x, 8, cfg)
         centre = x.mean(axis=0)
-        centred_init = GmmModel(weights=init.weights, means=init.means - centre,
-                                variances=init.variances)
+        centred_init = mixture(init.weights[0], init.means[0] - centre, init.variances[0])
         weights, means, variances, _ = plain_em_train(x - centre, centred_init, cfg)
         model = em_one(x, init, cfg)
         assert_em_close(model, weights, means + centre, variances, x.std(axis=0))
@@ -941,10 +935,10 @@ class TestTrainingAgainstPlainLoops:
 
 
 def assert_same_model(got, want):
-    """Bit for bit, EM trace included."""
-    for name in ("weights", "means", "variances"):
+    """Stacks of one, bit for bit, EM trace included."""
+    for name in ARRAYS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert got.em_log_likelihoods == want.em_log_likelihoods
+    assert got.traces == want.traces
 
 
 def train_stack(xs, m, cfg, names=None) -> GmmStack:
@@ -952,7 +946,7 @@ def train_stack(xs, m, cfg, names=None) -> GmmStack:
     return em_train(stacked, lbg_init(stacked, [len(x) for x in xs], m, cfg, names=names), cfg)
 
 
-def train_alone(x, m, cfg) -> GmmModel:
+def train_alone(x, m, cfg) -> GmmStack:
     return em_train_one(x, lbg_init_one(x, m, cfg), cfg)
 
 
@@ -968,8 +962,8 @@ class TestStackAgainstTrainingAlone:
                   for n in (16 * m, 199, 37 * m + 5)]
             stack = train_stack(xs, m, cfg)
             assert stack.sizes == tuple(len(x) for x in xs)
-            for x, got in zip(xs, stack.models()):
-                assert_same_model(got, train_alone(x, m, cfg))
+            for i, x in enumerate(xs):
+                assert_same_model(row_of(stack, i), train_alone(x, m, cfg))
             assert len(stack.em_log_likelihoods) == cfg.em_iterations + 1
             assert stack.em_log_likelihoods == tuple(sum(t) for t in zip(*stack.traces))
 
@@ -978,9 +972,8 @@ class TestStackAgainstTrainingAlone:
         x = rng.standard_normal((400, 6)) + 2.0
         cfg = ModelConfig()
         stack = train_stack([x], 8, cfg)
-        (got,) = stack.models()
-        assert_same_model(got, train_alone(x, 8, cfg))
-        assert stack.em_log_likelihoods == got.em_log_likelihoods
+        assert_same_model(stack, train_alone(x, 8, cfg))
+        assert stack.em_log_likelihoods == stack.traces[0]
 
     def test_speakers_whose_lbg_reseeds_an_empty_cell(self, monkeypatch):
         """Clumped speakers reseed empty cells; the clouds between them do not."""
@@ -998,26 +991,25 @@ class TestStackAgainstTrainingAlone:
         xs.insert(4, rng.standard_normal((90, 3)) * 3.0)
         stack = train_stack(xs, 8, cfg)
         assert reseeds and set(reseeds) == {64}
-        for x, got in zip(xs, stack.models()):
-            assert_same_model(got, train_alone(x, 8, cfg))
+        for i, x in enumerate(xs):
+            assert_same_model(row_of(stack, i), train_alone(x, 8, cfg))
 
     def test_speaker_whose_em_collapses(self):
         """The far component of ``test_collapsed_component_recovers``'s init
         is reseeded within its own speaker only."""
         rng = np.random.default_rng(57)
         x = rng.standard_normal((200, 2))
-        far = GmmModel(weights=np.array([0.5, 0.5]),
-                       means=np.array([[0.0, 0.0], [1e6, 1e6]]),
-                       variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
+        far = mixture(weights=np.array([0.5, 0.5]),
+                      means=np.array([[0.0, 0.0], [1e6, 1e6]]),
+                      variances=np.array([[1.0, 1.0], [1e-4, 1e-4]]))
         cfg = ModelConfig(em_iterations=10)
         before, after = rng.standard_normal((150, 2)) * 2.0 + 1.0, rng.standard_normal((90, 2))
         xs = [before, x, after]
         inits = [lbg_init_one(before, 2, cfg), far, lbg_init_one(after, 2, cfg)]
         stack = em_train(np.concatenate(xs), stack_of(*inits, sizes=[len(v) for v in xs]), cfg)
-        models = stack.models()
-        assert np.all(np.abs(models[1].means) < 10.0)
-        for data, init, got in zip(xs, inits, models):
-            assert_same_model(got, em_train_one(data, init, cfg))
+        assert np.all(np.abs(stack.means[1]) < 10.0)
+        for i, (data, init) in enumerate(zip(xs, inits)):
+            assert_same_model(row_of(stack, i), em_train_one(data, init, cfg))
 
     def test_a_speakers_bits_do_not_depend_on_its_stack(self):
         """The same speaker in stacks with other speakers, in other orders."""
@@ -1032,8 +1024,8 @@ class TestStackAgainstTrainingAlone:
         alone = {k: train_alone(x, 8, cfg) for k, x in xs.items()}
         for order in ("abcd", "dcba", "bd", "ca", "cbda", "a"):
             stack = train_stack([xs[k] for k in order], 8, cfg)
-            for k, got in zip(order, stack.models()):
-                assert_same_model(got, alone[k])
+            for i, k in enumerate(order):
+                assert_same_model(row_of(stack, i), alone[k])
 
     def test_insufficient_data_names_the_first_failing_speaker(self):
         rng = np.random.default_rng(101)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sidkit.errors import EmptyFeatureStream, FeatureDimensionMismatch
-from sidkit.gmm import GmmModel, ModelBank, gmm_log_likelihoods
+from sidkit.gmm import ModelBank, gmm_log_likelihoods
 from sidkit.identify import (
     COMBINED,
     RESIDUAL,
@@ -17,11 +17,11 @@ from sidkit.identify import (
     with_eta,
 )
 
-from oracles import bank_of, model_log_likelihoods
+from oracles import bank_of, mixture, model_log_likelihoods
 
 
 def make_model(rng, d):
-    return GmmModel(
+    return mixture(
         weights=np.array([1.0]),
         means=rng.uniform(-1, 1, (1, d)),
         variances=rng.uniform(0.5, 1.5, (1, d)),

@@ -31,7 +31,7 @@ from sidkit.store import (
     _unpack,
 )
 
-from oracles import bank_of
+from oracles import bank_of, row_of
 
 
 def random_stack(rng, s=1, m=4, d=6):
@@ -173,8 +173,20 @@ class TestModelStore:
         store = bound_store(tmp_path / "store")
         spectral, residual = enrol(store, rng, "alice")
         for stream, stack in zip(STREAMS, (spectral, residual)):
-            expected = bank_of(dict(zip(["alice"], stack.models())))
+            expected = bank_of({"alice": stack})
             assert_same_banks([store.load(stream)], [expected])
+
+    def test_unknown_stream_is_refused_before_any_read(self, tmp_path, monkeypatch):
+        store = bound_store(tmp_path / "store")
+        enrol(store, np.random.default_rng(66), "alice")
+        reopened = ModelStore(store.path)
+        reads = []
+        monkeypatch.setattr(ModelStore, "_read", lambda self, name: reads.append(name))
+        with pytest.raises(ValueError, match="^" + re.escape(
+            "unknown stream 'bogus', expected one of ('spectral', 'residual')"
+        ) + "$"):
+            reopened.load("bogus")
+        assert reads == []
 
     def test_missing_model(self, tmp_path):
         store = ModelStore(tmp_path / "store")
@@ -207,7 +219,7 @@ class TestModelStore:
         models = {}
         for speaker in ("bob", "alice"):
             stacks = enrol(store, rng, speaker)
-            models[speaker] = [stack.models()[0] for stack in stacks]
+            models[speaker] = stacks
             assert [bank.speakers for bank in store.banks()] == [tuple(sorted(models))] * 2
         xs = rng.uniform(-2, 2, (10, 6))
         for i, bank in enumerate(store.banks()):
@@ -229,7 +241,7 @@ class TestModelStore:
         rebuilt = store.banks()
         assert rebuilt is not banks
         expected = [
-            bank_of({"alice": new.models()[1], "bob": old.models()[0], "carol": new.models()[0]})
+            bank_of({"alice": row_of(new, 1), "bob": row_of(old, 0), "carol": row_of(new, 0)})
             for old, new in zip(first, second)
         ]
         assert_same_banks(rebuilt, expected)
